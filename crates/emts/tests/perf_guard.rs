@@ -1,8 +1,8 @@
 //! Release-mode regression guards for the fitness hot paths.
 //!
-//! Four guards on the paper's hard case (irregular n=100 DAGGEN on
-//! Grelon, P=120), all relative — they compare two in-tree
-//! implementations on the same machine, so they hold on any host:
+//! Five guards on the paper's hard case (DAGGEN on Grelon, P=120, Model 2),
+//! all relative — they compare two in-tree implementations on the same
+//! machine, so they hold on any host:
 //!
 //! * delta evaluation of single-gene mutants must not be slower than the
 //!   pooled full evaluation of the same offspring,
@@ -12,13 +12,17 @@
 //!   the retained pre-refactor oracle core by a clear margin,
 //! * the two-tier fitness pipeline (rung screening + cutoff-bounded
 //!   exact) must beat the pooled all-exact batch on a converged-shape
-//!   EMTS10 generation.
+//!   EMTS10 generation,
+//! * the CPA allocation loop behind MCPA and HCPA (one prefix bottom-level
+//!   sweep per step) must beat the retained two-pass reference loop.
 //!
 //! `#[ignore]` because wall clock in a debug build is meaningless —
 //! `scripts/ci.sh` runs them with `cargo test --release -- --ignored`.
 
 use emts::parallel::EvalPool;
 use exec_model::{SyntheticModel, TimeMatrix};
+use heuristics::common::{run_cpa_loop_reference, CpaLoop};
+use heuristics::{Allocator, Hcpa, Mcpa};
 use obs::{FlightRecorder, NoopRecorder, Recorder};
 use platform::grelon;
 use ptg::critpath::BlRepairer;
@@ -439,6 +443,82 @@ fn soa_core_is_faster_than_the_reference_oracle() {
     assert!(
         best_soa * REQUIRED_SPEEDUP <= best_oracle,
         "SoA core regressed: {soa_ns:.1} ns/eval vs oracle {oracle_ns:.1} ns/eval \
+         (need ≥{REQUIRED_SPEEDUP}×)"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock guard; run in release via scripts/ci.sh"]
+fn cpa_loop_is_faster_than_the_reference() {
+    const ROUNDS: usize = 5;
+    // The prefix sweep measures 2.8–3.2× over the two-pass loop on the
+    // whole Grelon corpus; 1.8× is what a single full sweep into a reused
+    // buffer reaches, so the guard fails if the loop falls back to that or
+    // to anything slower.
+    const REQUIRED_SPEEDUP: f64 = 1.8;
+
+    // Every sixth item of one cycle of the paper's DAGGEN grid: 24 graphs
+    // covering n = 20, 50 and 100 and every shape.
+    let cluster = grelon();
+    let costs = CostConfig::default();
+    let inputs: Vec<(ptg::Ptg, TimeMatrix)> = (0..144)
+        .step_by(6)
+        .map(|i| {
+            let g = workloads::stream::item(2011, i, &costs).ptg;
+            let m = TimeMatrix::compute(
+                &g,
+                &SyntheticModel::default(),
+                cluster.speed_flops(),
+                cluster.processors,
+            );
+            (g, m)
+        })
+        .collect();
+
+    let fast = |g: &ptg::Ptg, m: &TimeMatrix| (Mcpa.allocate(g, m), Hcpa.allocate(g, m));
+    let reference = |g: &ptg::Ptg, m: &TimeMatrix| {
+        let rule = Mcpa::growth_rule(g, m.p_max());
+        let mcpa = CpaLoop {
+            may_grow: &rule,
+            stop_on_no_gain: false,
+        };
+        (
+            run_cpa_loop_reference(g, m, &mcpa),
+            run_cpa_loop_reference(g, m, &CpaLoop::default()),
+        )
+    };
+    // Same output first: the speed comparison means nothing otherwise.
+    for (g, m) in &inputs {
+        assert_eq!(fast(g, m), reference(g, m));
+    }
+
+    // Interleaved min-of-k, same discipline as the other guards.
+    let mut best_fast = f64::INFINITY;
+    let mut best_reference = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        let t = Instant::now();
+        for (g, m) in &inputs {
+            std::hint::black_box(fast(g, m));
+        }
+        best_fast = best_fast.min(t.elapsed().as_secs_f64());
+
+        let t = Instant::now();
+        for (g, m) in &inputs {
+            std::hint::black_box(reference(g, m));
+        }
+        best_reference = best_reference.min(t.elapsed().as_secs_f64());
+    }
+
+    let fast_ms = best_fast * 1e3 / inputs.len() as f64;
+    let reference_ms = best_reference * 1e3 / inputs.len() as f64;
+    println!(
+        "PERF_GUARD cpa_loop_ms_per_item={fast_ms:.3} reference_ms_per_item={reference_ms:.3} \
+         speedup={:.2}",
+        reference_ms / fast_ms
+    );
+    assert!(
+        best_fast * REQUIRED_SPEEDUP <= best_reference,
+        "CPA loop regressed: {fast_ms:.3} ms/item vs reference {reference_ms:.3} ms/item \
          (need ≥{REQUIRED_SPEEDUP}×)"
     );
 }

@@ -37,7 +37,7 @@ pub fn tradeoff_curve(g: &Ptg, matrix: &TimeMatrix) -> Vec<TradeoffPoint> {
     let p_total = matrix.p_max();
     (1..=p_total)
         .map(|cap| {
-            let may_grow = move |_: &Ptg, alloc: &Allocation, v: TaskId| alloc.of(v) < cap;
+            let may_grow = move |alloc: &Allocation, v: TaskId| alloc.of(v) < cap;
             let allocation = run_cpa_loop(
                 g,
                 matrix,

@@ -6,9 +6,23 @@
 //! one more processor to the critical-path task whose *time-per-processor*
 //! benefits most. The variants differ only in which tasks are allowed to
 //! grow, so the loop takes a growth-constraint callback.
+//!
+//! **Per-step cost.** One +1 step changes one task's time, so only that task
+//! and its ancestors get new bottom levels, and all of them precede it in
+//! topological order. The loop keeps the bottom levels in one buffer and
+//! re-sweeps just that topological prefix (`bottom_levels_prefix_into`),
+//! then reads `T_CP` and the critical path off the same buffer. Each task's
+//! gain is cached until the task grows. The test oracle
+//! [`run_cpa_loop_reference`] instead runs two full bottom-level passes per
+//! step (one for `T_CP`, one inside `critical_path`) and recomputes every
+//! candidate's gain; every value and comparison is bitwise the same in
+//! both, so their allocations are identical.
 
 use exec_model::TimeMatrix;
-use ptg::critpath::{bottom_levels, critical_path};
+use ptg::critpath::{
+    bottom_levels, bottom_levels_into, bottom_levels_prefix_into, critical_path, critical_path_walk,
+};
+use ptg::topo::topo_positions;
 use ptg::{Ptg, TaskId};
 use sched::Allocation;
 
@@ -17,7 +31,7 @@ pub struct CpaLoop<'a> {
     /// Permits task `v` to grow from its current allocation (checked before
     /// each increment). MCPA uses this for its per-level bound; plain CPA
     /// always returns true.
-    pub may_grow: &'a dyn Fn(&Ptg, &Allocation, TaskId) -> bool,
+    pub may_grow: &'a dyn Fn(&Allocation, TaskId) -> bool,
     /// If true, the loop also stops when the best achievable gain is zero or
     /// negative (useful under non-monotonic models; the classic algorithms
     /// do not check this because monotonic models always gain).
@@ -27,7 +41,7 @@ pub struct CpaLoop<'a> {
 impl Default for CpaLoop<'_> {
     fn default() -> Self {
         CpaLoop {
-            may_grow: &|_, _, _| true,
+            may_grow: &|_, _| true,
             stop_on_no_gain: false,
         }
     }
@@ -44,7 +58,63 @@ pub fn cpa_gain(matrix: &TimeMatrix, v: TaskId, s: u32) -> f64 {
 ///
 /// Terminates because every iteration increases the total allocation by one
 /// and each task is capped at `P`, so at most `V · (P − 1)` iterations run.
+/// Each iteration costs one bottom-level sweep over the topological prefix
+/// that ends at the task it grew (see the module docs).
 pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop<'_>) -> Allocation {
+    let p_total = matrix.p_max();
+    let mut alloc = Allocation::ones(g.task_count());
+    let mut times = matrix.times_for(alloc.as_slice());
+    let topo_pos = topo_positions(g);
+    let sources = g.csr().sources();
+    let mut bl = Vec::new();
+    bottom_levels_into(g, &times, &mut bl);
+    // A task's gain depends only on its own allocation, so it is computed
+    // once per allocation and reused until the task grows again. Tasks at
+    // `P` never become candidates, so their entry is never read.
+    let gain_at = |v: TaskId, s: u32| {
+        if s < p_total {
+            cpa_gain(matrix, v, s)
+        } else {
+            0.0
+        }
+    };
+    let mut gains: Vec<f64> = g.task_ids().map(|v| gain_at(v, 1)).collect();
+    loop {
+        // Every task's bottom level is at most some source's, so the max
+        // over the sources is the max over all tasks, bit for bit.
+        let t_cp = sources
+            .iter()
+            .map(|&s| bl[s as usize])
+            .fold(0.0f64, f64::max);
+        let t_a = alloc.work_area(&times) / p_total as f64;
+        if t_cp <= t_a {
+            break;
+        }
+        // Candidates: tasks on the current critical path that can still grow.
+        let best = critical_path_walk(g, &bl)
+            .filter(|&v| alloc.of(v) < p_total && (cfg.may_grow)(&alloc, v))
+            .map(|v| (v, gains[v.index()]))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains are finite"));
+        let Some((v, gain)) = best else {
+            break; // nothing on the critical path may grow
+        };
+        if cfg.stop_on_no_gain && gain <= 0.0 {
+            break;
+        }
+        let s = alloc.of(v) + 1;
+        alloc.set(v, s);
+        times[v.index()] = matrix.time(v, s);
+        gains[v.index()] = gain_at(v, s);
+        bottom_levels_prefix_into(g, &times, topo_pos[v.index()] as usize + 1, &mut bl);
+    }
+    alloc
+}
+
+/// The CPA loop as first written: two full bottom-level passes and four
+/// fresh vectors per step. Kept only as the oracle that pins
+/// [`run_cpa_loop`]'s output bit for bit; not for production use.
+#[doc(hidden)]
+pub fn run_cpa_loop_reference(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop<'_>) -> Allocation {
     let p_total = matrix.p_max();
     let mut alloc = Allocation::ones(g.task_count());
     let mut times = matrix.times_for(alloc.as_slice());
@@ -59,7 +129,7 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop<'_>) -> Allocati
         let cp = critical_path(g, &times);
         let best = cp
             .into_iter()
-            .filter(|&v| alloc.of(v) < p_total && (cfg.may_grow)(g, &alloc, v))
+            .filter(|&v| alloc.of(v) < p_total && (cfg.may_grow)(&alloc, v))
             .map(|v| (v, cpa_gain(matrix, v, alloc.of(v))))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains are finite"));
         let Some((v, gain)) = best else {
@@ -163,7 +233,7 @@ mod tests {
     fn growth_constraint_is_respected() {
         let g = chain();
         let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 8);
-        let cap = |_: &Ptg, alloc: &Allocation, v: TaskId| alloc.of(v) < 3;
+        let cap = |alloc: &Allocation, v: TaskId| alloc.of(v) < 3;
         let cfg = CpaLoop {
             may_grow: &cap,
             stop_on_no_gain: false,

@@ -21,12 +21,13 @@ use sched::Allocation;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mcpa;
 
-impl Allocator for Mcpa {
-    fn allocate(&self, g: &Ptg, matrix: &TimeMatrix) -> Allocation {
-        let p_total = matrix.p_max();
+impl Mcpa {
+    /// MCPA's growth rule on `g` with `p_total` processors, as a
+    /// [`CpaLoop::may_grow`] callback: a task may grow while the total
+    /// allocation of its precedence level is below `p_total`.
+    pub fn growth_rule(g: &Ptg, p_total: u32) -> impl Fn(&Allocation, TaskId) -> bool {
         let levels = PrecedenceLevels::compute(g);
-        let may_grow = move |g: &Ptg, alloc: &Allocation, v: TaskId| {
-            let _ = g;
+        move |alloc: &Allocation, v: TaskId| {
             let level = levels.level_of(v);
             let level_sum: u32 = levels
                 .tasks_on_level(level)
@@ -34,12 +35,17 @@ impl Allocator for Mcpa {
                 .map(|&w| alloc.of(w))
                 .sum();
             level_sum < p_total
-        };
+        }
+    }
+}
+
+impl Allocator for Mcpa {
+    fn allocate(&self, g: &Ptg, matrix: &TimeMatrix) -> Allocation {
         run_cpa_loop(
             g,
             matrix,
             &CpaLoop {
-                may_grow: &may_grow,
+                may_grow: &Mcpa::growth_rule(g, matrix.p_max()),
                 stop_on_no_gain: false,
             },
         )

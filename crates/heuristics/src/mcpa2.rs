@@ -29,9 +29,11 @@ use sched::Allocation;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mcpa2;
 
-impl Allocator for Mcpa2 {
-    fn allocate(&self, g: &Ptg, matrix: &TimeMatrix) -> Allocation {
-        let p_total = matrix.p_max();
+impl Mcpa2 {
+    /// MCPA2's growth rule on `g` with `p_total` processors, as a
+    /// [`CpaLoop::may_grow`] callback: MCPA's level bound plus each task's
+    /// work-proportional cap.
+    pub fn growth_rule(g: &Ptg, p_total: u32) -> impl Fn(&Allocation, TaskId) -> bool {
         let levels = PrecedenceLevels::compute(g);
         // Per-task work-proportional cap, computed once.
         let mut cap = vec![1u32; g.task_count()];
@@ -42,8 +44,7 @@ impl Allocator for Mcpa2 {
                 cap[v.index()] = (((p_total as f64) * share).ceil() as u32).clamp(1, p_total);
             }
         }
-        let may_grow = move |g: &Ptg, alloc: &Allocation, v: TaskId| {
-            let _ = g;
+        move |alloc: &Allocation, v: TaskId| {
             if alloc.of(v) >= cap[v.index()] {
                 return false;
             }
@@ -54,12 +55,17 @@ impl Allocator for Mcpa2 {
                 .map(|&w| alloc.of(w))
                 .sum();
             level_sum < p_total
-        };
+        }
+    }
+}
+
+impl Allocator for Mcpa2 {
+    fn allocate(&self, g: &Ptg, matrix: &TimeMatrix) -> Allocation {
         run_cpa_loop(
             g,
             matrix,
             &CpaLoop {
-                may_grow: &may_grow,
+                may_grow: &Mcpa2::growth_rule(g, matrix.p_max()),
                 stop_on_no_gain: false,
             },
         )

@@ -1,6 +1,7 @@
 //! Property-based tests for the allocation heuristics.
 
 use exec_model::{Amdahl, SyntheticModel, TimeMatrix};
+use heuristics::common::{run_cpa_loop, run_cpa_loop_reference, CpaLoop};
 use heuristics::{Allocator, BestSpeedup, Cpa, DeltaCritical, Hcpa, Mcpa, Mcpa2};
 use proptest::prelude::*;
 use ptg::levels::PrecedenceLevels;
@@ -36,6 +37,38 @@ fn scenario() -> impl Strategy<Value = (DaggenParams, u64, u32)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn cpa_loop_equals_the_two_pass_reference(
+        (params, seed, _) in scenario(),
+        // The paper's Chti (20) and Grelon (120) sizes half the time.
+        procs in (0u32..4, 2u32..150).prop_map(|(k, p)| [20, 120, p, p][k as usize]),
+        cap_seed in 0u32..u32::MAX,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = random_ptg(&params, &CostConfig::default(), &mut rng);
+        let cap = 1 + cap_seed % procs;
+        let bicpa_cap = move |alloc: &sched::Allocation, v: ptg::TaskId| alloc.of(v) < cap;
+        for model in [&Amdahl as &dyn exec_model::ExecutionTimeModel, &SyntheticModel::default()] {
+            let m = TimeMatrix::compute(&g, model, 3.1e9, procs);
+            let mcpa = Mcpa::growth_rule(&g, procs);
+            let mcpa2 = Mcpa2::growth_rule(&g, procs);
+            let rules: [(&str, CpaLoop<'_>); 5] = [
+                ("CPA", CpaLoop::default()),
+                ("CPA stop_on_no_gain", CpaLoop { stop_on_no_gain: true, ..CpaLoop::default() }),
+                ("MCPA", CpaLoop { may_grow: &mcpa, stop_on_no_gain: false }),
+                ("MCPA2", CpaLoop { may_grow: &mcpa2, stop_on_no_gain: false }),
+                ("BiCPA cap", CpaLoop { may_grow: &bicpa_cap, stop_on_no_gain: false }),
+            ];
+            for (name, cfg) in &rules {
+                prop_assert_eq!(
+                    run_cpa_loop(&g, &m, cfg),
+                    run_cpa_loop_reference(&g, &m, cfg),
+                    "{} under {} on P={}", name, model.name(), procs
+                );
+            }
+        }
+    }
 
     #[test]
     fn all_allocators_produce_platform_valid_allocations(

@@ -60,6 +60,16 @@ pub fn is_valid_topological_order(g: &Ptg, order: &[TaskId]) -> bool {
     g.edges().all(|(a, b)| pos[a.index()] < pos[b.index()])
 }
 
+/// Position of every task in the graph's topological order, indexed by task
+/// id: `topo_positions(g)[g.topo_order()[i].index()] == i`.
+pub fn topo_positions(g: &Ptg) -> Vec<u32> {
+    let mut pos = vec![0u32; g.task_count()];
+    for (i, &v) in g.topo_order().iter().enumerate() {
+        pos[v.index()] = i as u32;
+    }
+    pos
+}
+
 /// Returns the tasks in reverse topological order (sinks first).
 pub fn reverse_topo_order(g: &Ptg) -> Vec<TaskId> {
     let mut order = g.topo_order().to_vec();
@@ -98,6 +108,15 @@ mod tests {
         let rev = reverse_topo_order(&g);
         assert_eq!(rev.first().copied(), Some(TaskId(3)));
         assert_eq!(rev.last().copied(), Some(TaskId(0)));
+    }
+
+    #[test]
+    fn topo_positions_invert_the_order() {
+        let g = chain(5);
+        let pos = topo_positions(&g);
+        for (i, &v) in g.topo_order().iter().enumerate() {
+            assert_eq!(pos[v.index()] as usize, i);
+        }
     }
 
     #[test]

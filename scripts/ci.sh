@@ -66,8 +66,11 @@ case $CORPUS_RC in
     *) echo "emts-lint exited with unexpected status $CORPUS_RC on data/bad" >&2; exit 1 ;;
 esac
 
-echo "== perf guards (release): delta vs pooled, flight-recorder budget, SoA core vs oracle, two-tier vs all-exact"
+echo "== perf guards (release): delta vs pooled, flight-recorder budget, SoA core vs oracle, two-tier vs all-exact, CPA loop vs reference"
 cargo test --release -q --offline -p emts --test perf_guard -- --ignored
+
+echo "== benchmark unit tests (release), including a 2%-scale bit-for-bit smoke of every workload"
+cargo test -q --offline --release --manifest-path examples/benchmark/Cargo.toml
 
 echo "== perf-regression observatory: regress gate must pass clean and catch inflation"
 cargo build -q --offline --release -p obs --bin emts-report

@@ -12,6 +12,45 @@ use sim::executor::execute;
 use workloads::daggen::{random_ptg, DaggenParams};
 use workloads::CostConfig;
 
+/// MCPA and HCPA run the shared CPA loop; its one-sweep-per-step form must
+/// reproduce the two-pass reference loop bit for bit on one full cycle of
+/// the paper's DAGGEN grid, on both paper platforms and under both models.
+#[test]
+fn mcpa_and_hcpa_equal_the_reference_loop_on_a_grid_cycle() {
+    use exec_model::PaperModel;
+    use heuristics::common::{run_cpa_loop_reference, CpaLoop};
+    let costs = CostConfig::default();
+    let graphs: Vec<_> = (0..144)
+        .map(|i| workloads::stream::item(2011, i, &costs).ptg)
+        .collect();
+    for cluster in [platform::chti(), platform::grelon()] {
+        for model in [PaperModel::Model1, PaperModel::Model2] {
+            let model_impl = model.instantiate();
+            for (i, g) in graphs.iter().enumerate() {
+                let matrix =
+                    TimeMatrix::compute(g, &model_impl, cluster.speed_flops(), cluster.processors);
+                let mcpa_rule = Mcpa::growth_rule(g, cluster.processors);
+                let mcpa_cfg = CpaLoop {
+                    may_grow: &mcpa_rule,
+                    stop_on_no_gain: false,
+                };
+                assert_eq!(
+                    Mcpa.allocate(g, &matrix),
+                    run_cpa_loop_reference(g, &matrix, &mcpa_cfg),
+                    "MCPA, item {i}, {model:?} on {}",
+                    cluster.name
+                );
+                assert_eq!(
+                    Hcpa.allocate(g, &matrix),
+                    run_cpa_loop_reference(g, &matrix, &CpaLoop::default()),
+                    "HCPA, item {i}, {model:?} on {}",
+                    cluster.name
+                );
+            }
+        }
+    }
+}
+
 fn params_strategy() -> impl Strategy<Value = (DaggenParams, u64, u32)> {
     (
         5usize..60,
