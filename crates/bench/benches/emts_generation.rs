@@ -1,10 +1,10 @@
 //! Criterion bench: full EMTS runs — backs the paper's §V run-time
 //! discussion (EMTS5 vs EMTS10 on small and large PTGs/platforms) — plus
-//! the fitness-engine comparison (scoped threads vs persistent pool vs
-//! memo-cache hits) behind `scripts/bench_smoke.sh`.
+//! the fitness-engine comparison (pre-engine baseline vs persistent pool
+//! vs serial scratch vs memo-cache hits) behind `scripts/bench_smoke.sh`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use emts::parallel::{evaluate_fitness_bounded, EvalPool, FitnessEngine};
+use emts::parallel::{EvalPool, FitnessEngine};
 use emts::{Emts, EmtsConfig};
 use exec_model::{SyntheticModel, TimeMatrix};
 use obs::{FlightRecorder, NoopRecorder, Recorder};
@@ -60,10 +60,10 @@ fn bench_emts(c: &mut Criterion) {
 /// evaluated as one generation-sized batch (λ = 25) through each fitness
 /// path. `prepr_baseline` reproduces the pre-engine implementation exactly
 /// (a fresh thread scope per batch, fresh buffers and a per-processor
-/// availability heap per evaluation); `scoped` is that same dispatch over
-/// the new grouped-run mapper core; `pooled` is the persistent worker
-/// pool; `memo_hit` is the steady-state cost once the cache knows the
-/// batch.
+/// availability heap per evaluation); `pooled` is the persistent worker
+/// pool over the grouped-run mapper core; `serial_scratch` is the same
+/// pool with no workers; `memo_hit` is the steady-state cost once the
+/// cache knows the batch.
 fn bench_fitness_engine(c: &mut Criterion) {
     const LAMBDA: usize = 25;
     let mut group = c.benchmark_group("fitness");
@@ -127,17 +127,6 @@ fn bench_fitness_engine(c: &mut Criterion) {
             black_box(results)
         })
     });
-    group.bench_function("scoped_grelon_n100_batch25", |b| {
-        b.iter(|| {
-            black_box(evaluate_fitness_bounded(
-                &g,
-                &matrix,
-                &allocs,
-                true,
-                f64::INFINITY,
-            ))
-        })
-    });
     EvalPool::with(&g, &matrix, true, |pool| {
         group.bench_function("pooled_grelon_n100_batch25", |b| {
             b.iter(|| black_box(pool.run_batch(allocs.clone(), f64::INFINITY)))
@@ -155,87 +144,17 @@ fn bench_fitness_engine(c: &mut Criterion) {
             b.iter(|| black_box(engine.evaluate(&allocs, f64::INFINITY)))
         });
     });
-    // The incremental path on the EA's dominant case: a batch of
-    // single-gene mutants of one recorded parent, evaluated by prefix
-    // replay + suffix simulation (sched-level, so the memo cache cannot
-    // short-circuit repeated iterations).
-    {
-        use obs::NoopRecorder;
-        use ptg::critpath::BlRepairer;
-        let parent = allocs[0].clone();
-        let mut scratch = sched::EvalScratch::new();
-        let mut repairer = BlRepairer::new(&g);
-        let record = sched::ListScheduler.evaluate_recorded(
-            &g,
-            &matrix,
-            &parent,
-            &mut scratch,
-            &NoopRecorder,
-        );
-        // Mutants come from the paper's operator (Gaussian width change,
-        // σ = 5, m = 1 gene) so the measured reuse matches what the EA
-        // actually feeds the delta path; zero-width draws are skipped.
-        let op = emts::MutationOperator::paper();
-        let mutants: Vec<(Allocation, ptg::TaskId)> = std::iter::repeat_with(|| {
-            let mut c = parent.clone();
-            let changed = op.mutate(&mut c, 1, cluster.processors, &mut rng);
-            changed.first().map(|&t| (c, t))
-        })
-        .flatten()
-        .take(LAMBDA)
-        .collect();
-        group.bench_function("delta_single_gene_grelon_n100_batch25", |b| {
-            b.iter(|| {
-                for (c, t) in &mutants {
-                    black_box(sched::ListScheduler.evaluate_delta(
-                        &g,
-                        &matrix,
-                        &record,
-                        c,
-                        std::slice::from_ref(t),
-                        f64::INFINITY,
-                        &mut scratch,
-                        &mut repairer,
-                        &NoopRecorder,
-                    ));
-                }
-            })
-        });
-        let mut reused = 0u64;
-        let mut total = 0u64;
-        for (c, t) in &mutants {
-            let d = sched::ListScheduler.evaluate_delta(
-                &g,
-                &matrix,
-                &record,
-                c,
-                std::slice::from_ref(t),
-                f64::INFINITY,
-                &mut scratch,
-                &mut repairer,
-                &NoopRecorder,
-            );
-            reused += u64::from(d.events_reused);
-            total += u64::from(d.events_total);
-        }
-        println!(
-            "DELTA_STATS reused_events={reused} total_events={total} reuse_rate={:.4}",
-            reused as f64 / total as f64
-        );
-    }
     group.finish();
-
-    print_two_tier_stats(&g, &matrix, &cluster, &mut rng);
 
     assert_noop_recorder_overhead(&g, &matrix, &allocs);
     assert_flight_recorder_overhead(&g, &matrix, &allocs);
 
-    // Cache/delta behaviour of real EMTS10 runs, parsed by
+    // Cache behaviour of real EMTS10 runs, parsed by
     // scripts/bench_smoke.sh. The headline grelon/n=100 case mutates ≥ 3
     // genes per offspring on P=120, so exact duplicates are essentially
-    // impossible there — the small chti/n=20 case is where the
-    // within-generation dedupe and no-op skips actually fire (late
-    // generations mutate a single gene that frequently clamps back).
+    // impossible there — the small chti/n=20 case is where the memo and
+    // the within-batch dedupe actually fire (late generations mutate a
+    // single gene that frequently clamps back).
     let r = Emts::new(EmtsConfig::emts10()).run(&g, &matrix, 42);
     print_cache_stats("grelon_n100", &r);
     let small_g = random_ptg(
@@ -259,7 +178,7 @@ fn bench_fitness_engine(c: &mut Criterion) {
     let rs = Emts::new(EmtsConfig::emts10()).run(&small_g, &small_matrix, 42);
     assert!(
         rs.trace.cache_hits > 0,
-        "dedupe/no-op skips must fire on the small EMTS10 run"
+        "memo hits and dedupe must fire on the small EMTS10 run"
     );
     print_cache_stats("chti_n20", &rs);
 
@@ -283,102 +202,13 @@ fn bench_fitness_engine(c: &mut Criterion) {
     }
 }
 
-/// Two-tier fitness pipeline vs the pooled all-exact baseline on a
-/// converged-shape EMTS10 generation: the best heuristic seed plus µ−1
-/// single-gene perturbations as parents (tight fitness spread, like a late
-/// population), λ = 100 full-strength offspring, and the EA's live
-/// rejection/survival cutoff. One machine-parsable `TWO_TIER_STATS` line
-/// for `scripts/bench_smoke.sh`.
-///
-/// Honest baseline note: against the *bounded* exact batch at the same
-/// cutoff the pipeline measures at parity (the exact core's first-pop
-/// reject test embeds the same bounds the surrogate rungs compute), so the
-/// speedup reported here is rung screening *plus* cutoff-bounded rejection
-/// over full evaluation — the cost a generation pays without the engine.
-/// EXPERIMENTS.md records the ceiling analysis.
-fn print_two_tier_stats(
-    g: &ptg::Ptg,
-    matrix: &TimeMatrix,
-    cluster: &platform::Cluster,
-    rng: &mut ChaCha8Rng,
-) {
-    const ROUNDS: usize = 9;
-    let cfg = EmtsConfig {
-        rejection: true,
-        two_tier: true,
-        ..EmtsConfig::emts10()
-    };
-    let op = emts::MutationOperator::paper();
-    let seeds = emts::seeds::initial_population(&cfg, &op, g, matrix, rng);
-    let elite = seeds
-        .iter()
-        .min_by(|a, b| a.fitness.total_cmp(&b.fitness))
-        .expect("non-empty seed population");
-    let parents: Vec<(Allocation, f64)> = (0..cfg.mu)
-        .map(|k| {
-            let mut a = elite.alloc.clone();
-            if k > 0 {
-                op.mutate(&mut a, 1, cluster.processors, rng);
-            }
-            let f = sched::Mapper::makespan(&sched::ListScheduler, g, matrix, &a);
-            (a, f)
-        })
-        .collect();
-    let best = parents.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-    let worst = parents.iter().map(|p| p.1).fold(0.0f64, f64::max);
-    let cutoff = (best * cfg.rejection_slack).min(worst);
-    let m = (cfg.fm * g.task_count() as f64).round() as usize;
-    let batch: Vec<Allocation> = (0..cfg.lambda)
-        .map(|_| {
-            let pidx = rng.gen_range(0..parents.len());
-            let mut child = parents[pidx].0.clone();
-            op.mutate(&mut child, m, cluster.processors, rng);
-            child
-        })
-        .collect();
-
-    let sur = sched::Surrogate::screening();
-    let mut best_exact = f64::INFINITY;
-    let mut best_tiered = f64::INFINITY;
-    let mut screened = 0usize;
-    EvalPool::with(g, matrix, true, |pool| {
-        // Warm both paths; count screens once.
-        black_box(pool.run_batch(batch.clone(), f64::INFINITY));
-        let tiered = pool.run_batch_two_tier(batch.clone(), cutoff, &sur);
-        screened = tiered
-            .iter()
-            .filter(|t| matches!(t, sched::TwoTierEval::Screened(_)))
-            .count();
-        for _ in 0..ROUNDS {
-            let t = std::time::Instant::now();
-            black_box(pool.run_batch(batch.clone(), f64::INFINITY));
-            best_exact = best_exact.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            black_box(pool.run_batch_two_tier(batch.clone(), cutoff, &sur));
-            best_tiered = best_tiered.min(t.elapsed().as_secs_f64());
-        }
-    });
-    let exact_ns = best_exact * 1e9 / batch.len() as f64;
-    let tiered_ns = best_tiered * 1e9 / batch.len() as f64;
-    println!(
-        "TWO_TIER_STATS all_exact_ns_per_eval={exact_ns:.1} two_tier_ns_per_eval={tiered_ns:.1} \
-         surrogate_screen_rate={:.4} speedup_two_tier_vs_all_exact={:.2}",
-        screened as f64 / batch.len() as f64,
-        exact_ns / tiered_ns
-    );
-}
-
 /// One machine-parsable line per real run for `scripts/bench_smoke.sh`.
 fn print_cache_stats(workload: &str, r: &emts::EmtsResult) {
     println!(
-        "CACHE_STATS workload={workload} hits={} misses={} rate={:.4} noop_skips={} \
-         lb_pruned={} prefix_reuse_events={} pruned={}",
+        "CACHE_STATS workload={workload} hits={} misses={} rate={:.4} pruned={}",
         r.trace.cache_hits,
         r.trace.cache_misses,
         r.trace.cache_hit_rate(),
-        r.trace.noop_skips,
-        r.trace.lb_pruned,
-        r.trace.prefix_reuse_events,
         r.pruned,
     );
 }

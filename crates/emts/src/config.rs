@@ -56,17 +56,6 @@ pub struct EmtsConfig {
     /// Draw mutation magnitudes from `U{1..=2σ}` instead of the asymmetric
     /// folded normal. Only for the mutation-operator ablation.
     pub uniform_mutation: bool,
-    /// Route pooled batch evaluation through the two-tier fitness
-    /// pipeline: a cheap tier-1 surrogate interval per offspring, exact
-    /// evaluation only when the interval cannot prove rejection at the
-    /// current cutoff (see `sched::surrogate`). Never changes any result
-    /// visible to selection — screening skips exactly the offspring the
-    /// bounded exact evaluation would reject. No effect on the
-    /// serial/delta path, and inert under comma-selection or a disabled
-    /// rejection strategy (both leave the cutoff infinite for most of the
-    /// run, where nothing screens). Off by default.
-    #[serde(default)]
-    pub two_tier: bool,
     /// Probability that an offspring is produced by single-point crossover
     /// of two distinct parents' allocation vectors (GA-style, after the
     /// GA/LSH literature) before mutation. 0.0 — the paper's pure-ES
@@ -146,7 +135,6 @@ impl Default for EmtsConfig {
             comma_selection: false,
             rejection: false,
             rejection_slack: 1.5,
-            two_tier: false,
             crossover_prob: 0.0,
             uniform_mutation: false,
             adaptive_sigma: false,

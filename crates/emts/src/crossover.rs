@@ -13,39 +13,26 @@
 use rand::Rng;
 use sched::Allocation;
 
-/// Recombines `p` and `q` at one uniformly random cut point, returning the
-/// child together with the alleles where it differs from `p`.
+/// Recombines `p` and `q` at one uniformly random cut point.
 ///
 /// The child is `p[..cut] ++ q[cut..]` with `cut ∈ [1, V)`, so both parents
 /// always contribute at least one allele (for `V < 2` there is no interior
-/// cut and the child is a plain copy of `p`). The returned change list is
-/// exactly what the incremental evaluator needs on top of `p`'s recorded
-/// schedule; alleles where the parents agree are omitted, so two identical
-/// parents yield an empty list and the engine's no-op skip applies.
+/// cut and the child is a plain copy of `p`).
 ///
 /// Deterministic in the RNG state: one `gen_range` draw, always.
-pub fn single_point<R: Rng + ?Sized>(
-    p: &Allocation,
-    q: &Allocation,
-    rng: &mut R,
-) -> (Allocation, Vec<ptg::TaskId>) {
+pub fn single_point<R: Rng + ?Sized>(p: &Allocation, q: &Allocation, rng: &mut R) -> Allocation {
     assert_eq!(p.len(), q.len(), "parents must allocate the same PTG");
     let v = p.len();
     let mut child = p.clone();
-    let mut changed = Vec::new();
     if v < 2 {
-        return (child, changed);
+        return child;
     }
     let cut = rng.gen_range(1..v);
     for i in cut..v {
         let t = ptg::TaskId::from_index(i);
-        let allele = q.of(t);
-        if child.of(t) != allele {
-            child.set(t, allele);
-            changed.push(t);
-        }
+        child.set(t, q.of(t));
     }
-    (child, changed)
+    child
 }
 
 #[cfg(test)]
@@ -62,51 +49,28 @@ mod tests {
     fn child_is_a_prefix_of_p_and_a_suffix_of_q() {
         let p = Allocation::uniform(12, 3);
         let q = Allocation::uniform(12, 9);
-        let (child, changed) = single_point(&p, &q, &mut rng(1));
+        let child = single_point(&p, &q, &mut rng(1));
         let genes = child.as_slice();
         let cut = genes.iter().position(|&s| s == 9).expect("suffix from q");
         assert!((1..12).contains(&cut));
         assert!(genes[..cut].iter().all(|&s| s == 3));
         assert!(genes[cut..].iter().all(|&s| s == 9));
-        let mut reported: Vec<usize> = changed.iter().map(|t| t.index()).collect();
-        reported.sort_unstable();
-        assert_eq!(reported, (cut..12).collect::<Vec<_>>());
     }
 
     #[test]
-    fn change_list_is_exactly_the_differing_alleles() {
-        let mut p = Allocation::uniform(10, 4);
-        let mut q = Allocation::uniform(10, 4);
-        // Parents agree everywhere except alleles 2 and 8.
-        p.set(ptg::TaskId::from_index(2), 7);
-        q.set(ptg::TaskId::from_index(8), 11);
-        for seed in 0..20 {
-            let (child, changed) = single_point(&p, &q, &mut rng(seed));
-            let diff: Vec<usize> = (0..10)
-                .filter(|&i| p.as_slice()[i] != child.as_slice()[i])
-                .collect();
-            let mut reported: Vec<usize> = changed.iter().map(|t| t.index()).collect();
-            reported.sort_unstable();
-            assert_eq!(reported, diff, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn identical_parents_yield_a_noop_child() {
+    fn identical_parents_yield_a_copy() {
         let p = Allocation::uniform(8, 5);
-        let (child, changed) = single_point(&p, &p.clone(), &mut rng(3));
+        let child = single_point(&p, &p.clone(), &mut rng(3));
         assert_eq!(child.as_slice(), p.as_slice());
-        assert!(changed.is_empty(), "no-op crossover must report no change");
     }
 
     #[test]
     fn crossover_is_seed_deterministic() {
         let p = Allocation::uniform(30, 2);
         let q = Allocation::uniform(30, 17);
-        let (a, ca) = single_point(&p, &q, &mut rng(9));
-        let (b, cb) = single_point(&p, &q, &mut rng(9));
+        let a = single_point(&p, &q, &mut rng(9));
+        let b = single_point(&p, &q, &mut rng(9));
         assert_eq!(a.as_slice(), b.as_slice());
-        assert_eq!(ca, cb);
     }
 
     #[test]
@@ -114,9 +78,8 @@ mod tests {
         let p = Allocation::uniform(1, 6);
         let q = Allocation::uniform(1, 2);
         let mut r = rng(4);
-        let (child, changed) = single_point(&p, &q, &mut r);
+        let child = single_point(&p, &q, &mut r);
         assert_eq!(child.as_slice(), &[6]);
-        assert!(changed.is_empty());
         // Degenerate case draws no RNG at all: the next draw matches a
         // fresh stream from the same seed.
         assert_eq!(

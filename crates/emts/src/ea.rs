@@ -12,7 +12,7 @@ use obs::Recorder;
 use ptg::Ptg;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sched::{Allocation, ListScheduler, Mapper, Surrogate};
+use sched::{Allocation, ListScheduler, Mapper};
 use std::time::{Duration, Instant};
 
 /// The EMTS scheduler.
@@ -177,21 +177,6 @@ impl Emts {
         // the scheduler object (runs stay independent).
         let mut op = self.op;
 
-        // With no worker threads (serial mode, or a single-core machine)
-        // every offspring funnels through the caller's thread anyway, so it
-        // takes the incremental path: parents carry recorded evaluations
-        // and offspring replay the unchanged schedule prefix. With workers,
-        // batch dispatch wins and offspring are evaluated fresh. Both paths
-        // are bit-identical, so the trajectory is machine-independent.
-        let mut use_delta = pool.workers() == 0;
-        // Two-tier screening only pays off on the batch path (the delta
-        // path already prescreens with the same bounds per offspring), so
-        // the surrogate configuration is consulted only when `!use_delta`.
-        // The hot path uses the rungs-only screening configuration: the
-        // full-interval replay costs about as much per event as the exact
-        // core and never screens earlier than it rejects (see
-        // `Surrogate::screening`).
-        let two_tier = cfg.two_tier.then(Surrogate::screening);
         let mut engine = FitnessEngine::new(pool);
         let mut population = rec.time("seed", || initial_population(cfg, &op, g, matrix, &mut rng));
         let mut evaluations = population.len();
@@ -251,39 +236,6 @@ impl Emts {
             rec.event("ea.generation", u as u64);
             let gen_hits = engine.cache_hits();
             let gen_misses = engine.cache_misses();
-            let gen_delta_evals = engine.delta_evals();
-            let gen_prefix_reuse = engine.prefix_reuse_events();
-            let gen_surrogate = engine.surrogate_evals();
-            let gen_skipped = engine.exact_skipped();
-            let gen_ambiguous = engine.ambiguous_fallbacks();
-            let (gen_wsum, gen_wcount) = engine.surrogate_width_stats();
-            if !use_delta && engine.pool_degraded() {
-                // Every worker is gone and none respawned: batches
-                // dispatched to the pool would only come back through the
-                // stall deadline, so finish the run on the serial delta
-                // path. Both paths are bit-identical, so the switch cannot
-                // change the result — only who computes it.
-                use_delta = true;
-            }
-            if use_delta {
-                // Attach recorded evaluations to the survivors that lack
-                // one (fresh mutants from the previous generation). The
-                // record is a full mapper pass, so its makespan must agree
-                // with the already-evaluated fitness to the bit.
-                rec.time("record", || {
-                    for ind in &mut population {
-                        if ind.record.is_none() {
-                            let r = engine.record(&ind.alloc);
-                            assert_eq!(
-                                r.makespan().to_bits(),
-                                ind.fitness.to_bits(),
-                                "recorded evaluation diverged from fitness"
-                            );
-                            ind.record = Some(r);
-                        }
-                    }
-                });
-            }
             let m = mutation_count(u, cfg.generations, cfg.fm, v);
             // Mutation consumes the RNG on this thread only, so parallel
             // fitness evaluation cannot change the search trajectory.
@@ -292,8 +244,6 @@ impl Emts {
                 .map(|i| i.fitness)
                 .fold(f64::INFINITY, f64::min);
             let mut offspring_allocs: Vec<Allocation> = Vec::with_capacity(cfg.lambda);
-            let mut offspring_changed: Vec<Vec<ptg::TaskId>> = Vec::with_capacity(cfg.lambda);
-            let mut offspring_parent: Vec<usize> = Vec::with_capacity(cfg.lambda);
             rec.time("mutate", || {
                 for _ in 0..cfg.lambda {
                     let pidx = rand::Rng::gen_range(&mut rng, 0..population.len());
@@ -302,7 +252,7 @@ impl Emts {
                     // the default configuration (crossover_prob = 0.0, the
                     // paper's pure ES) consumes the exact same stream as
                     // before the operator existed.
-                    let (mut alloc, mut changed) = if cfg.crossover_prob > 0.0
+                    let mut alloc = if cfg.crossover_prob > 0.0
                         && population.len() > 1
                         && rand::Rng::gen_bool(&mut rng, cfg.crossover_prob)
                     {
@@ -313,15 +263,10 @@ impl Emts {
                         }
                         single_point(&population[pidx].alloc, &population[qidx].alloc, &mut rng)
                     } else {
-                        (population[pidx].alloc.clone(), Vec::new())
+                        population[pidx].alloc.clone()
                     };
-                    // The delta path needs every allele where the offspring
-                    // may differ from parent `pidx`: crossover's diff plus
-                    // the mutated alleles (duplicates are allowed).
-                    changed.extend(op.mutate(&mut alloc, m, p_max, &mut rng));
+                    op.mutate(&mut alloc, m, p_max, &mut rng);
                     offspring_allocs.push(alloc);
-                    offspring_changed.push(changed);
-                    offspring_parent.push(pidx);
                 }
             });
             // Rejection cutoff: fixed at the generation's start so the
@@ -351,27 +296,8 @@ impl Emts {
                 population.iter().map(|i| i.fitness).fold(0.0f64, f64::max)
             };
             let cutoff = rejection_cutoff.min(survival_cutoff);
-            let fitness: Vec<Option<f64>> = rec.time("evaluate", || {
-                if use_delta {
-                    offspring_allocs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, alloc)| {
-                            let parent = &population[offspring_parent[i]];
-                            engine.eval_offspring(
-                                parent.record.as_deref(),
-                                alloc,
-                                &offspring_changed[i],
-                                cutoff,
-                            )
-                        })
-                        .collect()
-                } else if let Some(sur) = &two_tier {
-                    engine.evaluate_two_tier(&offspring_allocs, cutoff, sur)
-                } else {
-                    engine.evaluate(&offspring_allocs, cutoff)
-                }
-            });
+            let fitness: Vec<Option<f64>> =
+                rec.time("evaluate", || engine.evaluate(&offspring_allocs, cutoff));
             evaluations += offspring_allocs.len();
             let offspring: Vec<Individual> = offspring_allocs
                 .into_iter()
@@ -426,32 +352,14 @@ impl Emts {
             );
             stats.cache_hits = engine.cache_hits() - gen_hits;
             stats.cache_misses = engine.cache_misses() - gen_misses;
-            stats.delta_evals = engine.delta_evals() - gen_delta_evals;
-            stats.prefix_reuse_events = engine.prefix_reuse_events() - gen_prefix_reuse;
-            stats.surrogate_evals = engine.surrogate_evals() - gen_surrogate;
-            stats.exact_skipped = engine.exact_skipped() - gen_skipped;
-            stats.ambiguous_fallbacks = engine.ambiguous_fallbacks() - gen_ambiguous;
-            let (wsum, wcount) = engine.surrogate_width_stats();
-            stats.surrogate_interval_width = if wcount > gen_wcount {
-                (wsum - gen_wsum) / (wcount - gen_wcount) as f64
-            } else {
-                0.0
-            };
             trace.push(stats);
         }
 
         trace.cache_hits = engine.cache_hits();
         trace.cache_misses = engine.cache_misses();
-        trace.delta_evals = engine.delta_evals();
-        trace.lb_pruned = engine.lb_pruned();
-        trace.prefix_reuse_events = engine.prefix_reuse_events();
-        trace.noop_skips = engine.noop_skips();
         trace.worker_panics = engine.worker_panics();
         trace.pool_respawns = engine.pool_respawns();
         trace.serial_fallbacks = engine.serial_fallbacks();
-        trace.surrogate_evals = engine.surrogate_evals();
-        trace.exact_skipped = engine.exact_skipped();
-        trace.ambiguous_fallbacks = engine.ambiguous_fallbacks();
         let best = population
             .into_iter()
             .min_by(|a, b| {
@@ -585,28 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_runs_route_every_miss_through_the_delta_path() {
-        let (g, m) = fft_setup(true);
-        let r = Emts::new(EmtsConfig {
-            parallel_evaluation: false,
-            ..EmtsConfig::emts5()
-        })
-        .run(&g, &m, 2);
-        // Serial mode has no workers, so the incremental path serves all
-        // engine misses; hits (memo, no-op skips, within-generation
-        // rejection replays) account for the rest of the λ·U offspring.
-        assert_eq!(r.trace.delta_evals, r.trace.cache_misses);
-        assert_eq!(r.trace.cache_hits + r.trace.cache_misses, 5 * 25);
-        assert!(r.trace.lb_pruned + r.pruned + r.rejected <= 5 * 25);
-        assert!(r.trace.noop_skips <= r.trace.cache_hits);
-    }
-
-    #[test]
     fn survival_pruning_never_changes_the_outcome_visible_to_selection() {
         // The survival screen only drops offspring that plus-selection
-        // would discard anyway, so serial (delta+screen) and the reference
-        // trajectory pinned by the other tests must coincide. Spot-check:
-        // both evaluation modes of the same config and seed agree exactly.
+        // would discard anyway, and the engine is bit-identical at every
+        // worker count. Spot-check: serial and pooled runs of the same
+        // config and seed agree exactly.
         let (g, m) = fft_setup(true);
         let serial = Emts::new(EmtsConfig {
             parallel_evaluation: false,
@@ -619,8 +510,6 @@ mod tests {
             serial.best_makespan.to_bits(),
             parallel.best_makespan.to_bits()
         );
-        // Compare trajectories, not engine counters: delta_evals and
-        // prefix reuse legitimately differ between the two paths.
         let keys = |r: &EmtsResult| {
             r.trace
                 .iter()
@@ -628,92 +517,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(keys(&serial), keys(&parallel));
-    }
-
-    #[test]
-    fn two_tier_screening_is_invisible_to_selection() {
-        // The surrogate screen only skips exact evaluations it has proved
-        // would be rejected at the cutoff, so the whole trajectory — best
-        // individual, per-generation fitness summaries, pruned counts —
-        // must be bit-identical to the all-exact batch run.
-        let (g, m) = fft_setup(true);
-        for seed in [2u64, 11] {
-            let base = Emts::new(EmtsConfig::emts5()).run_with_workers(
-                &g,
-                &m,
-                seed,
-                2,
-                &obs::NoopRecorder,
-            );
-            let tiered = Emts::new(EmtsConfig {
-                two_tier: true,
-                ..EmtsConfig::emts5()
-            })
-            .run_with_workers(&g, &m, seed, 2, &obs::NoopRecorder);
-            assert_eq!(base.best, tiered.best);
-            assert_eq!(base.best_makespan.to_bits(), tiered.best_makespan.to_bits());
-            assert_eq!(base.pruned, tiered.pruned);
-            assert_eq!(base.rejected, tiered.rejected);
-            let keys = |r: &EmtsResult| {
-                r.trace
-                    .iter()
-                    .map(GenerationStats::fitness_key)
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(keys(&base), keys(&tiered));
-        }
-    }
-
-    #[test]
-    fn two_tier_counters_account_for_the_screen() {
-        let (g, m) = fft_setup(true);
-        let r = Emts::new(EmtsConfig {
-            two_tier: true,
-            ..EmtsConfig::emts5()
-        })
-        .run_with_workers(&g, &m, 2, 2, &obs::NoopRecorder);
-        // Every cache miss went through tier 1, screened offspring still
-        // count as misses, and the per-generation series sums to the run
-        // totals.
-        assert_eq!(r.trace.surrogate_evals, r.trace.cache_misses);
-        assert_eq!(r.trace.cache_hits + r.trace.cache_misses, 5 * 25);
-        assert!(r.trace.exact_skipped <= r.trace.surrogate_evals);
-        assert!(r.trace.ambiguous_fallbacks + r.trace.exact_skipped <= r.trace.surrogate_evals);
-        assert!(
-            r.trace.exact_skipped > 0,
-            "survival cutoff never screened anything on the headline workload"
-        );
-        let gen_sums = |f: fn(&GenerationStats) -> usize| -> usize {
-            r.trace.iter().filter(|s| !s.is_seed()).map(f).sum()
-        };
-        assert_eq!(gen_sums(|s| s.surrogate_evals), r.trace.surrogate_evals);
-        assert_eq!(gen_sums(|s| s.exact_skipped), r.trace.exact_skipped);
-        assert_eq!(
-            gen_sums(|s| s.ambiguous_fallbacks),
-            r.trace.ambiguous_fallbacks
-        );
-    }
-
-    #[test]
-    fn two_tier_is_inert_on_the_serial_path_and_under_comma_selection() {
-        let (g, m) = fft_setup(true);
-        let serial = Emts::new(EmtsConfig {
-            two_tier: true,
-            parallel_evaluation: false,
-            ..EmtsConfig::emts5()
-        })
-        .run(&g, &m, 4);
-        assert_eq!(serial.trace.surrogate_evals, 0);
-        assert_eq!(serial.trace.delta_evals, serial.trace.cache_misses);
-        let comma = Emts::new(EmtsConfig {
-            two_tier: true,
-            comma_selection: true,
-            ..EmtsConfig::emts5()
-        })
-        .run_with_workers(&g, &m, 4, 2, &obs::NoopRecorder);
-        // Comma-selection leaves the cutoff infinite; tier 1 is bypassed.
-        assert_eq!(comma.trace.surrogate_evals, 0);
-        assert_eq!(comma.trace.exact_skipped, 0);
     }
 
     #[test]

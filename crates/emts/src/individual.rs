@@ -1,6 +1,6 @@
 //! EA individuals: an allocation with its (lazily attached) fitness.
 
-use sched::{Allocation, EvalRecord};
+use sched::{Allocation, BoundedEval};
 use std::sync::Arc;
 
 /// One individual of the EMTS population (the paper's Fig. 2 encoding).
@@ -16,14 +16,16 @@ pub struct Individual {
     /// Where this individual came from (seed name or `"mutant"`), kept for
     /// experiment traces.
     pub origin: &'static str,
-    /// Recorded evaluation of `alloc` (bottom levels + schedule prefix
-    /// checkpoints), attached lazily once the individual survives into a
-    /// generation whose offspring are evaluated through the delta path.
-    pub record: Option<Arc<EvalRecord>>,
+    /// Unbounded evaluation of `alloc` from
+    /// [`crate::FitnessEngine::record`]; the EA itself never sets it.
+    /// Kept for the benchmark's layer-by-layer EA replay
+    /// (`examples/benchmark/src/replay.rs`), its one user.
+    #[doc(hidden)]
+    pub record: Option<Arc<BoundedEval>>,
 }
 
-/// Identity is the genotype and its evaluation — the attached record is a
-/// cache of derived data, not state.
+/// Identity is the genotype and its evaluation — the attached record is
+/// derived data, not state.
 impl PartialEq for Individual {
     fn eq(&self, other: &Self) -> bool {
         self.alloc == other.alloc && self.fitness == other.fitness && self.origin == other.origin

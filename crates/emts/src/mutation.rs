@@ -65,9 +65,8 @@ impl MutationOperator {
     ///
     /// Clamping can be a no-op (shrinking a width-1 task, stretching a
     /// width-`p_max` one), so the returned set may be smaller than `m` —
-    /// even empty, in which case the offspring equals its parent and the
-    /// fitness engine skips re-evaluation entirely. The RNG draw sequence
-    /// is independent of the clamp outcomes.
+    /// even empty, in which case the offspring equals its parent. The RNG
+    /// draw sequence is independent of the clamp outcomes.
     pub fn mutate<R: Rng + ?Sized>(
         &self,
         alloc: &mut Allocation,

@@ -25,10 +25,6 @@
 //! in-flight rejection test compares against the cutoff — so the cache
 //! reproduces accept/reject decisions for *any* later cutoff bit-for-bit.
 //!
-//! [`evaluate_fitness`] / [`evaluate_fitness_bounded`] keep the original
-//! scope-per-call implementation as the reference path; the equivalence
-//! tests and the `emts_generation` bench compare the engine against it.
-//!
 //! # Self-healing
 //!
 //! The pool treats its workers as expendable. Failures are contained in
@@ -57,11 +53,8 @@
 
 use exec_model::TimeMatrix;
 use obs::{NoopRecorder, Recorder};
-use ptg::critpath::BlRepairer;
 use ptg::{Ptg, TaskId};
-use sched::{
-    Allocation, BoundedEval, EvalRecord, EvalScratch, ListScheduler, Surrogate, TwoTierEval,
-};
+use sched::{Allocation, BoundedEval, EvalScratch, ListScheduler};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,13 +103,14 @@ impl std::error::Error for PoolError {}
 /// own drain never checks them — so every injected failure exercises a
 /// recovery path instead of unwinding the EA. The hooks are process-global
 /// (tests that arm them must serialize) and cost one relaxed atomic load
-/// per worker evaluation when disarmed.
+/// per worker evaluation (and one per batch) when disarmed.
 #[doc(hidden)]
 pub mod sabotage {
-    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
     static EVAL_PANICS: AtomicI64 = AtomicI64::new(0);
     static WORKER_DEATHS: AtomicI64 = AtomicI64::new(0);
+    static CALLER_ABSTAINS: AtomicBool = AtomicBool::new(false);
 
     /// Arms the next `n` worker evaluations to panic mid-mapper (a
     /// "poisoned allocation"): each leaves its result slot empty and costs
@@ -132,10 +126,19 @@ pub mod sabotage {
         WORKER_DEATHS.store(n.min(i64::MAX as u64) as i64, Ordering::SeqCst);
     }
 
-    /// Disarms both hooks.
+    /// Keeps the dispatching thread out of every batch drain, so the
+    /// workers must claim every dispatched item and the hooks above fire
+    /// however the threads are scheduled. The caller still fills whatever
+    /// the workers fail to deliver.
+    pub fn arm_caller_abstains() {
+        CALLER_ABSTAINS.store(true, Ordering::SeqCst);
+    }
+
+    /// Disarms every hook.
     pub fn disarm() {
         EVAL_PANICS.store(0, Ordering::SeqCst);
         WORKER_DEATHS.store(0, Ordering::SeqCst);
+        CALLER_ABSTAINS.store(false, Ordering::SeqCst);
     }
 
     fn take(counter: &AtomicI64) -> bool {
@@ -151,6 +154,10 @@ pub mod sabotage {
 
     pub(super) fn claim_should_die() -> bool {
         take(&WORKER_DEATHS)
+    }
+
+    pub(super) fn caller_abstains() -> bool {
+        CALLER_ABSTAINS.load(Ordering::Relaxed)
     }
 }
 
@@ -178,115 +185,6 @@ struct PoolCore {
     respawns: AtomicU64,
 }
 
-/// Evaluates the makespan of every allocation, in parallel when asked.
-///
-/// Output order matches input order regardless of thread interleaving.
-/// This is the reference implementation (a fresh thread scope per call);
-/// the EA itself runs on [`EvalPool`] + [`FitnessEngine`].
-pub fn evaluate_fitness(
-    g: &Ptg,
-    matrix: &TimeMatrix,
-    allocs: &[Allocation],
-    parallel: bool,
-) -> Vec<f64> {
-    evaluate_fitness_bounded(g, matrix, allocs, parallel, f64::INFINITY)
-        .into_iter()
-        .map(|f| f.expect("infinite cutoff never rejects"))
-        .collect()
-}
-
-/// Like [`evaluate_fitness`], but with the rejection strategy: allocations
-/// whose partial schedule provably exceeds `cutoff` return `None` without
-/// their full schedule ever being constructed (the paper's §VI proposal).
-///
-/// The cutoff is a *constant per call* (not updated between offspring), so
-/// results stay deterministic and order-independent under parallelism.
-pub fn evaluate_fitness_bounded(
-    g: &Ptg,
-    matrix: &TimeMatrix,
-    allocs: &[Allocation],
-    parallel: bool,
-    cutoff: f64,
-) -> Vec<Option<f64>> {
-    let eval = |a: &Allocation| ListScheduler.makespan_bounded(g, matrix, a, cutoff);
-    if !parallel || allocs.len() < 4 {
-        return allocs.iter().map(eval).collect();
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(allocs.len());
-    let mut results: Vec<Option<f64>> = vec![None; allocs.len()];
-    let chunk = allocs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (alloc_chunk, result_chunk) in allocs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (a, r) in alloc_chunk.iter().zip(result_chunk.iter_mut()) {
-                    *r = ListScheduler.makespan_bounded(g, matrix, a, cutoff);
-                }
-            });
-        }
-    });
-    results
-}
-
-/// How a batch evaluates each of its items.
-#[derive(Debug, Clone, Copy)]
-enum EvalMode {
-    /// Exact bounded evaluation for every item.
-    Exact,
-    /// Tier-1 surrogate screen per item, exact core only when the interval
-    /// cannot prove rejection — screening cost thereby runs on the workers
-    /// ("the screening is itself pooled").
-    TwoTier(Surrogate),
-}
-
-/// One item's outcome under its batch's [`EvalMode`].
-#[derive(Debug, Clone, Copy)]
-enum ItemEval {
-    Exact(BoundedEval),
-    Tiered(TwoTierEval),
-}
-
-impl ItemEval {
-    fn into_exact(self) -> BoundedEval {
-        match self {
-            ItemEval::Exact(e) => e,
-            ItemEval::Tiered(_) => unreachable!("exact batch produced a tiered result"),
-        }
-    }
-
-    fn into_tiered(self) -> TwoTierEval {
-        match self {
-            ItemEval::Tiered(t) => t,
-            ItemEval::Exact(_) => unreachable!("two-tier batch produced an exact result"),
-        }
-    }
-}
-
-/// Evaluates one allocation under `mode` — the single evaluation routine
-/// behind workers, the caller's drain, the small-batch inline path and the
-/// fallback fill, so every path of a batch agrees on the tier policy.
-// lint:panic-root
-fn eval_one<R: Recorder>(
-    g: &Ptg,
-    matrix: &TimeMatrix,
-    a: &Allocation,
-    cutoff: f64,
-    mode: EvalMode,
-    scratch: &mut EvalScratch,
-    rec: &R,
-) -> ItemEval {
-    match mode {
-        EvalMode::Exact => {
-            ItemEval::Exact(ListScheduler.evaluate_bounded_obs(g, matrix, a, cutoff, scratch, rec))
-        }
-        EvalMode::TwoTier(cfg) => ItemEval::Tiered(
-            ListScheduler.evaluate_two_tier_obs(g, matrix, a, cutoff, &cfg, scratch, rec),
-        ),
-    }
-}
-
 /// One batch of evaluations shared between the pool's workers.
 ///
 /// Workers claim indices with an atomic counter, so items are never
@@ -295,11 +193,10 @@ fn eval_one<R: Recorder>(
 struct Batch {
     allocs: Vec<Allocation>,
     cutoff: f64,
-    mode: EvalMode,
     /// Next unclaimed index.
     next: AtomicUsize,
     /// One write-once slot per allocation.
-    results: Vec<OnceLock<ItemEval>>,
+    results: Vec<OnceLock<BoundedEval>>,
     /// Items not yet finished; the worker that finishes the last one flags
     /// `done`.
     pending: AtomicUsize,
@@ -354,12 +251,11 @@ fn drain_batch<R: Recorder>(
                     // lint:allow(src-panic-reach) -- deliberate fault injection; caught by the per-item catch_unwind
                     panic!("sabotage: poisoned allocation");
                 }
-                eval_one(
+                ListScheduler.evaluate_bounded_obs(
                     g,
                     matrix,
                     &batch.allocs[i],
                     batch.cutoff,
-                    batch.mode,
                     scratch,
                     rec,
                 )
@@ -376,12 +272,11 @@ fn drain_batch<R: Recorder>(
                 }
             }
         } else {
-            Some(eval_one(
+            Some(ListScheduler.evaluate_bounded_obs(
                 g,
                 matrix,
                 &batch.allocs[i],
                 batch.cutoff,
-                batch.mode,
                 scratch,
                 rec,
             ))
@@ -661,37 +556,21 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         self.rec
     }
 
+    /// Evaluates one allocation on the caller's scratch, with no
+    /// telemetry beyond the scheduler's own counters.
+    fn eval_inline(&mut self, alloc: &Allocation, cutoff: f64) -> BoundedEval {
+        ListScheduler.evaluate_bounded_obs(
+            self.g,
+            self.matrix,
+            alloc,
+            cutoff,
+            &mut self.scratch,
+            self.rec,
+        )
+    }
+
     /// Evaluates every allocation under `cutoff`; results are positional.
     pub fn run_batch(&mut self, allocs: Vec<Allocation>, cutoff: f64) -> Vec<BoundedEval> {
-        self.run_batch_mode(allocs, cutoff, EvalMode::Exact)
-            .into_iter()
-            .map(ItemEval::into_exact)
-            .collect()
-    }
-
-    /// Two-tier variant of [`Self::run_batch`]: every item gets a tier-1
-    /// surrogate interval (computed on whichever worker claims it, so
-    /// screening cost is pooled like exact evaluation), and the exact core
-    /// runs in the same claim only when the interval cannot prove
-    /// rejection at `cutoff`.
-    pub fn run_batch_two_tier(
-        &mut self,
-        allocs: Vec<Allocation>,
-        cutoff: f64,
-        sur: &Surrogate,
-    ) -> Vec<TwoTierEval> {
-        self.run_batch_mode(allocs, cutoff, EvalMode::TwoTier(*sur))
-            .into_iter()
-            .map(ItemEval::into_tiered)
-            .collect()
-    }
-
-    fn run_batch_mode(
-        &mut self,
-        allocs: Vec<Allocation>,
-        cutoff: f64,
-        mode: EvalMode,
-    ) -> Vec<ItemEval> {
         let n = allocs.len();
         if n == 0 {
             return Vec::new();
@@ -713,15 +592,7 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
                         } else {
                             None
                         };
-                        let outcome = eval_one(
-                            self.g,
-                            self.matrix,
-                            a,
-                            cutoff,
-                            mode,
-                            &mut self.scratch,
-                            self.rec,
-                        );
+                        let outcome = self.eval_inline(a, cutoff);
                         if let Some(t) = eval_start {
                             self.rec
                                 .latency("pool.eval_seconds", t.elapsed().as_secs_f64());
@@ -740,7 +611,6 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         let batch = Arc::new(Batch {
             allocs,
             cutoff,
-            mode,
             next: AtomicUsize::new(0),
             results: (0..n).map(|_| OnceLock::new()).collect(),
             pending: AtomicUsize::new(n),
@@ -774,14 +644,16 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         } else {
             None
         };
-        drain_batch(
-            self.g,
-            self.matrix,
-            &batch,
-            &mut self.scratch,
-            self.rec,
-            None,
-        );
+        if !sabotage::caller_abstains() {
+            drain_batch(
+                self.g,
+                self.matrix,
+                &batch,
+                &mut self.scratch,
+                self.rec,
+                None,
+            );
+        }
         if wait_for_batch(&batch) {
             let missing = batch.results.iter().filter(|s| s.get().is_none()).count();
             self.last_error = Some(PoolError::Stalled { missing });
@@ -795,16 +667,7 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
             if slot.get().is_some() {
                 continue;
             }
-            let outcome = eval_one(
-                self.g,
-                self.matrix,
-                &batch.allocs[i],
-                cutoff,
-                mode,
-                &mut self.scratch,
-                self.rec,
-            );
-            let _ = slot.set(outcome);
+            let _ = slot.set(self.eval_inline(&batch.allocs[i], cutoff));
             fallbacks += 1;
         }
         if fallbacks > 0 {
@@ -866,13 +729,6 @@ fn wait_for_batch(batch: &Batch) -> bool {
     false
 }
 
-/// A completed evaluation's cached outcome.
-#[derive(Debug, Clone, Copy)]
-struct Cached {
-    makespan: f64,
-    reject_key: f64,
-}
-
 /// FNV-1a over the allocation's genes — the memo key.
 ///
 /// Probing by a 64-bit hash (with full-equality confirmation on the
@@ -910,73 +766,43 @@ type Passthrough = BuildHasherDefault<PassthroughHasher>;
 ///
 /// Keyed by a 64-bit allocation hash with full-equality confirmation. Only
 /// *completed* evaluations are memoized across generations (a rejection
-/// proves nothing about other cutoffs); rejections are still deduped
-/// *within* a generation, whose cutoff is constant, via a per-generation
-/// set cleared by [`FitnessEngine::begin_generation`]. A hit decides
-/// accept/reject from the stored `reject_key` with the engine's exact test,
-/// so hits and misses are bit-for-bit interchangeable.
-///
-/// Two evaluation paths coexist:
-/// * [`FitnessEngine::evaluate`] — batch dispatch through the
-///   [`EvalPool`] (the multi-core path),
-/// * [`FitnessEngine::record`] + [`FitnessEngine::eval_offspring`] — the
-///   serial delta path: parents carry an [`EvalRecord`] and each offspring
-///   is evaluated incrementally against it (repaired bottom levels,
-///   lower-bound prescreen, prefix-checkpoint replay).
+/// proves nothing about other cutoffs); a hit decides accept/reject from
+/// the stored `reject_key` with the mapper's exact test
+/// ([`BoundedEval::decide`]), so hits and misses are bit-for-bit
+/// interchangeable. [`Self::evaluate`] sends its misses through
+/// [`EvalPool::run_batch`], which evaluates inline on the caller's scratch
+/// when the pool has no workers.
 pub struct FitnessEngine<'p, 'env, R: Recorder = NoopRecorder> {
     pool: &'p mut EvalPool<'env, R>,
-    cache: HashMap<u64, Vec<(Allocation, Cached)>, Passthrough>,
-    /// Allocations rejected at this generation's cutoff (cleared by
-    /// [`Self::begin_generation`]).
-    gen_rejected: HashMap<u64, Vec<Allocation>, Passthrough>,
-    /// Caller-thread scratch for the delta/record path (the pool's own
-    /// scratch serves its batch path).
-    scratch: EvalScratch,
-    repairer: BlRepairer,
+    /// Completed evaluations; every entry is a [`BoundedEval::Complete`].
+    cache: HashMap<u64, Vec<(Allocation, BoundedEval)>, Passthrough>,
+    /// Allocations [`Self::eval_offspring`] rejected at this generation's
+    /// cutoff, as (hash, start of their genes in `gen_rejected_genes`).
+    /// [`Self::begin_generation`] empties both without freeing, so a
+    /// rejection costs no allocation.
+    gen_rejected: Vec<(u64, usize)>,
+    gen_rejected_genes: Vec<u32>,
     cache_entries: usize,
     hits: usize,
     misses: usize,
-    noop_skips: usize,
-    delta_evals: usize,
-    lb_pruned: usize,
-    prefix_reuse_events: u64,
-    surrogate_evals: usize,
-    exact_skipped: usize,
-    ambiguous_fallbacks: usize,
-    /// Sum and count of *finite* surrogate interval widths, for the
-    /// per-generation mean in the trace.
-    surrogate_width_sum: f64,
-    surrogate_widths: usize,
 }
 
 impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
-    /// Wraps `pool` with an empty cache. Telemetry (the `emts.cache.*` and
-    /// `fitness.*` counters) flows into the pool's recorder.
+    /// Wraps `pool` with an empty cache. Telemetry (the `emts.cache.*`
+    /// counters) flows into the pool's recorder.
     pub fn new(pool: &'p mut EvalPool<'env, R>) -> Self {
-        let repairer = BlRepairer::new(pool.g);
-        let scratch = EvalScratch::with_capacity(pool.g.task_count(), pool.matrix.p_max());
         FitnessEngine {
             pool,
             cache: HashMap::default(),
-            gen_rejected: HashMap::default(),
-            scratch,
-            repairer,
+            gen_rejected: Vec::new(),
+            gen_rejected_genes: Vec::new(),
             cache_entries: 0,
             hits: 0,
             misses: 0,
-            noop_skips: 0,
-            delta_evals: 0,
-            lb_pruned: 0,
-            prefix_reuse_events: 0,
-            surrogate_evals: 0,
-            exact_skipped: 0,
-            ambiguous_fallbacks: 0,
-            surrogate_width_sum: 0.0,
-            surrogate_widths: 0,
         }
     }
 
-    fn cache_probe(&self, hash: u64, a: &Allocation) -> Option<Cached> {
+    fn cache_probe(&self, hash: u64, a: &Allocation) -> Option<BoundedEval> {
         self.cache
             .get(&hash)?
             .iter()
@@ -984,104 +810,65 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
             .map(|&(_, c)| c)
     }
 
-    fn cache_insert(&mut self, hash: u64, a: &Allocation, c: Cached) {
+    /// Memoizes a completed outcome and returns its fitness (`None` =
+    /// rejected, which is not memoized).
+    fn absorb(&mut self, hash: u64, alloc: &Allocation, outcome: BoundedEval) -> Option<f64> {
+        let BoundedEval::Complete { makespan, .. } = outcome else {
+            return None;
+        };
         let chain = self.cache.entry(hash).or_default();
-        if !chain.iter().any(|(k, _)| k == a) {
-            chain.push((a.clone(), c));
+        if !chain.iter().any(|(k, _)| k == alloc) {
+            chain.push((alloc.clone(), outcome));
             self.cache_entries += 1;
         }
+        Some(makespan)
     }
 
     /// Starts a new generation: forgets which allocations were rejected at
     /// the previous generation's cutoff (the new cutoff may accept them).
     pub fn begin_generation(&mut self) {
         self.gen_rejected.clear();
-    }
-
-    /// Memo/dedup pre-pass shared by [`Self::evaluate`] and
-    /// [`Self::evaluate_two_tier`]: probes the cross-generation cache and
-    /// dedups within the batch, returning the result column (hits already
-    /// decided), the per-allocation hashes, the miss set still needing the
-    /// pool, and the in-batch aliases to copy afterwards.
-    #[allow(clippy::type_complexity)]
-    fn probe_batch(
-        &mut self,
-        allocs: &[Allocation],
-        cutoff: f64,
-    ) -> (Vec<Option<f64>>, Vec<u64>, Vec<usize>, Vec<(usize, usize)>) {
-        // Must match the mapper's rejection threshold exactly (see
-        // `ListScheduler::makespan_bounded` for why the slack exists).
-        let threshold = cutoff * (1.0 + 1e-9);
-        let hashes: Vec<u64> = allocs.iter().map(alloc_hash).collect();
-        let mut results: Vec<Option<f64>> = vec![None; allocs.len()];
-        let mut first_seen: HashMap<u64, Vec<usize>, Passthrough> = HashMap::default();
-        let mut miss_indices: Vec<usize> = Vec::new();
-        let mut aliases: Vec<(usize, usize)> = Vec::new();
-        let hits_before = self.hits;
-        let misses_before = self.misses;
-        for (i, a) in allocs.iter().enumerate() {
-            let h = hashes[i];
-            if let Some(c) = self.cache_probe(h, a) {
-                self.hits += 1;
-                results[i] = (c.reject_key <= threshold).then_some(c.makespan);
-            } else if let Some(&j) = first_seen
-                .get(&h)
-                .and_then(|chain| chain.iter().find(|&&j| allocs[j] == *a))
-            {
-                self.hits += 1;
-                aliases.push((i, j));
-            } else {
-                self.misses += 1;
-                first_seen.entry(h).or_default().push(i);
-                miss_indices.push(i);
-            }
-        }
-        if R::ENABLED {
-            let rec = self.pool.recorder();
-            rec.add("emts.cache.hits", (self.hits - hits_before) as u64);
-            rec.add("emts.cache.misses", (self.misses - misses_before) as u64);
-        }
-        (results, hashes, miss_indices, aliases)
-    }
-
-    /// Folds one exact outcome into the memo cache and returns its fitness
-    /// (`None` = rejected).
-    fn absorb_outcome(
-        &mut self,
-        hash: u64,
-        alloc: &Allocation,
-        outcome: BoundedEval,
-    ) -> Option<f64> {
-        match outcome {
-            BoundedEval::Complete {
-                makespan,
-                reject_key,
-            } => {
-                self.cache_insert(
-                    hash,
-                    alloc,
-                    Cached {
-                        makespan,
-                        reject_key,
-                    },
-                );
-                Some(makespan)
-            }
-            BoundedEval::Rejected => None,
-        }
+        self.gen_rejected_genes.clear();
     }
 
     /// Bounded fitness of every allocation (`None` = rejected), positional.
     ///
     /// Duplicates — across generations via the cache, and within the batch
-    /// via in-batch dedup — are evaluated once.
+    /// via in-batch dedup — are evaluated once; each allocation counts as
+    /// exactly one cache hit or miss.
     pub fn evaluate(&mut self, allocs: &[Allocation], cutoff: f64) -> Vec<Option<f64>> {
-        let (mut results, hashes, miss_indices, aliases) = self.probe_batch(allocs, cutoff);
-        if !miss_indices.is_empty() {
+        let hashes: Vec<u64> = allocs.iter().map(alloc_hash).collect();
+        let mut results: Vec<Option<f64>> = vec![None; allocs.len()];
+        let mut first_seen: HashMap<u64, Vec<usize>, Passthrough> = HashMap::default();
+        let mut miss_indices: Vec<usize> = Vec::new();
+        let mut aliases: Vec<(usize, usize)> = Vec::new();
+        for (i, a) in allocs.iter().enumerate() {
+            let h = hashes[i];
+            if let Some(c) = self.cache_probe(h, a) {
+                results[i] = c.decide(cutoff);
+            } else if let Some(&j) = first_seen
+                .get(&h)
+                .and_then(|chain| chain.iter().find(|&&j| allocs[j] == *a))
+            {
+                aliases.push((i, j));
+            } else {
+                first_seen.entry(h).or_default().push(i);
+                miss_indices.push(i);
+            }
+        }
+        let misses = miss_indices.len();
+        self.hits += allocs.len() - misses;
+        self.misses += misses;
+        if R::ENABLED {
+            let rec = self.pool.recorder();
+            rec.add("emts.cache.hits", (allocs.len() - misses) as u64);
+            rec.add("emts.cache.misses", misses as u64);
+        }
+        if misses > 0 {
             let batch: Vec<Allocation> = miss_indices.iter().map(|&i| allocs[i].clone()).collect();
             let outcomes = self.pool.run_batch(batch, cutoff);
             for (&i, outcome) in miss_indices.iter().zip(outcomes) {
-                results[i] = self.absorb_outcome(hashes[i], &allocs[i], outcome);
+                results[i] = self.absorb(hashes[i], &allocs[i], outcome);
             }
         }
         for (i, j) in aliases {
@@ -1090,144 +877,57 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
         results
     }
 
-    /// [`Self::evaluate`] through the two-tier pipeline: every miss gets a
-    /// pooled tier-1 surrogate interval first, and the exact core runs
-    /// only when the interval cannot prove rejection at `cutoff`.
+    /// One unbounded evaluation of `alloc`, for a parent that
+    /// [`Self::eval_offspring`] later replays no-op offspring against.
+    /// Touches neither the memo nor the hit/miss counters.
     ///
-    /// Results are bit-identical to [`Self::evaluate`] on the same input:
-    /// screening skips exactly the offspring whose exact evaluation would
-    /// return `None` at this cutoff (see `sched::surrogate` for the
-    /// argument), and every other offspring — including every one whose
-    /// interval leaves survival ambiguous — falls back to the unchanged
-    /// exact evaluation. An infinite cutoff (comma selection, or no
-    /// better-than cutoff yet) can never screen, so it routes straight to
-    /// the exact path with zero surrogate overhead.
-    pub fn evaluate_two_tier(
-        &mut self,
-        allocs: &[Allocation],
-        cutoff: f64,
-        sur: &Surrogate,
-    ) -> Vec<Option<f64>> {
-        if !cutoff.is_finite() {
-            return self.evaluate(allocs, cutoff);
-        }
-        let (mut results, hashes, miss_indices, aliases) = self.probe_batch(allocs, cutoff);
-        if !miss_indices.is_empty() {
-            let batch: Vec<Allocation> = miss_indices.iter().map(|&i| allocs[i].clone()).collect();
-            let outcomes = self.pool.run_batch_two_tier(batch, cutoff, sur);
-            let total = outcomes.len();
-            let mut screened = 0usize;
-            let mut ambiguous = 0usize;
-            for (&i, outcome) in miss_indices.iter().zip(outcomes) {
-                match outcome {
-                    TwoTierEval::Screened(_) => {
-                        // Proven: the exact evaluation would reject. The
-                        // rejection is not memoized (the cache only keeps
-                        // completed schedules), matching the exact path.
-                        screened += 1;
-                        results[i] = None;
-                    }
-                    TwoTierEval::Exact(score, eval) => {
-                        if score.ambiguous(cutoff) {
-                            ambiguous += 1;
-                        }
-                        if score.hi.is_finite() {
-                            self.surrogate_width_sum += score.width();
-                            self.surrogate_widths += 1;
-                        }
-                        results[i] = self.absorb_outcome(hashes[i], &allocs[i], eval);
-                    }
-                }
-            }
-            self.surrogate_evals += total;
-            self.exact_skipped += screened;
-            self.ambiguous_fallbacks += ambiguous;
-            if R::ENABLED {
-                let rec = self.pool.recorder();
-                rec.add("fitness.surrogate_evals", total as u64);
-                rec.add("fitness.exact_skipped", screened as u64);
-                rec.add("fitness.ambiguous_fallbacks", ambiguous as u64);
-                // Timeline instants: how the tier decision split this batch.
-                rec.event("fitness.tier1.screened", screened as u64);
-                rec.event("fitness.tier2.exact", (total - screened) as u64);
-            }
-        }
-        for (i, j) in aliases {
-            results[i] = results[j];
-        }
-        results
+    /// Kept for the benchmark's layer-by-layer EA replay
+    /// (`examples/benchmark/src/replay.rs`), its one caller.
+    #[doc(hidden)]
+    pub fn record(&mut self, alloc: &Allocation) -> Arc<BoundedEval> {
+        Arc::new(self.pool.eval_inline(alloc, f64::INFINITY))
     }
 
-    /// Fully evaluates `alloc` and captures the [`EvalRecord`] the delta
-    /// path replays offspring against.
-    ///
-    /// Scheduler counters flow into the recorder (this is a real mapper
-    /// pass), but **no** `pool.eval_seconds` sample is emitted and no
-    /// hit/miss is counted: recording survivors is bookkeeping for the next
-    /// generation, not an offspring evaluation.
-    pub fn record(&mut self, alloc: &Allocation) -> Arc<EvalRecord> {
-        let rec = self.pool.recorder();
-        Arc::new(ListScheduler.evaluate_recorded(
-            self.pool.g,
-            self.pool.matrix,
-            alloc,
-            &mut self.scratch,
-            rec,
-        ))
-    }
-
-    /// Bounded fitness of one offspring via the incremental path
-    /// (`None` = rejected at `cutoff`). Bit-identical to
-    /// [`Self::evaluate`] on the same input.
+    /// Bounded fitness of one offspring (`None` = rejected at `cutoff`),
+    /// bit-identical to [`Self::evaluate`] on the same input.
     ///
     /// `changed` lists the genes where `child` differs from the parent
-    /// behind `parent_record` (as reported by
-    /// [`crate::MutationOperator::mutate`]). The pipeline, cheapest test
-    /// first: no-op skip (empty `changed` replays the parent's decision) →
-    /// memo probe → this generation's rejection set → delta evaluation
-    /// (repaired bottom levels, LB prescreen, checkpoint replay). Every
-    /// offspring counts as exactly one cache hit or miss; only the last
-    /// step is a miss.
+    /// whose [`Self::record`] is `parent` (as reported by
+    /// [`crate::MutationOperator::mutate`]). Cheapest answer first: an
+    /// empty `changed` replays the parent's outcome; then the memo and
+    /// this generation's rejection set; then one bounded evaluation on the
+    /// caller's scratch. Every offspring counts as exactly one cache hit or
+    /// miss; only the last step is a miss.
+    ///
+    /// Kept for the benchmark's layer-by-layer EA replay
+    /// (`examples/benchmark/src/replay.rs`), its one caller.
+    #[doc(hidden)]
     pub fn eval_offspring(
         &mut self,
-        parent_record: Option<&EvalRecord>,
+        parent: Option<&BoundedEval>,
         child: &Allocation,
         changed: &[TaskId],
         cutoff: f64,
     ) -> Option<f64> {
-        let threshold = cutoff * (1.0 + 1e-9);
         let rec = self.pool.recorder();
-        if changed.is_empty() {
-            if let Some(r) = parent_record {
-                self.hits += 1;
-                self.noop_skips += 1;
-                if R::ENABLED {
-                    rec.add("emts.cache.hits", 1);
-                    rec.add("fitness.noop_skips", 1);
-                }
-                return r.decide(cutoff);
-            }
-        }
         let h = alloc_hash(child);
-        if let Some(c) = self.cache_probe(h, child) {
+        let replay = match parent {
+            Some(p) if changed.is_empty() => Some(p.decide(cutoff)),
+            _ => self.cache_probe(h, child).map(|c| c.decide(cutoff)),
+        };
+        let genes = child.as_slice();
+        let replay = replay.or_else(|| {
+            self.gen_rejected
+                .iter()
+                .any(|&(k, at)| k == h && self.gen_rejected_genes[at..at + genes.len()] == *genes)
+                .then_some(None)
+        });
+        if let Some(fitness) = replay {
             self.hits += 1;
             if R::ENABLED {
                 rec.add("emts.cache.hits", 1);
             }
-            return (c.reject_key <= threshold).then_some(c.makespan);
-        }
-        if self
-            .gen_rejected
-            .get(&h)
-            .is_some_and(|chain| chain.iter().any(|k| k == child))
-        {
-            // Same allocation, same cutoff (constant within a generation):
-            // same rejection.
-            self.hits += 1;
-            if R::ENABLED {
-                rec.add("emts.cache.hits", 1);
-            }
-            return None;
+            return fitness;
         }
         self.misses += 1;
         let eval_start = if R::ENABLED {
@@ -1236,73 +936,22 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
         } else {
             None
         };
-        let outcome = match parent_record {
-            Some(r) => {
-                let d = ListScheduler.evaluate_delta(
-                    self.pool.g,
-                    self.pool.matrix,
-                    r,
-                    child,
-                    changed,
-                    cutoff,
-                    &mut self.scratch,
-                    &mut self.repairer,
-                    rec,
-                );
-                self.delta_evals += 1;
-                self.prefix_reuse_events += u64::from(d.events_reused);
-                if d.lb_pruned {
-                    self.lb_pruned += 1;
-                }
-                if R::ENABLED {
-                    rec.add("fitness.delta_evals", 1);
-                    rec.add("fitness.prefix_reuse_events", u64::from(d.events_reused));
-                    if d.lb_pruned {
-                        rec.add("fitness.lb_pruned", 1);
-                    }
-                }
-                d.outcome
-            }
-            None => ListScheduler.evaluate_bounded_obs(
-                self.pool.g,
-                self.pool.matrix,
-                child,
-                cutoff,
-                &mut self.scratch,
-                rec,
-            ),
-        };
+        let outcome = self.pool.eval_inline(child, cutoff);
         if let Some(t) = eval_start {
             rec.latency("pool.eval_seconds", t.elapsed().as_secs_f64());
             rec.add("emts.cache.misses", 1);
         }
-        match outcome {
-            BoundedEval::Complete {
-                makespan,
-                reject_key,
-            } => {
-                self.cache_insert(
-                    h,
-                    child,
-                    Cached {
-                        makespan,
-                        reject_key,
-                    },
-                );
-                Some(makespan)
-            }
-            BoundedEval::Rejected => {
-                let chain = self.gen_rejected.entry(h).or_default();
-                if !chain.iter().any(|k| k == child) {
-                    chain.push(child.clone());
-                }
-                None
-            }
+        let fitness = self.absorb(h, child, outcome);
+        if fitness.is_none() {
+            // A miss, so `child` is not in the set yet.
+            self.gen_rejected.push((h, self.gen_rejected_genes.len()));
+            self.gen_rejected_genes.extend_from_slice(genes);
         }
+        fitness
     }
 
-    /// Evaluations answered from the cache (including in-batch duplicates,
-    /// no-op skips and within-generation rejection replays).
+    /// Evaluations answered from the cache (including in-batch
+    /// duplicates).
     pub fn cache_hits(&self) -> usize {
         self.hits
     }
@@ -1315,50 +964,6 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
     /// Distinct completed allocations currently cached.
     pub fn cache_len(&self) -> usize {
         self.cache_entries
-    }
-
-    /// Offspring skipped because their mutation was a clamped no-op.
-    pub fn noop_skips(&self) -> usize {
-        self.noop_skips
-    }
-
-    /// Misses evaluated through the incremental (delta) path.
-    pub fn delta_evals(&self) -> usize {
-        self.delta_evals
-    }
-
-    /// Delta evaluations rejected by the lower-bound prescreen alone.
-    pub fn lb_pruned(&self) -> usize {
-        self.lb_pruned
-    }
-
-    /// Placement events replayed from parent prefixes instead of being
-    /// simulated.
-    pub fn prefix_reuse_events(&self) -> u64 {
-        self.prefix_reuse_events
-    }
-
-    /// Offspring scored by the tier-1 surrogate.
-    pub fn surrogate_evals(&self) -> usize {
-        self.surrogate_evals
-    }
-
-    /// Exact evaluations the surrogate screen made unnecessary.
-    pub fn exact_skipped(&self) -> usize {
-        self.exact_skipped
-    }
-
-    /// Surrogate intervals that straddled the cutoff, deferring the
-    /// survival decision to the exact fallback.
-    pub fn ambiguous_fallbacks(&self) -> usize {
-        self.ambiguous_fallbacks
-    }
-
-    /// Sum of all finite surrogate interval widths (seconds), and how many
-    /// there were — the trace derives per-generation means from deltas of
-    /// these.
-    pub fn surrogate_width_stats(&self) -> (f64, usize) {
-        (self.surrogate_width_sum, self.surrogate_widths)
     }
 
     /// Pool health: worker evaluations that panicked and were contained.
@@ -1378,9 +983,12 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
         self.pool.serial_fallbacks()
     }
 
-    /// True when a worker-backed pool has lost every worker: batches
-    /// dispatched to it would all come back through the stall deadline, so
-    /// the EA switches to the serial delta path instead.
+    /// True when a worker-backed pool has no live worker. Workers restart
+    /// in place after a panic, so this stays false while the pool lives.
+    ///
+    /// Kept for the benchmark's layer-by-layer EA replay
+    /// (`examples/benchmark/src/replay.rs`), its one caller.
+    #[doc(hidden)]
     pub fn pool_degraded(&self) -> bool {
         self.pool.workers() > 0 && self.pool.live_workers() == 0
     }
@@ -1412,95 +1020,67 @@ mod tests {
         (g, m, allocs)
     }
 
-    #[test]
-    fn parallel_and_serial_agree_exactly() {
-        let (g, m, allocs) = setup();
-        let serial = evaluate_fitness(&g, &m, &allocs, false);
-        let parallel = evaluate_fitness(&g, &m, &allocs, true);
-        assert_eq!(serial, parallel);
+    /// The per-processor oracle's fitness of every allocation at `cutoff`.
+    fn reference(g: &Ptg, m: &TimeMatrix, allocs: &[Allocation], cutoff: f64) -> Vec<Option<f64>> {
+        allocs
+            .iter()
+            .map(|a| ListScheduler.makespan_bounded_reference(g, m, a, cutoff))
+            .collect()
     }
 
-    #[test]
-    fn results_are_positional() {
-        let (g, m, allocs) = setup();
-        let fitness = evaluate_fitness(&g, &m, &allocs, true);
-        for (a, f) in allocs.iter().zip(&fitness) {
-            assert_eq!(*f, ListScheduler.makespan(&g, &m, a));
-        }
+    fn fitness(outcomes: Vec<BoundedEval>) -> Vec<Option<f64>> {
+        outcomes.iter().map(|o| o.decide(f64::INFINITY)).collect()
     }
 
-    #[test]
-    fn small_batches_take_the_serial_path() {
-        let (g, m, allocs) = setup();
-        let few = &allocs[..2];
-        let fitness = evaluate_fitness(&g, &m, few, true);
-        assert_eq!(fitness.len(), 2);
+    fn median_makespan(g: &Ptg, m: &TimeMatrix, allocs: &[Allocation]) -> f64 {
+        let mut sorted: Vec<f64> = reference(g, m, allocs, f64::INFINITY)
+            .into_iter()
+            .flatten()
+            .collect();
+        sorted.sort_by(f64::total_cmp);
+        sorted[sorted.len() / 2]
     }
 
     #[test]
     fn empty_input_gives_empty_output() {
         let (g, m, _) = setup();
-        assert!(evaluate_fitness(&g, &m, &[], true).is_empty());
+        EvalPool::with_workers(&g, &m, 2, &NoopRecorder, |pool| {
+            assert!(pool.run_batch(Vec::new(), f64::INFINITY).is_empty());
+        });
     }
 
     #[test]
-    fn bounded_evaluation_rejects_consistently_in_parallel_and_serial() {
+    fn pool_matches_the_oracle_with_and_without_cutoff() {
         let (g, m, allocs) = setup();
-        let exact = evaluate_fitness(&g, &m, &allocs, false);
-        let cutoff = stats_median(&exact);
-        let serial = evaluate_fitness_bounded(&g, &m, &allocs, false, cutoff);
-        let parallel = evaluate_fitness_bounded(&g, &m, &allocs, true, cutoff);
-        assert_eq!(serial, parallel);
-        // Accepted values equal the exact makespans; rejected ones exceeded
-        // the cutoff.
-        for ((bounded, &ms), alloc) in serial.iter().zip(&exact).zip(&allocs) {
-            match bounded {
-                Some(f) => assert_eq!(*f, ms, "{alloc:?}"),
-                None => assert!(ms > cutoff, "rejected but exact {ms} ≤ cutoff {cutoff}"),
-            }
-        }
-        // The chosen cutoff must actually reject about half the batch.
-        let rejected = serial.iter().filter(|f| f.is_none()).count();
-        assert!(rejected > 0 && rejected < allocs.len());
-    }
-
-    #[test]
-    fn pool_matches_scoped_reference_with_and_without_cutoff() {
-        let (g, m, allocs) = setup();
-        let exact = evaluate_fitness(&g, &m, &allocs, false);
-        let cutoff = stats_median(&exact);
-        for parallel in [false, true] {
+        let cutoff = median_makespan(&g, &m, &allocs);
+        for workers in [0, 2] {
             for c in [f64::INFINITY, cutoff] {
-                let reference = evaluate_fitness_bounded(&g, &m, &allocs, false, c);
-                let pooled = EvalPool::with(&g, &m, parallel, |pool| {
-                    pool.run_batch(allocs.clone(), c)
-                        .into_iter()
-                        .map(|o| match o {
-                            BoundedEval::Complete { makespan, .. } => Some(makespan),
-                            BoundedEval::Rejected => None,
-                        })
-                        .collect::<Vec<_>>()
+                let pooled = EvalPool::with_workers(&g, &m, workers, &NoopRecorder, |pool| {
+                    fitness(pool.run_batch(allocs.clone(), c))
                 });
-                assert_eq!(reference, pooled, "parallel={parallel} cutoff={c}");
+                assert_eq!(
+                    reference(&g, &m, &allocs, c),
+                    pooled,
+                    "workers={workers} cutoff={c}"
+                );
             }
         }
+        // The chosen cutoff must actually reject part of the batch.
+        let bounded = reference(&g, &m, &allocs, cutoff);
+        let rejected = bounded.iter().filter(|f| f.is_none()).count();
+        assert!(rejected > 0 && rejected < allocs.len());
     }
 
     #[test]
     fn pool_reuses_workers_across_batches() {
         let (g, m, allocs) = setup();
-        let reference = evaluate_fitness(&g, &m, &allocs, false);
+        let expected = reference(&g, &m, &allocs, f64::INFINITY);
         EvalPool::with(&g, &m, true, |pool| {
             for _ in 0..3 {
-                let got: Vec<f64> = pool
-                    .run_batch(allocs.clone(), f64::INFINITY)
-                    .into_iter()
-                    .map(|o| match o {
-                        BoundedEval::Complete { makespan, .. } => makespan,
-                        BoundedEval::Rejected => unreachable!("infinite cutoff"),
-                    })
-                    .collect();
-                assert_eq!(reference, got);
+                assert_eq!(
+                    expected,
+                    fitness(pool.run_batch(allocs.clone(), f64::INFINITY))
+                );
             }
         });
     }
@@ -1508,7 +1088,7 @@ mod tests {
     #[test]
     fn engine_cache_hits_return_identical_values() {
         let (g, m, allocs) = setup();
-        let reference = evaluate_fitness(&g, &m, &allocs, false);
+        let expected = reference(&g, &m, &allocs, f64::INFINITY);
         EvalPool::with(&g, &m, false, |pool| {
             let mut engine = FitnessEngine::new(pool);
             let first = engine.evaluate(&allocs, f64::INFINITY);
@@ -1517,28 +1097,24 @@ mod tests {
             let second = engine.evaluate(&allocs, f64::INFINITY);
             assert_eq!(engine.cache_hits(), allocs.len());
             assert_eq!(first, second);
-            for (f, r) in first.iter().zip(&reference) {
-                assert_eq!(f.unwrap(), *r);
-            }
+            assert_eq!(first, expected);
         });
     }
 
     #[test]
     fn engine_cached_rejection_decisions_match_fresh_evaluation() {
         let (g, m, allocs) = setup();
-        let exact = evaluate_fitness(&g, &m, &allocs, false);
-        let cutoff = stats_median(&exact);
+        let cutoff = median_makespan(&g, &m, &allocs);
         EvalPool::with(&g, &m, false, |pool| {
             let mut engine = FitnessEngine::new(pool);
             // Warm the cache with completions (infinite cutoff), then query
             // at a tight cutoff: every answer must come from the cache and
-            // equal the engine's own decision.
+            // equal the oracle's decision.
             let _ = engine.evaluate(&allocs, f64::INFINITY);
             let misses_before = engine.cache_misses();
             let cached = engine.evaluate(&allocs, cutoff);
             assert_eq!(engine.cache_misses(), misses_before, "all hits expected");
-            let fresh = evaluate_fitness_bounded(&g, &m, &allocs, false, cutoff);
-            assert_eq!(cached, fresh);
+            assert_eq!(cached, reference(&g, &m, &allocs, cutoff));
         });
     }
 
@@ -1561,20 +1137,13 @@ mod tests {
     #[test]
     fn rejected_evaluations_are_not_cached() {
         let (g, m, allocs) = setup();
-        let exact = evaluate_fitness(&g, &m, &allocs, false);
-        let cutoff = stats_median(&exact);
+        let cutoff = median_makespan(&g, &m, &allocs);
         EvalPool::with(&g, &m, false, |pool| {
             let mut engine = FitnessEngine::new(pool);
             let bounded = engine.evaluate(&allocs, cutoff);
             let completed = bounded.iter().filter(|f| f.is_some()).count();
             assert_eq!(engine.cache_len(), completed);
         });
-    }
-
-    fn stats_median(values: &[f64]) -> f64 {
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        sorted[sorted.len() / 2]
     }
 
     #[test]
@@ -1588,38 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn offspring_path_is_bit_identical_to_fresh_evaluation() {
-        let (g, m, allocs) = setup();
-        let parent = allocs[0].clone();
-        let exact_parent = ListScheduler.makespan(&g, &m, &parent);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        EvalPool::with(&g, &m, false, |pool| {
-            let mut engine = FitnessEngine::new(pool);
-            let record = engine.record(&parent);
-            assert_eq!(record.makespan().to_bits(), exact_parent.to_bits());
-            for cutoff in [f64::INFINITY, exact_parent * 1.05, exact_parent * 0.9] {
-                engine.begin_generation();
-                for _ in 0..20 {
-                    let mut child = parent.clone();
-                    let mut changed = Vec::new();
-                    for _ in 0..rng.gen_range(1..=3usize) {
-                        let t = ptg::TaskId(rng.gen_range(0..50u32));
-                        child.set(t, rng.gen_range(1..=120));
-                        changed.push(t);
-                    }
-                    let got = engine.eval_offspring(Some(&record), &child, &changed, cutoff);
-                    let fresh = ListScheduler.makespan_bounded(&g, &m, &child, cutoff);
-                    assert_eq!(
-                        got.map(f64::to_bits),
-                        fresh.map(f64::to_bits),
-                        "cutoff {cutoff}"
-                    );
-                }
-            }
-        });
-    }
-
-    #[test]
     fn noop_offspring_replays_parent_decision_as_a_hit() {
         let (g, m, allocs) = setup();
         let parent = allocs[0].clone();
@@ -1627,11 +1164,11 @@ mod tests {
         EvalPool::with(&g, &m, false, |pool| {
             let mut engine = FitnessEngine::new(pool);
             let record = engine.record(&parent);
+            assert_eq!(engine.cache_hits() + engine.cache_misses(), 0);
             let got = engine.eval_offspring(Some(&record), &parent, &[], f64::INFINITY);
             assert_eq!(got.map(f64::to_bits), Some(ms.to_bits()));
             assert_eq!(engine.cache_hits(), 1);
             assert_eq!(engine.cache_misses(), 0);
-            assert_eq!(engine.noop_skips(), 1);
             // At a cutoff below the parent's makespan the replay rejects.
             assert_eq!(
                 engine.eval_offspring(Some(&record), &parent, &[], ms * 0.5),
@@ -1685,7 +1222,7 @@ mod tests {
     #[test]
     fn worker_panics_are_contained_and_results_stay_exact() {
         let (g, m, allocs) = setup();
-        let reference = evaluate_fitness(&g, &m, &allocs, false);
+        let expected = reference(&g, &m, &allocs, f64::INFINITY);
         let _serial = sabotage_guard();
         // Every worker evaluation panics; the caller's own drain is
         // unaffected, so each batch must still come back complete and
@@ -1693,15 +1230,8 @@ mod tests {
         sabotage::arm_eval_panics(u64::MAX);
         EvalPool::with_workers(&g, &m, 2, &NoopRecorder, |pool| {
             for round in 0..200 {
-                let got: Vec<f64> = pool
-                    .run_batch(allocs.clone(), f64::INFINITY)
-                    .into_iter()
-                    .map(|o| match o {
-                        BoundedEval::Complete { makespan, .. } => makespan,
-                        BoundedEval::Rejected => unreachable!("infinite cutoff"),
-                    })
-                    .collect();
-                assert_eq!(reference, got, "round {round}");
+                let got = fitness(pool.run_batch(allocs.clone(), f64::INFINITY));
+                assert_eq!(expected, got, "round {round}");
                 if pool.worker_panics() > 0 {
                     break;
                 }
@@ -1724,20 +1254,13 @@ mod tests {
     #[test]
     fn dead_worker_stalls_the_batch_and_the_caller_recovers() {
         let (g, m, allocs) = setup();
-        let reference = evaluate_fitness(&g, &m, &allocs, false);
+        let expected = reference(&g, &m, &allocs, f64::INFINITY);
         let _serial = sabotage_guard();
         sabotage::arm_worker_deaths(1);
         EvalPool::with_workers(&g, &m, 2, &NoopRecorder, |pool| {
             for round in 0..200 {
-                let got: Vec<f64> = pool
-                    .run_batch(allocs.clone(), f64::INFINITY)
-                    .into_iter()
-                    .map(|o| match o {
-                        BoundedEval::Complete { makespan, .. } => makespan,
-                        BoundedEval::Rejected => unreachable!("infinite cutoff"),
-                    })
-                    .collect();
-                assert_eq!(reference, got, "round {round}");
+                let got = fitness(pool.run_batch(allocs.clone(), f64::INFINITY));
+                assert_eq!(expected, got, "round {round}");
                 if pool.respawns() > 0 {
                     break;
                 }
@@ -1754,15 +1277,10 @@ mod tests {
             );
             assert_eq!(pool.live_workers(), 2, "respawn restores full strength");
             // The pool keeps serving batches after the incident.
-            let after: Vec<f64> = pool
-                .run_batch(allocs.clone(), f64::INFINITY)
-                .into_iter()
-                .map(|o| match o {
-                    BoundedEval::Complete { makespan, .. } => makespan,
-                    BoundedEval::Rejected => unreachable!("infinite cutoff"),
-                })
-                .collect();
-            assert_eq!(reference, after);
+            assert_eq!(
+                expected,
+                fitness(pool.run_batch(allocs.clone(), f64::INFINITY))
+            );
         });
         sabotage::disarm();
     }
@@ -1778,21 +1296,15 @@ mod tests {
     #[test]
     fn forced_worker_count_matches_serial_results() {
         let (g, m, allocs) = setup();
-        let reference = evaluate_fitness(&g, &m, &allocs, false);
+        let expected = reference(&g, &m, &allocs, f64::INFINITY);
         let _serial = sabotage_guard(); // results are sabotage-sensitive
         for workers in [1, 3] {
             let got = EvalPool::with_workers(&g, &m, workers, &NoopRecorder, |pool| {
                 assert_eq!(pool.workers(), workers);
                 assert_eq!(pool.live_workers(), workers);
-                pool.run_batch(allocs.clone(), f64::INFINITY)
-                    .into_iter()
-                    .map(|o| match o {
-                        BoundedEval::Complete { makespan, .. } => makespan,
-                        BoundedEval::Rejected => unreachable!("infinite cutoff"),
-                    })
-                    .collect::<Vec<_>>()
+                fitness(pool.run_batch(allocs.clone(), f64::INFINITY))
             });
-            assert_eq!(reference, got, "workers={workers}");
+            assert_eq!(expected, got, "workers={workers}");
         }
     }
 
@@ -1805,13 +1317,16 @@ mod tests {
             let record = engine.record(&parent);
             let mut child = parent.clone();
             child.set(ptg::TaskId(3), 7);
-            let via_delta =
+            let via_offspring =
                 engine.eval_offspring(Some(&record), &child, &[ptg::TaskId(3)], f64::INFINITY);
             assert_eq!(engine.cache_misses(), 1);
             // The batch path must now answer the same allocation from cache.
             let via_batch = engine.evaluate(std::slice::from_ref(&child), f64::INFINITY);
             assert_eq!(engine.cache_misses(), 1, "expected a memo hit");
-            assert_eq!(via_batch[0].map(f64::to_bits), via_delta.map(f64::to_bits));
+            assert_eq!(
+                via_batch[0].map(f64::to_bits),
+                via_offspring.map(f64::to_bits)
+            );
         });
     }
 }

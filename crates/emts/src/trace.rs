@@ -22,36 +22,12 @@ pub struct GenerationStats {
     /// seed population).
     pub mutated_alleles: usize,
     /// Fitness requests this generation answered from the memo cache
-    /// (includes no-op skips and within-generation rejection replays).
+    /// (including in-batch duplicates).
     #[serde(default)]
     pub cache_hits: usize,
     /// Fitness requests this generation that ran the mapper.
     #[serde(default)]
     pub cache_misses: usize,
-    /// Misses this generation served by the incremental (delta) path
-    /// (0 on the batch/pool path).
-    #[serde(default)]
-    pub delta_evals: usize,
-    /// Placement events this generation replayed from parent prefix
-    /// checkpoints instead of being simulated (0 on the batch/pool path).
-    #[serde(default)]
-    pub prefix_reuse_events: u64,
-    /// Offspring this generation scored by the tier-1 surrogate (0 unless
-    /// the two-tier pipeline is active).
-    #[serde(default)]
-    pub surrogate_evals: usize,
-    /// Offspring this generation whose exact evaluation was skipped
-    /// because the surrogate interval proved rejection.
-    #[serde(default)]
-    pub exact_skipped: usize,
-    /// Offspring this generation whose surrogate interval straddled the
-    /// cutoff, forcing the exact-evaluation fallback to decide survival.
-    #[serde(default)]
-    pub ambiguous_fallbacks: usize,
-    /// Mean surrogate interval width (`hi - lo`) over this generation's
-    /// finite intervals, in makespan seconds (0 when none were produced).
-    #[serde(default)]
-    pub surrogate_interval_width: f64,
 }
 
 impl GenerationStats {
@@ -92,12 +68,6 @@ impl GenerationStats {
             mutated_alleles,
             cache_hits: 0,
             cache_misses: 0,
-            delta_evals: 0,
-            prefix_reuse_events: 0,
-            surrogate_evals: 0,
-            exact_skipped: 0,
-            ambiguous_fallbacks: 0,
-            surrogate_interval_width: 0.0,
         }
     }
 
@@ -108,9 +78,8 @@ impl GenerationStats {
 
     /// The trajectory-defining fields: fitness summary and mutation
     /// strength, with float payloads compared bit-for-bit. Excludes the
-    /// per-generation engine counters, which legitimately differ between
-    /// the delta and pool evaluation paths even when the search
-    /// trajectories coincide exactly.
+    /// per-generation engine counters, which describe how the fitness was
+    /// computed, not the search trajectory.
     pub fn fitness_key(&self) -> (usize, u64, u64, u64, usize, usize) {
         (
             self.generation,
@@ -136,22 +105,6 @@ pub struct ConvergenceTrace {
     pub cache_hits: usize,
     /// Fitness requests that ran the mapper.
     pub cache_misses: usize,
-    /// Misses evaluated through the incremental (delta) path rather than a
-    /// full mapper pass (0 when the run used batch evaluation).
-    #[serde(default)]
-    pub delta_evals: usize,
-    /// Delta evaluations rejected by the critical-path/area lower-bound
-    /// prescreen before any scheduling.
-    #[serde(default)]
-    pub lb_pruned: usize,
-    /// Placement events replayed from parent prefix checkpoints instead of
-    /// being simulated.
-    #[serde(default)]
-    pub prefix_reuse_events: u64,
-    /// Offspring skipped entirely because their mutation was a clamped
-    /// no-op (counted in `cache_hits` too).
-    #[serde(default)]
-    pub noop_skips: usize,
     /// Worker evaluations that panicked and were contained by the pool
     /// (the affected items were re-evaluated on the caller — see
     /// `serial_fallbacks`).
@@ -164,16 +117,6 @@ pub struct ConvergenceTrace {
     /// to produce them.
     #[serde(default)]
     pub serial_fallbacks: u64,
-    /// Offspring scored by the tier-1 surrogate over the whole run.
-    #[serde(default)]
-    pub surrogate_evals: usize,
-    /// Exact evaluations the surrogate screen made unnecessary.
-    #[serde(default)]
-    pub exact_skipped: usize,
-    /// Surrogate intervals that straddled the cutoff and fell back to the
-    /// exact tier for the survival decision.
-    #[serde(default)]
-    pub ambiguous_fallbacks: usize,
 }
 
 impl ConvergenceTrace {

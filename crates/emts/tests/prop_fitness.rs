@@ -1,307 +1,219 @@
-//! Property-based equivalence of every fitness-evaluation path.
+//! One differential harness for every fitness-evaluation entry point.
 //!
-//! The evaluation engine (scratch reuse, persistent pool, memo cache) is a
-//! pure performance layer: on random DAGGEN PTGs and random allocations,
-//! fresh-serial, scratch-reuse, scoped-parallel, pooled-parallel, and
-//! memoized evaluation must return *identical* makespans — including the
-//! accept/reject decision under rejection cutoffs, and including cache hits
-//! answered at a different cutoff than the one they were computed under.
+//! A single generator draws a random DAGGEN PTG under Model 1 (Amdahl) or
+//! Model 2 (synthetic), a chain of paper-operator mutants (each offspring
+//! is the parent of the next, with a clamped no-op link in the middle) and
+//! a tight cutoff around the chain's median makespan. Every entry point in
+//! [`ENTRY_POINTS`] evaluates the chain at an infinite and at the tight
+//! cutoff, and must reproduce the per-processor oracle
+//! `ListScheduler::makespan_bounded_reference` bit for bit, accept and
+//! reject alike. Adding or retiring an evaluation path is one table row.
 
-use emts::parallel::{evaluate_fitness_bounded, EvalPool, FitnessEngine};
-use emts::trace::GenerationStats;
-use emts::{Emts, EmtsConfig, EmtsResult, MutationOperator};
+use emts::mutation::mutation_count;
+use emts::parallel::sabotage;
+use emts::{EvalPool, FitnessEngine, MutationOperator};
 use exec_model::{Amdahl, SyntheticModel, TimeMatrix};
 use obs::NoopRecorder;
 use proptest::prelude::*;
-use ptg::critpath::BlRepairer;
+use ptg::{Ptg, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sched::{Allocation, BoundedEval, EvalScratch, ListScheduler, Surrogate};
+use sched::{Allocation, EvalScratch, ListScheduler};
 use workloads::{daggen::random_ptg, CostConfig, DaggenParams};
 
-fn scenario() -> impl Strategy<Value = (u64, usize, u32, f64)> {
-    // (graph/allocation seed, task count, platform size, cutoff factor
-    // around the batch median)
-    (0u64..1 << 40, 8usize..40, 4u32..64, 0.5f64..1.5)
+/// Mutants per chain, after the random root.
+const CHAIN: usize = 10;
+/// The chain link that repeats its parent (an all-clamped mutation).
+const NOOP_LINK: usize = CHAIN / 2;
+
+/// One generated input.
+struct Case {
+    g: Ptg,
+    m: TimeMatrix,
+    /// `chain[0]` is random; `chain[i + 1]` is a mutant of `chain[i]`.
+    chain: Vec<Allocation>,
+    /// `changed[i]`: the genes where `chain[i + 1]` differs from `chain[i]`.
+    changed: Vec<Vec<TaskId>>,
+    /// A cutoff around the chain's median makespan.
+    tight: f64,
+}
+
+fn case(seed: u64, n: usize, p: u32, model2: bool, cutoff_factor: f64) -> Case {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let params = DaggenParams {
+        n,
+        width: 0.5,
+        regularity: 0.4,
+        density: 0.3,
+        jump: 2,
+    };
+    let g = random_ptg(&params, &CostConfig::default(), &mut rng);
+    let m = if model2 {
+        TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, p)
+    } else {
+        TimeMatrix::compute(&g, &Amdahl, 3.1e9, p)
+    };
+    let op = MutationOperator::paper();
+    let v = g.task_count();
+    let mut chain = vec![Allocation::from_vec(
+        (0..v).map(|_| rng.gen_range(1..=p)).collect(),
+    )];
+    let mut changed = Vec::with_capacity(CHAIN);
+    for step in 0..CHAIN {
+        let mut child = chain[step].clone();
+        if step == NOOP_LINK {
+            changed.push(Vec::new());
+        } else {
+            let genes = mutation_count(step, CHAIN, 0.33, v);
+            changed.push(op.mutate(&mut child, genes, p, &mut rng));
+        }
+        chain.push(child);
+    }
+    let mut makespans = oracle(&g, &m, &chain, f64::INFINITY);
+    makespans.sort_by(|a, b| a.expect("complete").total_cmp(&b.expect("complete")));
+    let tight = makespans[makespans.len() / 2].expect("complete") * cutoff_factor;
+    Case {
+        g,
+        m,
+        chain,
+        changed,
+        tight,
+    }
+}
+
+fn oracle(g: &Ptg, m: &TimeMatrix, allocs: &[Allocation], cutoff: f64) -> Vec<Option<f64>> {
+    allocs
+        .iter()
+        .map(|a| ListScheduler.makespan_bounded_reference(g, m, a, cutoff))
+        .collect()
+}
+
+/// An entry point's fitness of every chain member at `cutoff`.
+type EntryPoint = fn(&Case, f64) -> Vec<Option<f64>>;
+
+const ENTRY_POINTS: [(&str, EntryPoint); 10] = [
+    ("makespan_bounded", fresh),
+    ("makespan_bounded_with", reused_scratch),
+    ("run_batch, 0 workers", |c, cutoff| {
+        pooled(c, cutoff, 0, usize::MAX)
+    }),
+    ("run_batch, 2 workers", |c, cutoff| {
+        pooled(c, cutoff, 2, usize::MAX)
+    }),
+    ("run_batch, 2 workers only", workers_only),
+    // Batches too small to dispatch run inline even when workers exist.
+    ("run_batch, 2 workers, batches of 3", |c, cutoff| {
+        pooled(c, cutoff, 2, 3)
+    }),
+    ("engine, cold memo", cold_memo),
+    ("engine, warm memo", warm_memo),
+    ("engine, cross-cutoff hit", cross_cutoff),
+    ("record + eval_offspring", offspring),
+];
+
+fn fresh(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    c.chain
+        .iter()
+        .map(|a| ListScheduler.makespan_bounded(&c.g, &c.m, a, cutoff))
+        .collect()
+}
+
+fn reused_scratch(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    let mut scratch = EvalScratch::new();
+    c.chain
+        .iter()
+        .map(|a| ListScheduler.makespan_bounded_with(&c.g, &c.m, a, cutoff, &mut scratch))
+        .collect()
+}
+
+/// The chain through `run_batch`, `batch` allocations at a time.
+fn pooled(c: &Case, cutoff: f64, workers: usize, batch: usize) -> Vec<Option<f64>> {
+    EvalPool::with_workers(&c.g, &c.m, workers, &NoopRecorder, |pool| {
+        c.chain
+            .chunks(batch)
+            .flat_map(|chunk| pool.run_batch(chunk.to_vec(), cutoff))
+            .map(|o| o.decide(f64::INFINITY))
+            .collect()
+    })
+}
+
+/// The 2-worker pool with the caller kept out of the drain, so the
+/// workers evaluate every item (the hook is process-global; this file
+/// holds one test, so nothing else runs meanwhile).
+fn workers_only(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    sabotage::arm_caller_abstains();
+    let got = pooled(c, cutoff, 2, usize::MAX);
+    sabotage::disarm();
+    got
+}
+
+fn cold_memo(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    EvalPool::with_workers(&c.g, &c.m, 0, &NoopRecorder, |pool| {
+        FitnessEngine::new(pool).evaluate(&c.chain, cutoff)
+    })
+}
+
+/// The second of two identical batches: completed entries are memo hits.
+fn warm_memo(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    EvalPool::with_workers(&c.g, &c.m, 0, &NoopRecorder, |pool| {
+        let mut engine = FitnessEngine::new(pool);
+        let _ = engine.evaluate(&c.chain, cutoff);
+        engine.evaluate(&c.chain, cutoff)
+    })
+}
+
+/// Completions memoized at an infinite cutoff answer `cutoff` without a
+/// single new evaluation.
+fn cross_cutoff(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    EvalPool::with_workers(&c.g, &c.m, 0, &NoopRecorder, |pool| {
+        let mut engine = FitnessEngine::new(pool);
+        let _ = engine.evaluate(&c.chain, f64::INFINITY);
+        let misses = engine.cache_misses();
+        let got = engine.evaluate(&c.chain, cutoff);
+        assert_eq!(engine.cache_misses(), misses, "expected pure memo hits");
+        got
+    })
+}
+
+/// The root through the memo, each mutant against its parent's record.
+fn offspring(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    EvalPool::with_workers(&c.g, &c.m, 0, &NoopRecorder, |pool| {
+        let mut engine = FitnessEngine::new(pool);
+        engine.begin_generation();
+        let mut out = vec![engine.eval_offspring(None, &c.chain[0], &[], cutoff)];
+        for (pair, changed) in c.chain.windows(2).zip(&c.changed) {
+            let record = engine.record(&pair[0]);
+            out.push(engine.eval_offspring(Some(&record), &pair[1], changed, cutoff));
+        }
+        out
+    })
+}
+
+fn bits(v: &[Option<f64>]) -> Vec<Option<u64>> {
+    v.iter().map(|f| f.map(f64::to_bits)).collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn all_fitness_paths_agree_exactly((seed, n, p, cutoff_factor) in scenario()) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let params = DaggenParams {
-            n,
-            width: 0.5,
-            regularity: 0.4,
-            density: 0.3,
-            jump: 2,
-        };
-        let g = random_ptg(&params, &CostConfig::default(), &mut rng);
-        let m = TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, p);
-        let tasks = g.task_count();
-        let allocs: Vec<Allocation> = (0..12)
-            .map(|_| Allocation::from_vec((0..tasks).map(|_| rng.gen_range(1..=p)).collect()))
-            .collect();
-
-        let exact: Vec<f64> = allocs
-            .iter()
-            .map(|a| sched::Mapper::makespan(&ListScheduler, &g, &m, a))
-            .collect();
-        let mut sorted = exact.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite makespans"));
-        let median = sorted[sorted.len() / 2];
-
-        for cutoff in [f64::INFINITY, median * cutoff_factor] {
-            // Reference: a fresh allocation of every buffer per call.
-            let fresh: Vec<Option<f64>> = allocs
-                .iter()
-                .map(|a| ListScheduler.makespan_bounded(&g, &m, a, cutoff))
-                .collect();
-
-            // The per-processor oracle: the pre-optimization core that keeps
-            // one heap entry per processor instead of grouped runs. The
-            // grouped fitness core must agree bit-for-bit, accept and
-            // reject alike.
-            let reference: Vec<Option<f64>> = allocs
-                .iter()
-                .map(|a| ListScheduler.makespan_bounded_reference(&g, &m, a, cutoff))
-                .collect();
-            prop_assert_eq!(&reference, &fresh);
-
-            // One scratch reused across the whole batch.
-            let mut scratch = EvalScratch::new();
-            let scratched: Vec<Option<f64>> = allocs
-                .iter()
-                .map(|a| ListScheduler.makespan_bounded_with(&g, &m, a, cutoff, &mut scratch))
-                .collect();
-            prop_assert_eq!(&fresh, &scratched);
-
-            // The legacy scope-per-call parallel path.
-            let scoped = evaluate_fitness_bounded(&g, &m, &allocs, true, cutoff);
-            prop_assert_eq!(&fresh, &scoped);
-
-            // The persistent pool, parallel and serial.
-            for parallel in [true, false] {
-                let pooled = EvalPool::with(&g, &m, parallel, |pool| {
-                    pool.run_batch(allocs.clone(), cutoff)
-                        .into_iter()
-                        .map(|o| match o {
-                            BoundedEval::Complete { makespan, .. } => Some(makespan),
-                            BoundedEval::Rejected => None,
-                        })
-                        .collect::<Vec<_>>()
-                });
-                prop_assert_eq!(&fresh, &pooled, "parallel={}", parallel);
-            }
-
-            // The memoizing engine: first pass (all misses), second pass
-            // (all hits for completed entries) must both match.
-            EvalPool::with(&g, &m, false, |pool| {
-                let mut engine = FitnessEngine::new(pool);
-                let first = engine.evaluate(&allocs, cutoff);
-                let second = engine.evaluate(&allocs, cutoff);
-                assert_eq!(first, fresh, "engine first pass diverged");
-                assert_eq!(second, fresh, "engine cached pass diverged");
-            });
-        }
-
-        // Cross-cutoff memoization: warm the cache with completions at an
-        // infinite cutoff, then query at the tight cutoff — every answer is
-        // a cache hit and must reproduce the engine's own decision.
-        EvalPool::with(&g, &m, false, |pool| {
-            let mut engine = FitnessEngine::new(pool);
-            let _ = engine.evaluate(&allocs, f64::INFINITY);
-            let misses = engine.cache_misses();
-            let tight = median * cutoff_factor;
-            let cached = engine.evaluate(&allocs, tight);
-            assert_eq!(engine.cache_misses(), misses, "expected pure cache hits");
-            let fresh: Vec<Option<f64>> = allocs
-                .iter()
-                .map(|a| ListScheduler.makespan_bounded(&g, &m, a, tight))
-                .collect();
-            assert_eq!(cached, fresh, "cached cutoff decision diverged");
-        });
-    }
-
-    /// The incremental path — recorded parent, repaired bottom levels,
-    /// lower-bound prescreen, prefix-checkpoint replay — must be
-    /// bit-identical to a fresh bounded evaluation along whole mutation
-    /// chains, where each accepted offspring becomes the next recorded
-    /// parent. When the prescreen fires, the offspring's true makespan must
-    /// indeed exceed the cutoff (the prune is a proof, not a heuristic).
-    #[test]
-    fn delta_chains_match_fresh_evaluation((seed, n, p, cutoff_factor) in scenario()) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9);
-        let params = DaggenParams {
-            n,
-            width: 0.5,
-            regularity: 0.4,
-            density: 0.3,
-            jump: 2,
-        };
-        let g = random_ptg(&params, &CostConfig::default(), &mut rng);
-        let m = TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, p);
-        let tasks = g.task_count();
-        let op = MutationOperator::paper();
-        let mut scratch = EvalScratch::new();
-        let mut repairer = BlRepairer::new(&g);
-
-        let mut parent =
-            Allocation::from_vec((0..tasks).map(|_| rng.gen_range(1..=p)).collect());
-        let mut record =
-            ListScheduler.evaluate_recorded(&g, &m, &parent, &mut scratch, &NoopRecorder);
-        prop_assert_eq!(
-            record.makespan().to_bits(),
-            sched::Mapper::makespan(&ListScheduler, &g, &m, &parent).to_bits()
-        );
-        let mut pruned_seen = 0usize;
-        for step in 0..10 {
-            let mut child = parent.clone();
-            let mutated = 1 + step % 5;
-            let changed = op.mutate(&mut child, mutated, p, &mut rng);
-            // Alternate unconstrained and tight cutoffs along the chain;
-            // tight ones exercise the prescreen and mid-prefix rejections.
-            let cutoff = if step % 2 == 0 {
-                f64::INFINITY
-            } else {
-                record.makespan() * cutoff_factor
-            };
-            let delta = ListScheduler.evaluate_delta(
-                &g,
-                &m,
-                &record,
-                &child,
-                &changed,
-                cutoff,
-                &mut scratch,
-                &mut repairer,
-                &NoopRecorder,
-            );
-            let fresh = ListScheduler.makespan_bounded(&g, &m, &child, cutoff);
-            match (delta.outcome, fresh) {
-                (BoundedEval::Complete { makespan, .. }, Some(f)) => {
-                    prop_assert_eq!(makespan.to_bits(), f.to_bits(), "step {}", step);
-                }
-                (BoundedEval::Rejected, None) => {}
-                (d, f) => prop_assert!(false, "step {}: delta {:?} vs fresh {:?}", step, d, f),
-            }
-            if delta.lb_pruned {
-                pruned_seen += 1;
-                let true_ms = sched::Mapper::makespan(&ListScheduler, &g, &m, &child);
-                prop_assert!(
-                    true_ms > cutoff,
-                    "LB-pruned offspring has makespan {} ≤ cutoff {}",
-                    true_ms,
-                    cutoff
+    fn every_entry_point_matches_the_oracle(
+        (seed, n, p, model, cutoff_factor) in (0u64..1 << 40, 8usize..40, 4u32..64, 1u8..=2, 0.5f64..1.5)
+    ) {
+        let model2 = model == 2;
+        let c = case(seed, n, p, model2, cutoff_factor);
+        for cutoff in [f64::INFINITY, c.tight] {
+            let want = bits(&oracle(&c.g, &c.m, &c.chain, cutoff));
+            for (name, entry) in ENTRY_POINTS {
+                prop_assert_eq!(
+                    bits(&entry(&c, cutoff)),
+                    want.clone(),
+                    "{} at cutoff {} (model2 = {})",
+                    name,
+                    cutoff,
+                    model2
                 );
             }
-            // The chain continues from the child regardless of the cutoff
-            // outcome (the EA re-records only survivors; here we stress the
-            // machinery on every link).
-            record = ListScheduler.evaluate_recorded(&g, &m, &child, &mut scratch, &NoopRecorder);
-            parent = child;
-        }
-        // Not every chain prunes — but the counter must never exceed the
-        // tight-cutoff steps.
-        prop_assert!(pruned_seen <= 5);
-    }
-
-    /// Tier-1 screening must be *provably* invisible: on random DAGGEN
-    /// PTGs under both execution models, the two-tier engine's per-batch
-    /// answers and the EA's per-generation survivors are bit-identical to
-    /// the all-exact run — at infinite and tight rejection cutoffs, on the
-    /// pooled path, and on the degraded-pool (0-worker) batch path.
-    #[test]
-    fn survivors_bit_identical_two_tier_vs_exact((seed, n, p, cutoff_factor) in scenario()) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x51ed_2701);
-        let params = DaggenParams {
-            n,
-            width: 0.5,
-            regularity: 0.4,
-            density: 0.3,
-            jump: 2,
-        };
-        let g = random_ptg(&params, &CostConfig::default(), &mut rng);
-        let tasks = g.task_count();
-        let sur = Surrogate::default();
-        for model2 in [false, true] {
-            let m = if model2 {
-                TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, p)
-            } else {
-                TimeMatrix::compute(&g, &Amdahl, 3.1e9, p)
-            };
-
-            // Engine level: raw batches at an unconstrained and a tight
-            // cutoff. Screened offspring and exact rejections both surface
-            // as None, so whole result vectors must coincide.
-            let allocs: Vec<Allocation> = (0..12)
-                .map(|_| Allocation::from_vec((0..tasks).map(|_| rng.gen_range(1..=p)).collect()))
-                .collect();
-            let exact: Vec<f64> = allocs
-                .iter()
-                .map(|a| sched::Mapper::makespan(&ListScheduler, &g, &m, a))
-                .collect();
-            let mut sorted = exact.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite makespans"));
-            let median = sorted[sorted.len() / 2];
-            for cutoff in [f64::INFINITY, median * cutoff_factor] {
-                for parallel in [true, false] {
-                    let all_exact = EvalPool::with(&g, &m, parallel, |pool| {
-                        let mut e = FitnessEngine::new(pool);
-                        e.evaluate(&allocs, cutoff)
-                    });
-                    let tiered = EvalPool::with(&g, &m, parallel, |pool| {
-                        let mut e = FitnessEngine::new(pool);
-                        e.evaluate_two_tier(&allocs, cutoff, &sur)
-                    });
-                    prop_assert_eq!(
-                        &all_exact, &tiered,
-                        "model2={} cutoff={} parallel={}", model2, cutoff, parallel
-                    );
-                }
-            }
-
-            // EA level: whole mutation chains with the rejection strategy
-            // active, so tier 1 sees both the survival and the rejection
-            // cutoff. Survivor summaries must match generation by
-            // generation.
-            let cfg = EmtsConfig {
-                mu: 4,
-                lambda: 10,
-                generations: 4,
-                rejection: true,
-                rejection_slack: 0.5 + cutoff_factor,
-                ..EmtsConfig::default()
-            };
-            let ea_seed = seed ^ u64::from(model2);
-            let base = Emts::new(cfg.clone()).run_with_workers(&g, &m, ea_seed, 2, &NoopRecorder);
-            let tiered = Emts::new(EmtsConfig {
-                two_tier: true,
-                ..cfg.clone()
-            })
-            .run_with_workers(&g, &m, ea_seed, 2, &NoopRecorder);
-            // Serial pool (0 workers) falls back to the delta path, where
-            // two-tier is inert by design — the trajectory must still agree.
-            let serial = Emts::new(EmtsConfig {
-                two_tier: true,
-                ..cfg
-            })
-            .run_with_workers(&g, &m, ea_seed, 0, &NoopRecorder);
-            let keys = |r: &EmtsResult| {
-                r.trace
-                    .iter()
-                    .map(GenerationStats::fitness_key)
-                    .collect::<Vec<_>>()
-            };
-            prop_assert_eq!(base.best.as_slice(), tiered.best.as_slice());
-            prop_assert_eq!(base.best_makespan.to_bits(), tiered.best_makespan.to_bits());
-            prop_assert_eq!(keys(&base), keys(&tiered), "model2={}", model2);
-            prop_assert_eq!(base.rejected, tiered.rejected);
-            prop_assert_eq!(base.pruned, tiered.pruned);
-            prop_assert_eq!(keys(&base), keys(&serial), "serial path model2={}", model2);
-            prop_assert_eq!(serial.trace.surrogate_evals, 0, "delta path must not consult tier 1");
         }
     }
 }

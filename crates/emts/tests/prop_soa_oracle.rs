@@ -4,18 +4,16 @@
 //! The struct-of-arrays refactor (CSR adjacency, packed `u128` heaps,
 //! branchless sifts) must be a pure representation change:
 //! `makespan_bounded_reference` keeps the original comparator-driven
-//! `BinaryHeap`s and pointer adjacency, and every production path — the
-//! grouped core, the recorded/delta incremental path, the rescheduler —
-//! has to reproduce its results *bit for bit* on random DAGGEN PTGs,
-//! under **both** execution-time models (Amdahl and the synthetic Model
-//! 2), accept and reject alike. `prop_fitness.rs` covers the engine
-//! plumbing on the synthetic model; this suite pins the core itself on
-//! both models.
+//! `BinaryHeap`s and pointer adjacency, and the production cores — the
+//! grouped fitness core with and without telemetry, the full mapper, the
+//! rescheduler — have to reproduce its results *bit for bit* on random
+//! DAGGEN PTGs, under **both** execution-time models (Amdahl and the
+//! synthetic Model 2), accept and reject alike. `prop_fitness.rs` runs
+//! every evaluation entry point against the same oracle.
 
 use exec_model::{Amdahl, ExecutionTimeModel, SyntheticModel, TimeMatrix};
-use obs::{NoopRecorder, StatsRecorder};
+use obs::StatsRecorder;
 use proptest::prelude::*;
-use ptg::critpath::BlRepairer;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sched::{
@@ -148,63 +146,6 @@ proptest! {
                 prop_assert_eq!(pl.start.to_bits(), want.start.to_bits(), "model {}", model_name);
                 prop_assert_eq!(pl.finish.to_bits(), want.finish.to_bits(), "model {}", model_name);
             }
-        }
-    }
-
-    /// The incremental path on the Amdahl model (`prop_fitness.rs` runs
-    /// the synthetic one): recorded evaluation, checkpoint-replayed delta
-    /// chains and their accept/reject decisions all match the oracle bit
-    /// for bit.
-    #[test]
-    fn delta_chains_match_oracle_under_amdahl((seed, n, p, cutoff_factor) in scenario()) {
-        let (g, mut rng) = graph(seed ^ 0x00dd_ba11, n);
-        let m = TimeMatrix::compute(&g, &Amdahl, 3.1e9, p);
-        let op = emts::MutationOperator::paper();
-        let mut scratch = EvalScratch::new();
-        let mut repairer = BlRepairer::new(&g);
-
-        let mut parent = Allocation::from_vec(
-            (0..g.task_count()).map(|_| rng.gen_range(1..=p)).collect(),
-        );
-        let mut record =
-            ListScheduler.evaluate_recorded(&g, &m, &parent, &mut scratch, &NoopRecorder);
-        prop_assert_eq!(
-            record.makespan().to_bits(),
-            ListScheduler
-                .makespan_bounded_reference(&g, &m, &parent, f64::INFINITY)
-                .expect("infinite cutoff never rejects")
-                .to_bits()
-        );
-        for step in 0..6 {
-            let mut child = parent.clone();
-            let changed = op.mutate(&mut child, 1 + step % 4, p, &mut rng);
-            let cutoff = if step % 2 == 0 {
-                f64::INFINITY
-            } else {
-                record.makespan() * cutoff_factor
-            };
-            let delta = ListScheduler.evaluate_delta(
-                &g,
-                &m,
-                &record,
-                &child,
-                &changed,
-                cutoff,
-                &mut scratch,
-                &mut repairer,
-                &NoopRecorder,
-            );
-            let oracle = ListScheduler.makespan_bounded_reference(&g, &m, &child, cutoff);
-            match (delta.outcome, oracle) {
-                (BoundedEval::Complete { makespan, .. }, Some(o)) => {
-                    prop_assert_eq!(makespan.to_bits(), o.to_bits(), "step {}", step);
-                }
-                (BoundedEval::Rejected, None) => {}
-                (d, o) => prop_assert!(false, "step {}: delta {:?} vs oracle {:?}", step, d, o),
-            }
-            record =
-                ListScheduler.evaluate_recorded(&g, &m, &child, &mut scratch, &NoopRecorder);
-            parent = child;
         }
     }
 }

@@ -4,7 +4,8 @@
 //! worker failed to deliver.
 //!
 //! The sabotage hooks are process-global, so every test here serializes on
-//! one mutex and disarms on exit.
+//! one mutex — before any pool exists, so no other test's workers can take
+//! an armed failure — and disarms on exit.
 
 use emts::parallel::sabotage;
 use emts::{Emts, EmtsConfig};
@@ -46,28 +47,21 @@ fn sabotage_session() -> MutexGuard<'static, ()> {
 
 #[test]
 fn worker_panics_mid_run_leave_the_ea_result_intact() {
+    let _session = sabotage_session();
     let (g, m) = setup();
     let emts = Emts::new(EmtsConfig::emts5());
     let serial = emts.run(&g, &m, 7);
 
-    let _session = sabotage_session();
-    // Every worker evaluation panics for the whole run. The run must still
-    // finish (no hang, no abort) with the serial path's exact result.
-    let mut faulty = None;
-    for _attempt in 0..5 {
-        sabotage::arm_eval_panics(u64::MAX);
-        let rec = StatsRecorder::new();
-        let r = emts.run_with_workers(&g, &m, 7, 2, &rec);
-        sabotage::disarm();
-        // Thread scheduling decides whether a worker claimed any item; on
-        // a loaded single-core machine the caller can drain every batch
-        // first. Retry until a worker actually hit the sabotage.
-        if r.trace.worker_panics > 0 {
-            faulty = Some((r, rec.report("self-healing")));
-            break;
-        }
-    }
-    let (faulty, report) = faulty.expect("no worker claimed a single evaluation in 5 full EA runs");
+    // Every worker evaluation panics for the whole run, and the caller
+    // stays out of the drains, so the workers claim every dispatched item.
+    // The run must still finish (no hang, no abort) with the serial path's
+    // exact result.
+    sabotage::arm_caller_abstains();
+    sabotage::arm_eval_panics(u64::MAX);
+    let rec = StatsRecorder::new();
+    let faulty = emts.run_with_workers(&g, &m, 7, 2, &rec);
+    sabotage::disarm();
+    let report = rec.report("self-healing");
 
     assert_eq!(faulty.best, serial.best);
     assert_eq!(
@@ -88,23 +82,17 @@ fn worker_panics_mid_run_leave_the_ea_result_intact() {
 
 #[test]
 fn worker_death_mid_run_stalls_heals_and_preserves_the_result() {
+    let _session = sabotage_session();
     let (g, m) = setup();
     let emts = Emts::new(EmtsConfig::emts5());
     let serial = emts.run(&g, &m, 11);
 
-    let _session = sabotage_session();
-    let mut healed = None;
-    for _attempt in 0..5 {
-        sabotage::arm_worker_deaths(1);
-        let rec = StatsRecorder::new();
-        let r = emts.run_with_workers(&g, &m, 11, 2, &rec);
-        sabotage::disarm();
-        if r.trace.pool_respawns > 0 {
-            healed = Some(r);
-            break;
-        }
-    }
-    let healed = healed.expect("no worker claimed a single item in 5 full EA runs");
+    // The first claim kills its worker; with the caller out of the drain
+    // that claim is always a worker's.
+    sabotage::arm_caller_abstains();
+    sabotage::arm_worker_deaths(1);
+    let healed = emts.run_with_workers(&g, &m, 11, 2, &StatsRecorder::new());
+    sabotage::disarm();
 
     assert_eq!(healed.best, serial.best);
     assert_eq!(
@@ -121,8 +109,8 @@ fn worker_death_mid_run_stalls_heals_and_preserves_the_result() {
 
 #[test]
 fn forced_worker_counts_are_bit_identical_to_serial() {
-    let (g, m) = setup();
     let _session = sabotage_session(); // results are sabotage-sensitive
+    let (g, m) = setup();
     let emts = Emts::new(EmtsConfig::emts5());
     let serial = emts.run(&g, &m, 3);
     for workers in [1, 2, 4] {

@@ -414,7 +414,7 @@ mod tests {
         // clean: nested objects, histogram bounds, meta strings.
         let bench = r#"{
             "mapper_ns_per_call": { "insertion/Grelon_n100": 2873930.0 },
-            "two_tier": { "surrogate_screen_rate": 0.19 }
+            "emts10_run_cache": { "chti_n20": { "hits": 131, "hit_rate": 0.131 } }
         }"#;
         assert!(lint_bench_json("BENCH_fitness.json", bench).is_empty());
     }

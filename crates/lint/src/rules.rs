@@ -214,8 +214,6 @@ rules! {
         "allocating call inside a function marked // lint:hot-path");
     SRC_HOT_PATH_RECORDER = ("src-hot-path-recorder", Warning, Source,
         "StatsRecorder constructed inside a function marked // lint:hot-path");
-    SRC_SURROGATE_EXACT_CONFIRM = ("src-surrogate-exact-confirm", Warning, Source,
-        "surrogate screening consumed without an exact evaluation in the same function");
 
     // Family B — workspace dataflow (call-graph propagations, pass 2).
     SRC_PANIC_REACH = ("src-panic-reach", Warning, Source,

@@ -231,21 +231,6 @@ fn is_parse_path(name: &str) -> bool {
 
 /// Method names whose calls allocate (used by `src-hot-path-alloc`).
 const ALLOC_METHODS: &[&str] = &["to_string", "to_vec", "to_owned", "collect"];
-/// Calls that count as an exact-evaluation confirmation for
-/// `src-surrogate-exact-confirm`: a function that screens offspring with
-/// the tier-1 surrogate must also reach one of these in the same body,
-/// otherwise a conservative interval is being consumed as if it were a
-/// makespan.
-const EXACT_CONFIRM_CALLS: &[&str] = &[
-    "schedule_core_grouped",
-    "evaluate_bounded",
-    "evaluate_two_tier",
-    "evaluate_two_tier_obs",
-    "run_batch",
-    "run_batch_two_tier",
-    "makespan",
-    "makespan_bounded",
-];
 /// Types whose constructors allocate.
 const ALLOC_TYPES: &[&str] = &[
     "Box", "Vec", "String", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "VecDeque",
@@ -390,12 +375,6 @@ struct FnFrame {
     hot_path: bool,
     panic_root: bool,
     sink: bool,
-    /// Line of the first `surrogate_score_obs(…)` call in the body, if any
-    /// (only recorded outside test code).
-    surrogate_line: Option<usize>,
-    /// Whether the body also calls an exact evaluator (see
-    /// [`EXACT_CONFIRM_CALLS`]).
-    exact_confirm: bool,
     calls: Vec<CallSite>,
     panic_sites: Vec<Site>,
     alloc_sites: Vec<Site>,
@@ -590,8 +569,6 @@ pub fn scan_source(file: &str, src: &str, timing_exempt: bool) -> ScanResult {
                         hot_path: hot,
                         panic_root: root,
                         sink: false,
-                        surrogate_line: None,
-                        exact_confirm: false,
                         calls: Vec::new(),
                         panic_sites: Vec::new(),
                         alloc_sites: Vec::new(),
@@ -743,28 +720,6 @@ pub fn scan_source(file: &str, src: &str, timing_exempt: bool) -> ScanResult {
                             line: *line,
                             what: "thread::current()".to_string(),
                         });
-                }
-            }
-            Tok::Ident("surrogate_score_obs")
-                if !in_test
-                    && matches!(toks.get(i + 1), Some((Tok::Punct('('), _)))
-                    && !(i > 0 && matches!(toks[i - 1].0, Tok::Ident("fn"))) =>
-            {
-                // A call (not the definition — that is preceded by `fn` and
-                // followed by its generics, not `(`). Remember the first one;
-                // the frame decides at pop time whether an exact evaluation
-                // ever confirmed it.
-                if let Some(f) = fns.last_mut() {
-                    f.surrogate_line.get_or_insert(*line);
-                }
-            }
-            Tok::Ident(name)
-                if EXACT_CONFIRM_CALLS.contains(name)
-                    && matches!(toks.get(i + 1), Some((Tok::Punct('('), _)))
-                    && !(i > 0 && matches!(toks[i - 1].0, Tok::Ident("fn"))) =>
-            {
-                if let Some(f) = fns.last_mut() {
-                    f.exact_confirm = true;
                 }
             }
             _ => {}
@@ -971,19 +926,6 @@ pub fn scan_source(file: &str, src: &str, timing_exempt: bool) -> ScanResult {
 
 /// Pops one fn frame: fires the body-scoped rules and records its fact.
 fn finish_frame(f: FnFrame, facts: &mut Vec<FnFact>, ctx: &mut Ctx<'_>) {
-    if let Some(surrogate_line) = f.surrogate_line {
-        if !f.exact_confirm {
-            ctx.emit(
-                &rules::SRC_SURROGATE_EXACT_CONFIRM,
-                surrogate_line,
-                format!(
-                    "fn {} screens with surrogate_score_obs but never \
-                     confirms survivors with an exact evaluation",
-                    f.name
-                ),
-            );
-        }
-    }
     if !f.in_test {
         let sink = f.sink || f.owner.as_deref().is_some_and(|o| SINK_TYPES.contains(&o));
         // Fn-level exemption: an allow on the declaration line clears the
@@ -1248,75 +1190,6 @@ fn parse_outer(s: &str) {
 }
 "#;
         assert_eq!(findings(src), vec![("src-unwrap-parse".to_string(), 4)]);
-    }
-
-    #[test]
-    fn surrogate_without_exact_confirm_is_flagged() {
-        let src = r#"
-fn screen_generation(pop: &[Allocation], cutoff: f64) -> usize {
-    let score = surrogate_score_obs(g, m, a, cutoff, &cfg, &mut scratch, &rec);
-    usize::from(score.screens(cutoff))
-}
-"#;
-        assert_eq!(
-            findings(src),
-            vec![("src-surrogate-exact-confirm".to_string(), 3)]
-        );
-    }
-
-    #[test]
-    fn surrogate_with_exact_confirm_is_clean() {
-        // Confirmation may come before or after the screen, via any exact
-        // evaluator — the fused tier-2 call, the batch API, or a mapper
-        // makespan.
-        let src = r#"
-fn two_tier(pop: &[Allocation], cutoff: f64) {
-    let score = surrogate_score_obs(g, m, a, cutoff, &cfg, &mut scratch, &rec);
-    if !score.screens(cutoff) {
-        schedule_core_grouped(g, m, a, cutoff, &mut scratch, &rec);
-    }
-}
-fn batched(pool: &mut EvalPool, batch: Vec<Allocation>, cutoff: f64) {
-    let evs = pool.run_batch(batch, cutoff);
-    let s = surrogate_score_obs(g, m, a, cutoff, &cfg, &mut scratch, &rec);
-}
-fn mapper_confirm(s: &Schedule) -> f64 {
-    let lo = surrogate_score_obs(g, m, a, cutoff, &cfg, &mut scratch, &rec).lo;
-    s.makespan()
-}
-"#;
-        assert_eq!(findings(src), vec![]);
-    }
-
-    #[test]
-    fn surrogate_rule_skips_tests_and_the_definition() {
-        let src = r#"
-pub fn surrogate_score_obs(g: &Ptg) -> SurrogateScore {
-    SurrogateScore { lo: 0.0, hi: 0.0 }
-}
-#[test]
-fn screens_alone() {
-    let s = surrogate_score_obs(&g);
-}
-"#;
-        assert_eq!(findings(src), vec![]);
-    }
-
-    #[test]
-    fn surrogate_confirm_does_not_leak_across_sibling_fns() {
-        // The exact call in the *second* fn must not excuse the first.
-        let src = r#"
-fn screen_only() {
-    let s = surrogate_score_obs(g, m, a, cutoff, &cfg, &mut scratch, &rec);
-}
-fn exact_only(pool: &mut EvalPool) {
-    pool.run_batch(batch, cutoff);
-}
-"#;
-        assert_eq!(
-            findings(src),
-            vec![("src-surrogate-exact-confirm".to_string(), 3)]
-        );
     }
 
     #[test]

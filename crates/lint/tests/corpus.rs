@@ -36,7 +36,6 @@ const EXPECTATIONS: &[(&str, &str, &[&str])] = &[
     ("write_unwrap.rs", "src-write-unwrap", &[]),
     ("hot_alloc.rs", "src-hot-path-alloc", &[]),
     ("hot_recorder.rs", "src-hot-path-recorder", &[]),
-    ("surrogate_noconfirm.rs", "src-surrogate-exact-confirm", &[]),
     ("panic_reach.rs", "src-panic-reach", &[]),
     // The clock read also fires the single-site timing rule at its line.
     ("taint_instant.rs", "src-determinism-taint", &["src-timing"]),

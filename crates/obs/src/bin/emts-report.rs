@@ -6,7 +6,6 @@
 //! emts-report show --json run.json     # re-emit normalized JSON
 //! emts-report diff a.json b.json       # per-phase / cache / makespan deltas
 //! emts-report timeline run.json        # per-generation series table
-//! emts-report surrogate run.json       # two-tier screening rates per generation
 //! emts-report flame run.json           # self-time table over the span tree
 //! emts-report regress base.json fresh.json [--tolerance 40]
 //!                                      # noise-tolerant benchmark gate
@@ -16,7 +15,7 @@
 //! usage or input errors.
 
 use obs::regress;
-use obs::render::{render_diff, render_flame, render_report, render_surrogate, render_timeline};
+use obs::render::{render_diff, render_flame, render_report, render_timeline};
 use obs::RunReport;
 use std::path::Path;
 use std::process::ExitCode;
@@ -25,7 +24,6 @@ const USAGE: &str = "usage:
   emts-report show [--json] <report.json>
   emts-report diff <a.json> <b.json>
   emts-report timeline <report.json>
-  emts-report surrogate <report.json>
   emts-report flame <report.json>
   emts-report regress <baseline.json> <fresh.json> [--tolerance <pct>]";
 
@@ -97,16 +95,6 @@ fn run() -> Result<ExitCode, String> {
                 return Err(format!("`timeline` takes exactly one report\n{USAGE}"));
             };
             print!("{}", render_timeline(&load(path)?));
-            Ok(ExitCode::SUCCESS)
-        }
-        Some("surrogate") => {
-            // Reports from before the v2 schema bump lack the surrogate
-            // series entirely; `load` rejects them with the one-line typed
-            // `SchemaMismatch` error instead of rendering an empty table.
-            let [path] = &args[1..] else {
-                return Err(format!("`surrogate` takes exactly one report\n{USAGE}"));
-            };
-            print!("{}", render_surrogate(&load(path)?));
             Ok(ExitCode::SUCCESS)
         }
         Some("flame") => {

@@ -70,12 +70,8 @@ pub const BAD_DOWN_TOKENS: &[&str] = &[
     "improvement",
     "rate",
     "hits",
-    "reused",
-    "reuse",
     "attainment",
     "utilization",
-    "skips",
-    "skipped",
     "pruned",
 ];
 

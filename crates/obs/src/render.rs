@@ -359,84 +359,6 @@ pub fn render_timeline(r: &RunReport) -> String {
     out
 }
 
-/// Renders the two-tier fitness pipeline's surrogate series as a table:
-/// per generation, how many offspring tier 1 scored, what share it
-/// screened away from exact evaluation, how often the interval straddled
-/// the cutoff (ambiguous fallback), and the mean interval width.
-///
-/// Like [`render_timeline`] this reads the opaque convergence object, so
-/// it works on any v2 report; a run that never activated the pipeline
-/// (two-tier off, serial path, comma-selection) renders a one-line note
-/// instead of an all-zero table.
-pub fn render_surrogate(r: &RunReport) -> String {
-    let mut out = String::new();
-    let Some(conv) = &r.convergence else {
-        let _ = writeln!(out, "no convergence trace in this report ({})", r.source);
-        return out;
-    };
-    let Some(Value::Array(gens)) = conv.get("generations") else {
-        let _ = writeln!(out, "convergence trace has no generations array");
-        return out;
-    };
-    let int = |row: &Value, key: &str| -> i128 {
-        match row.get(key) {
-            Some(Value::Int(i)) => *i,
-            _ => 0,
-        }
-    };
-    let float = |row: &Value, key: &str| -> f64 {
-        match row.get(key) {
-            Some(Value::Float(f)) => *f,
-            Some(Value::Int(i)) => *i as f64,
-            _ => 0.0,
-        }
-    };
-    let total: i128 = gens.iter().map(|g| int(g, "surrogate_evals")).sum();
-    if total == 0 {
-        let _ = writeln!(
-            out,
-            "two-tier surrogate inactive in this run ({}) — no offspring were tier-1 scored",
-            r.source
-        );
-        return out;
-    }
-    let _ = writeln!(out, "surrogate screening — {}", r.source);
-    let _ = writeln!(
-        out,
-        "{:>10}  {:>9}  {:>8}  {:>7}  {:>9}  {:>6}  {:>12}",
-        "generation", "surrogate", "screened", "screen%", "ambiguous", "ambig%", "mean width"
-    );
-    const SEED_SENTINEL: i128 = usize::MAX as i128;
-    for row in gens {
-        let evals = int(row, "surrogate_evals");
-        if evals == 0 {
-            continue; // seed population / delta-path generations
-        }
-        let screened = int(row, "exact_skipped");
-        let ambiguous = int(row, "ambiguous_fallbacks");
-        let gen = match int(row, "generation") {
-            SEED_SENTINEL => "seed".to_string(),
-            g => format!("{g}"),
-        };
-        let _ = writeln!(
-            out,
-            "{gen:>10}  {evals:>9}  {screened:>8}  {:>6.1}%  {ambiguous:>9}  {:>5.1}%  {:>12}",
-            screened as f64 / evals as f64 * 100.0,
-            ambiguous as f64 / evals as f64 * 100.0,
-            fmt_seconds(float(row, "surrogate_interval_width")),
-        );
-    }
-    let screened: i128 = gens.iter().map(|g| int(g, "exact_skipped")).sum();
-    let ambiguous: i128 = gens.iter().map(|g| int(g, "ambiguous_fallbacks")).sum();
-    let _ = writeln!(
-        out,
-        "run totals: surrogate_evals={total} exact_skipped={screened} ({:.1}%) ambiguous_fallbacks={ambiguous} ({:.1}%)",
-        screened as f64 / total as f64 * 100.0,
-        ambiguous as f64 / total as f64 * 100.0,
-    );
-    out
-}
-
 /// Renders a flame-style *self-time* table over the report's span tree.
 ///
 /// A phase's self time is its recorded seconds minus the seconds of its
@@ -621,47 +543,6 @@ mod tests {
     fn timeline_without_trace_says_so() {
         let r = RunReport::new("empty");
         assert!(render_timeline(&r).contains("no convergence trace"));
-    }
-
-    #[test]
-    fn surrogate_view_renders_rates_and_totals() {
-        let mut r = RunReport::new("surrogate-test");
-        r.convergence = Some(
-            serde_json::parse(&format!(
-                r#"{{"generations": [
-                     {{"generation": {}, "surrogate_evals": 0}},
-                     {{"generation": 0, "surrogate_evals": 20, "exact_skipped": 10,
-                       "ambiguous_fallbacks": 2, "surrogate_interval_width": 0.25}},
-                     {{"generation": 1, "surrogate_evals": 10, "exact_skipped": 8,
-                       "ambiguous_fallbacks": 0, "surrogate_interval_width": 0.5}}],
-                    "surrogate_evals": 30, "exact_skipped": 18}}"#,
-                usize::MAX
-            ))
-            .expect("test JSON parses"),
-        );
-        let text = render_surrogate(&r);
-        // Seed row (0 surrogate evals) is dropped; rates derive per row.
-        assert!(!text.contains("seed"), "{text}");
-        assert!(text.contains("50.0%"), "{text}");
-        assert!(text.contains("80.0%"), "{text}");
-        assert!(text.contains("250.00 ms"), "{text}");
-        assert!(
-            text.contains("surrogate_evals=30 exact_skipped=18 (60.0%)"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn surrogate_view_on_an_inactive_run_says_so() {
-        let mut r = RunReport::new("all-exact");
-        r.convergence = Some(
-            serde_json::parse(r#"{"generations": [{"generation": 0, "best": 1.0}]}"#)
-                .expect("test JSON parses"),
-        );
-        let text = render_surrogate(&r);
-        assert!(text.contains("two-tier surrogate inactive"), "{text}");
-        let empty = RunReport::new("no-trace");
-        assert!(render_surrogate(&empty).contains("no convergence trace"));
     }
 
     #[test]

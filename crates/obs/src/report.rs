@@ -10,11 +10,10 @@ use std::path::Path;
 /// change; [`RunReport::from_json`] rejects mismatches outright rather than
 /// guessing at migrations.
 ///
-/// v2: the embedded convergence trace carries the two-tier fitness
-/// pipeline's surrogate series (`surrogate_evals`, `exact_skipped`,
-/// `ambiguous_fallbacks`, `surrogate_interval_width`), which the
-/// `emts-report surrogate` view requires; v1 reports predate the
-/// pipeline and are rejected with a [`ReportError::SchemaMismatch`].
+/// v2: bumped when the embedded convergence trace gained the (since
+/// retired) two-tier fitness series; v1 reports are rejected with a
+/// [`ReportError::SchemaMismatch`]. v2 reports that still carry those keys
+/// load unchanged — the trace is stored opaquely.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Accumulated wall time of one named phase.

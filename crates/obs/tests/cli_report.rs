@@ -106,35 +106,14 @@ fn timeline_and_flame_render_from_a_report_file() {
 }
 
 #[test]
-fn surrogate_view_renders_screen_rates() {
-    let mut report = RunReport::from_json(&sample_report()).expect("sample parses");
-    report.convergence = Some(
-        serde_json::parse(
-            r#"{"generations": [{"generation": 0, "surrogate_evals": 10,
-                 "exact_skipped": 4, "ambiguous_fallbacks": 1,
-                 "surrogate_interval_width": 0.125}],
-                "surrogate_evals": 10, "exact_skipped": 4}"#,
-        )
-        .expect("trace parses"),
-    );
-    let path = write("surrogate.json", &report.to_json());
-    let out = run(bin().arg("surrogate").arg(&path));
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("40.0%"), "{text}");
-    assert!(text.contains("surrogate_evals=10"), "{text}");
-}
-
-#[test]
-fn surrogate_view_rejects_pre_bump_reports_with_one_typed_line() {
-    // Reports written before the v2 schema bump predate the surrogate
-    // series entirely; the view must fail with the loader's one-line
-    // SchemaMismatch error, not render an empty or all-zero table.
+fn show_rejects_an_old_schema_with_one_typed_line() {
+    // A report from an older schema must fail with the loader's one-line
+    // SchemaMismatch error, not render a partial view.
     let current = format!("\"schema_version\": {}", obs::report::SCHEMA_VERSION);
     let old = sample_report().replacen(&current, "\"schema_version\": 1", 1);
     assert!(old.contains("\"schema_version\": 1"), "fixture edit failed");
-    let path = write("surrogate_v1.json", &old);
-    let out = run(bin().arg("surrogate").arg(&path));
+    let path = write("report_v1.json", &old);
+    let out = run(bin().arg("show").arg(&path));
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(err.lines().count(), 1, "expected one line, got:\n{err}");

@@ -14,7 +14,6 @@
 
 use crate::graph::{CsrAdjacency, Ptg};
 use crate::node::TaskId;
-use crate::topo::topo_positions;
 
 /// Computes the bottom level of every task in O(V + E).
 ///
@@ -168,105 +167,6 @@ fn heaviest(candidates: &[u32], bl: &[f64]) -> Option<u32> {
     Some(best)
 }
 
-/// Incremental bottom-level repair after a sparse change of task times.
-///
-/// A mutated allocation changes the execution time of a handful of tasks;
-/// only those tasks and their ancestors can see a different bottom level.
-/// `repair` propagates the change backwards through the graph, visiting a
-/// task at most once (a max-heap over topological positions guarantees all
-/// successors are final before a task recomputes), and stops each branch as
-/// soon as a recomputed value is **bitwise** identical to the stored one.
-///
-/// The result is exactly [`bottom_levels_into`] run from scratch: `bl(v) =
-/// times(v) + max_s bl(s)` combines its inputs the same way in both
-/// traversal orders, because `f64::max` over a fixed successor list is
-/// evaluated in the identical (adjacency) order here and there.
-///
-/// The repairer owns all per-graph buffers, so repeated repairs on the same
-/// graph perform no allocations beyond heap growth on first use.
-#[derive(Debug, Clone)]
-pub struct BlRepairer {
-    /// Position of each task in the graph's topological order.
-    topo_pos: Vec<u32>,
-    /// Whether a task currently sits in `heap`.
-    queued: Vec<bool>,
-    /// Pending recomputations, deepest (largest topo position) first.
-    heap: std::collections::BinaryHeap<(u32, TaskId)>,
-    /// Tasks whose bottom level changed during the last `repair`.
-    changed: Vec<TaskId>,
-}
-
-impl BlRepairer {
-    /// Builds a repairer for `g` (O(V) setup, reusable for any number of
-    /// repairs on the same graph).
-    pub fn new(g: &Ptg) -> Self {
-        BlRepairer {
-            topo_pos: topo_positions(g),
-            queued: vec![false; g.task_count()],
-            heap: std::collections::BinaryHeap::with_capacity(g.task_count()),
-            changed: Vec::new(),
-        }
-    }
-
-    /// Repairs `bl` in place after `times` changed at the tasks in `dirty`,
-    /// and returns the tasks whose bottom level is no longer bitwise equal
-    /// to its previous value.
-    ///
-    /// `bl` must hold the bottom levels of the *previous* times vector,
-    /// which may differ from `times` only at `dirty` (duplicates allowed).
-    ///
-    /// # Panics
-    /// Panics if the buffer lengths do not match the graph the repairer was
-    /// built for.
-    pub fn repair(
-        &mut self,
-        g: &Ptg,
-        times: &[f64],
-        bl: &mut [f64],
-        dirty: &[TaskId],
-    ) -> &[TaskId] {
-        assert_eq!(
-            self.topo_pos.len(),
-            g.task_count(),
-            "repairer/graph mismatch"
-        );
-        assert_eq!(times.len(), g.task_count(), "one execution time per task");
-        assert_eq!(bl.len(), g.task_count(), "one bottom level per task");
-        self.changed.clear();
-        for &v in dirty {
-            if !self.queued[v.index()] {
-                self.queued[v.index()] = true;
-                self.heap.push((self.topo_pos[v.index()], v));
-            }
-        }
-        // Successors always carry larger topo positions, so popping deepest
-        // first means every successor's bl is final when a task recomputes,
-        // and each task is processed at most once. The CSR walk preserves
-        // adjacency order, keeping the f64::max folds bit-identical.
-        let csr = g.csr();
-        while let Some((_, v)) = self.heap.pop() {
-            self.queued[v.index()] = false;
-            let down = csr
-                .successors(v.0)
-                .iter()
-                .map(|&s| bl[s as usize])
-                .fold(0.0f64, f64::max);
-            let new = times[v.index()] + down;
-            if new.to_bits() != bl[v.index()].to_bits() {
-                bl[v.index()] = new;
-                self.changed.push(v);
-                for &p in csr.predecessors(v.0) {
-                    if !self.queued[p as usize] {
-                        self.queued[p as usize] = true;
-                        self.heap.push((self.topo_pos[p as usize], TaskId(p)));
-                    }
-                }
-            }
-        }
-        &self.changed
-    }
-}
-
 /// Tasks whose bottom level is within `delta` of the global maximum:
 /// `{v | bl(v) ≥ delta · max_i bl(i)}` — the Δ-critical set (Suter).
 pub fn delta_critical(g: &Ptg, times: &[f64], delta: f64) -> Vec<TaskId> {
@@ -285,6 +185,7 @@ pub fn delta_critical(g: &Ptg, times: &[f64], delta: f64) -> Vec<TaskId> {
 mod tests {
     use super::*;
     use crate::build::PtgBuilder;
+    use crate::topo::topo_positions;
 
     /// 0(3s) -> 1(5s) -> 3(1s); 0 -> 2(2s) -> 3
     fn weighted_diamond() -> (Ptg, Vec<f64>) {
@@ -433,122 +334,6 @@ mod tests {
     fn mismatched_times_length_panics() {
         let (g, _) = weighted_diamond();
         let _ = bottom_levels(&g, &[1.0]);
-    }
-
-    #[test]
-    fn repairer_matches_full_recompute_on_diamond() {
-        let (g, t) = weighted_diamond();
-        let mut rep = BlRepairer::new(&g);
-        let mut times = t.clone();
-        let mut bl = bottom_levels(&g, &times);
-        // Change the mid task on the heavy branch: 1's time 5 → 2.
-        times[1] = 2.0;
-        let changed = rep.repair(&g, &times, &mut bl, &[TaskId(1)]).to_vec();
-        assert_eq!(bl, bottom_levels(&g, &times));
-        // Task 1 and its ancestor 0 changed; 2 and 3 did not.
-        assert!(changed.contains(&TaskId(1)));
-        assert!(changed.contains(&TaskId(0)));
-        assert_eq!(changed.len(), 2);
-    }
-
-    #[test]
-    fn repairer_stops_when_change_is_masked() {
-        // 0 -> {1, 2} -> 3 with bl(1) = 6 dominating bl(2) = 3: growing
-        // task 2's time to 3.5 changes bl(2) but not bl(0) (6 still wins),
-        // so propagation must stop at task 2.
-        let (g, t) = weighted_diamond();
-        let mut rep = BlRepairer::new(&g);
-        let mut times = t.clone();
-        let mut bl = bottom_levels(&g, &times);
-        times[2] = 3.5;
-        let changed = rep.repair(&g, &times, &mut bl, &[TaskId(2)]).to_vec();
-        assert_eq!(bl, bottom_levels(&g, &times));
-        assert_eq!(changed, vec![TaskId(2)]);
-    }
-
-    #[test]
-    fn repairer_handles_noop_and_duplicate_dirty_sets() {
-        let (g, t) = weighted_diamond();
-        let mut rep = BlRepairer::new(&g);
-        let mut bl = bottom_levels(&g, &t);
-        // Times unchanged: nothing may be reported, bl must be untouched.
-        let before = bl.clone();
-        let changed = rep
-            .repair(&g, &t, &mut bl, &[TaskId(1), TaskId(1), TaskId(3)])
-            .to_vec();
-        assert!(changed.is_empty());
-        assert_eq!(bl, before);
-    }
-
-    #[test]
-    fn repairer_is_bitwise_identical_on_random_graphs_and_dirty_sets() {
-        // Pseudo-random layered DAGs and dirty sets via a local xorshift —
-        // every repair must land bitwise on the from-scratch recompute.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..10 {
-            let n = 20 + (next() % 30) as usize;
-            let mut b = PtgBuilder::new();
-            for i in 0..n {
-                b.add_task(format!("t{i}"), 1.0, 0.0);
-            }
-            for v in 1..n {
-                // Each task gets 1–3 predecessors among earlier tasks.
-                for _ in 0..=(next() % 3) {
-                    let p = (next() % v as u64) as u32;
-                    let _ = b.add_edge(TaskId(p), TaskId(v as u32));
-                }
-            }
-            let g = b.build().unwrap();
-            let mut times: Vec<f64> = (0..n).map(|_| 1.0 + (next() % 100) as f64 / 7.0).collect();
-            let mut bl = bottom_levels(&g, &times);
-            let mut rep = BlRepairer::new(&g);
-            for _ in 0..8 {
-                let k = 1 + (next() % 4) as usize;
-                let dirty: Vec<TaskId> =
-                    (0..k).map(|_| TaskId((next() % n as u64) as u32)).collect();
-                for &d in &dirty {
-                    times[d.index()] = 1.0 + (next() % 100) as f64 / 7.0;
-                }
-                let changed: Vec<TaskId> = rep.repair(&g, &times, &mut bl, &dirty).to_vec();
-                let fresh = bottom_levels(&g, &times);
-                for v in 0..n {
-                    assert_eq!(bl[v].to_bits(), fresh[v].to_bits(), "task {v}");
-                }
-                // The changed list is exactly the set of tasks whose value
-                // moved (we can't see the pre-repair values here, but every
-                // reported task must at least be a dirty task or an ancestor
-                // of one).
-                for &c in &changed {
-                    assert!(
-                        dirty.iter().any(|&d| c == d || reaches(&g, c, d)),
-                        "{c} is not an ancestor of any dirty task"
-                    );
-                }
-            }
-        }
-    }
-
-    /// True if `to` is reachable from `from` along successor edges.
-    fn reaches(g: &Ptg, from: TaskId, to: TaskId) -> bool {
-        let mut stack = vec![from];
-        let mut seen = vec![false; g.task_count()];
-        while let Some(v) = stack.pop() {
-            if v == to {
-                return true;
-            }
-            if seen[v.index()] {
-                continue;
-            }
-            seen[v.index()] = true;
-            stack.extend(g.successors(v).iter().copied());
-        }
-        false
     }
 
     #[test]

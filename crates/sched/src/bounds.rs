@@ -46,21 +46,10 @@ impl LowerBounds {
 }
 
 /// The area bound from already-gathered per-task times: the non-allocating
-/// core of [`lower_bounds`]. The delta path's rejection prescreen and the
-/// tier-1 surrogate (see [`crate::surrogate`]) share this expression
-/// verbatim so all callers compare bit-identical quantities against a
-/// cutoff.
+/// core of [`lower_bounds`].
 #[inline]
 pub fn area_bound(alloc: &Allocation, times: &[f64], p_max: u32) -> f64 {
     alloc.work_area(times) / p_max as f64
-}
-
-/// The critical-path bound from already-computed bottom levels: the largest
-/// bottom level is exactly the longest remaining dependency chain from a
-/// source. Shares the fold with the delta prescreen for bit-identity.
-#[inline]
-pub fn critical_path_bound(bl: &[f64]) -> f64 {
-    bl.iter().fold(0.0f64, |a, &b| a.max(b))
 }
 
 /// Computes all lower bounds for `alloc` on the platform captured by

@@ -24,20 +24,16 @@
 pub mod allocation;
 pub mod bounds;
 pub mod gantt;
-pub mod incremental;
 pub mod mapper;
 pub mod metrics;
 pub mod multi;
 pub mod reschedule;
 pub mod schedule;
 mod soa_heap;
-pub mod surrogate;
 pub mod validate;
 
 pub use allocation::Allocation;
-pub use incremental::{DeltaEval, EvalRecord, CHECKPOINT_INTERVAL};
 pub use mapper::{BoundedEval, EvalScratch, InsertionScheduler, ListScheduler, Mapper};
 pub use reschedule::{RescheduleError, Rescheduler, ResumeState, RunningTask};
 pub use schedule::{Placement, Schedule};
-pub use surrogate::{surrogate_score_obs, Surrogate, SurrogateScore, TwoTierEval};
 pub use validate::{all_violations, for_each_violation, validate_schedule, ScheduleViolation};

@@ -146,17 +146,6 @@ pub struct EvalScratch {
     /// drops from `O(Σ s(v) log P)` to `O(V log V)` — the dominant cost
     /// for wide allocations.
     pub(crate) groups: MinHeap128,
-    /// Tasks whose execution time bitwise changed in a delta evaluation
-    /// (see `crate::incremental`).
-    pub(crate) dirty: Vec<TaskId>,
-    /// Latest-finish column for the tier-1 surrogate's *upper* replay side
-    /// (the lower side reuses `data_ready`; see [`crate::surrogate`]).
-    pub(crate) sur_ready_hi: Vec<f64>,
-    /// Bucketed availability runs `(free time, processor count)` for the
-    /// surrogate's lower-bound replay side.
-    pub(crate) runs_lo: Vec<(f64, u32)>,
-    /// Same, upper-bound side.
-    pub(crate) runs_hi: Vec<(f64, u32)>,
 }
 
 impl EvalScratch {
@@ -178,10 +167,6 @@ impl EvalScratch {
             avail: BinaryHeap::with_capacity(procs as usize),
             popped: Vec::with_capacity(procs as usize),
             groups: MinHeap128::with_capacity(tasks + 1),
-            dirty: Vec::new(),
-            sur_ready_hi: Vec::with_capacity(tasks),
-            runs_lo: Vec::with_capacity(32),
-            runs_hi: Vec::with_capacity(32),
         }
     }
 }
@@ -203,6 +188,33 @@ pub enum BoundedEval {
     /// Construction stopped early: some task's `start + bl` exceeded the
     /// cutoff.
     Rejected,
+}
+
+/// The value a rejection test compares `start + bl` against. The small
+/// relative slack exists because `start + bl` can exceed the true makespan
+/// by an ulp: the bottom level sums task times in a different order than
+/// the schedule accumulates them, and a schedule exactly at the cutoff
+/// must not be rejected.
+#[inline]
+fn reject_threshold(cutoff: f64) -> f64 {
+    cutoff * (1.0 + 1e-9)
+}
+
+impl BoundedEval {
+    /// The fitness this outcome yields under `cutoff` (`None` = rejected).
+    /// For a completed evaluation the decision replays the cores' own
+    /// rejection test on `reject_key`, so it is bit-identical to
+    /// re-evaluating at `cutoff`; a rejection stays a rejection.
+    #[inline]
+    pub fn decide(&self, cutoff: f64) -> Option<f64> {
+        match *self {
+            BoundedEval::Complete {
+                makespan,
+                reject_key,
+            } => (reject_key <= reject_threshold(cutoff)).then_some(makespan),
+            BoundedEval::Rejected => None,
+        }
+    }
 }
 
 impl ListScheduler {
@@ -286,11 +298,7 @@ impl ListScheduler {
     where
         F: FnMut(TaskId, f64, f64, &[(f64, u32)]),
     {
-        // The rejection test keeps a small relative slack: `start + bl` can
-        // exceed the true makespan by an ulp because the bottom level sums
-        // task times in a different order than the schedule accumulates
-        // them, and a schedule exactly at the cutoff must not be rejected.
-        let threshold = cutoff * (1.0 + 1e-9);
+        let threshold = reject_threshold(cutoff);
         let mut makespan = 0.0f64;
         let mut reject_key = 0.0f64;
         scratch.ready_ref.clear();
@@ -390,8 +398,7 @@ impl ListScheduler {
         scratch: &mut EvalScratch,
         rec: &R,
     ) -> BoundedEval {
-        // Same slack rationale as `schedule_core`.
-        let threshold = cutoff * (1.0 + 1e-9);
+        let threshold = reject_threshold(cutoff);
         let mut makespan = 0.0f64;
         let mut reject_key = 0.0f64;
         let mut tasks_placed = 0u64;
@@ -1002,8 +1009,8 @@ mod tests {
 
     #[test]
     fn reject_key_reproduces_cutoff_decisions() {
-        // For a completed evaluation, `reject_key > cutoff * (1 + 1e-9)`
-        // must agree with the engine's own accept/reject for any cutoff.
+        // A completed evaluation's `decide` must agree with the engine's
+        // own accept/reject for any cutoff.
         let g = fork_join();
         let m = matrix(&g, 4);
         let mut scratch = EvalScratch::new();
@@ -1012,22 +1019,19 @@ mod tests {
             Allocation::from_vec(vec![4, 2, 1, 3, 4]),
             Allocation::from_vec(vec![1, 4, 4, 1, 1]),
         ] {
-            let BoundedEval::Complete {
-                makespan,
-                reject_key,
-            } = ListScheduler.evaluate_bounded_with(&g, &m, &alloc, f64::INFINITY, &mut scratch)
-            else {
-                panic!("infinite cutoff never rejects");
-            };
+            let outcome =
+                ListScheduler.evaluate_bounded_with(&g, &m, &alloc, f64::INFINITY, &mut scratch);
+            let makespan = outcome
+                .decide(f64::INFINITY)
+                .expect("infinite cutoff never rejects");
             for factor in [0.3, 0.8, 0.95, 1.0, 1.05, 2.0] {
                 let cutoff = makespan * factor;
                 let engine = ListScheduler.makespan_bounded(&g, &m, &alloc, cutoff);
-                let memo = if reject_key > cutoff * (1.0 + 1e-9) {
-                    None
-                } else {
-                    Some(makespan)
-                };
-                assert_eq!(engine, memo, "alloc {alloc:?} cutoff {cutoff}");
+                assert_eq!(
+                    engine,
+                    outcome.decide(cutoff),
+                    "alloc {alloc:?} cutoff {cutoff}"
+                );
             }
         }
     }

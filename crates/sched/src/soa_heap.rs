@@ -28,7 +28,7 @@
 //! made `ProcGroup` keys unique, so the count field never decides an
 //! ordering). Because every key is unique, pop order is a function of heap
 //! *content* only — swapping the heap implementation cannot change any
-//! scheduling result (see `crate::incremental`'s prefix-exactness argument).
+//! scheduling result.
 //!
 //! A split run is `entry - need`: the count sits in the low 32 bits and a
 //! split always leaves `need < count`, so plain `u128` subtraction edits the
@@ -142,13 +142,6 @@ impl<const MIN: bool> Heap128<MIN> {
     #[inline]
     pub(crate) fn clear(&mut self) {
         self.data.clear();
-    }
-
-    /// Unordered view of the live entries (for checkpoint snapshots — keys
-    /// are unique, so a heap rebuilt from any permutation pops identically).
-    #[inline]
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, u128> {
-        self.data.iter()
     }
 
     /// Inserts `entry`, sifting the hole up while the parent loses to it.
@@ -337,16 +330,5 @@ mod tests {
         h.push(4);
         assert_eq!(h.pop(), Some(4));
         assert_eq!(h.pop(), Some(9));
-    }
-
-    #[test]
-    fn iter_exposes_all_live_entries() {
-        let mut h = MinHeap128::default();
-        for e in [3u128, 1, 2] {
-            h.push(e);
-        }
-        let mut seen: Vec<u128> = h.iter().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2, 3]);
     }
 }

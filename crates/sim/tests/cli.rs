@@ -6,6 +6,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn emts_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_emts-sim"))
@@ -23,8 +24,13 @@ fn first_stderr_line(out: &Output) -> String {
         .to_string()
 }
 
+/// Writes `content` to a file of its own: every call gets a fresh
+/// directory, so tests running in parallel never rewrite a file another
+/// test is reading.
 fn write_temp(name: &str, content: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("emts-sim-cli-{}", std::process::id()));
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("emts-sim-cli-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
     std::fs::write(&path, content).expect("temp file");

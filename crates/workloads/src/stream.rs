@@ -21,9 +21,7 @@
 //! the shards *is* the single-shard stream. [`StreamCheckpoint`] exploits
 //! this with an order-independent fingerprint (XOR of per-item hashes), so
 //! "resumed sharded run equals uninterrupted run" is checkable bit for
-//! bit. This is the corpus-level analogue of the evaluation-level
-//! checkpoints in `sched::EvalRecord`: periodic snapshots plus a
-//! deterministic replay rule.
+//! bit.
 
 use crate::corpus::{DENSITIES, IRREGULAR_JUMPS, REGULARITIES, SIZES, WIDTHS};
 use crate::costs::CostConfig;

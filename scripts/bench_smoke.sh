@@ -6,9 +6,7 @@
 # the paper's hard case (irregular n=100 DAGGEN on Grelon, P=120, one
 # generation-sized batch of λ=25) — and writes BENCH_fitness.json at the
 # repo root with per-evaluation medians and the memo-cache statistics of a
-# real EMTS10 run, plus the two-tier fitness pipeline's ns/eval, screen
-# rate, and speedup over the pooled all-exact baseline (TWO_TIER_STATS
-# line). Also writes BENCH_fitness_report.json, the telemetry
+# real EMTS10 run. Also writes BENCH_fitness_report.json, the telemetry
 # RunReport (phase spans, counters, histograms) of that EMTS10 run —
 # inspect it with `cargo run --bin emts-report -- show BENCH_fitness_report.json`.
 # The bench additionally asserts the no-op recorder adds <1% overhead to
@@ -198,23 +196,6 @@ awk -v batch="$BATCH" -v fault_spec="$FAULT_SPEC" \
             }
         }
     }
-    /^DELTA_STATS / {
-        for (i = 1; i <= NF; i++) {
-            split($i, kv, "=")
-            if (kv[1] == "reused_events") delta_reused = kv[2]
-            if (kv[1] == "total_events")  delta_total = kv[2]
-            if (kv[1] == "reuse_rate")    delta_rate = kv[2]
-        }
-    }
-    /^TWO_TIER_STATS / {
-        for (i = 1; i <= NF; i++) {
-            split($i, kv, "=")
-            if (kv[1] == "all_exact_ns_per_eval")          tt_allexact = kv[2]
-            if (kv[1] == "two_tier_ns_per_eval")           tt_ns = kv[2]
-            if (kv[1] == "surrogate_screen_rate")          tt_rate = kv[2]
-            if (kv[1] == "speedup_two_tier_vs_all_exact")  tt_speedup = kv[2]
-        }
-    }
     END {
         if (n == 0) { print "no CRITERION_RESULT lines found" > "/dev/stderr"; exit 1 }
         printf "{\n"
@@ -237,22 +218,6 @@ awk -v batch="$BATCH" -v fault_spec="$FAULT_SPEC" \
         if ("prepr_baseline" in medians && "serial_scratch" in medians)
             printf "  \"speedup_vs_prepr_baseline\": %.1f,\n", \
                 medians["prepr_baseline"] / medians["serial_scratch"]
-        if ("pooled" in medians && "delta_single_gene" in medians) {
-            printf "  \"delta_ns_per_eval\": %.1f,\n", medians["delta_single_gene"] / batch
-            printf "  \"speedup_delta_vs_pooled\": %.1f,\n", \
-                medians["pooled"] / medians["delta_single_gene"]
-        }
-        if (delta_total != "")
-            printf "  \"delta_prefix_reuse\": { \"reused_events\": %d, \"total_events\": %d, \"reuse_rate\": %s },\n", \
-                delta_reused, delta_total, delta_rate
-        if (tt_ns != "") {
-            printf "  \"two_tier\": {\n"
-            printf "    \"all_exact_ns_per_eval\": %s,\n", tt_allexact
-            printf "    \"two_tier_ns_per_eval\": %s,\n", tt_ns
-            printf "    \"surrogate_screen_rate\": %s,\n", tt_rate
-            printf "    \"speedup_two_tier_vs_all_exact\": %s\n", tt_speedup
-            printf "  },\n"
-        }
         if (p95_fft != "" && p95_irr != "") {
             printf "  \"robust_p95_degradation\": {\n"
             printf "    \"spec\": \"%s\",\n", fault_spec
@@ -273,10 +238,9 @@ awk -v batch="$BATCH" -v fault_spec="$FAULT_SPEC" \
         printf "  \"emts10_run_cache\": {\n"
         for (i = 0; i < cn; i++) {
             w = cache_order[i]
-            printf "    \"%s\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %s, \"noop_skips\": %d, \"lb_pruned\": %d, \"prefix_reuse_events\": %d, \"survival_pruned\": %d }%s\n", \
+            printf "    \"%s\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %s, \"survival_pruned\": %d }%s\n", \
                 w, cache[w, "hits"], cache[w, "misses"], cache[w, "rate"], \
-                cache[w, "noop_skips"], cache[w, "lb_pruned"], \
-                cache[w, "prefix_reuse_events"], cache[w, "pruned"], (i < cn - 1) ? "," : ""
+                cache[w, "pruned"], (i < cn - 1) ? "," : ""
         }
         printf "  }\n"
         printf "}\n"

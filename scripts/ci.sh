@@ -66,7 +66,7 @@ case $CORPUS_RC in
     *) echo "emts-lint exited with unexpected status $CORPUS_RC on data/bad" >&2; exit 1 ;;
 esac
 
-echo "== perf guards (release): delta vs pooled, flight-recorder budget, SoA core vs oracle, two-tier vs all-exact, CPA loop vs reference"
+echo "== perf guards (release): flight-recorder budget, SoA core vs oracle, CPA loop vs reference"
 cargo test --release -q --offline -p emts --test perf_guard -- --ignored
 
 echo "== benchmark unit tests (release), including a 2%-scale bit-for-bit smoke of every workload"

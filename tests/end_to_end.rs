@@ -126,3 +126,52 @@ fn reports_serialize_and_deserialize_through_json() {
     assert_eq!(back.makespan, report.makespan);
     assert_eq!(back.allocation, report.allocation);
 }
+
+#[test]
+fn reports_from_older_builds_still_parse() {
+    use serde::Deserialize;
+
+    // A generation row written before the memo counters existed: the
+    // `#[serde(default)]` keys may be absent.
+    let row: emts::GenerationStats = serde_json::from_str(
+        r#"{"generation": 0, "best": 2.0, "mean": 2.5, "worst": 3.0,
+            "rejected": 0, "mutated_alleles": 4}"#,
+    )
+    .expect("defaulted keys may be absent");
+    assert_eq!((row.cache_hits, row.cache_misses), (0, 0));
+
+    // A run report whose fault summary predates the per-kind breakdown.
+    let corpus = corpus();
+    let entry = corpus.by_class(PtgClass::Fft).next().unwrap();
+    let model = PaperModel::Model1.instantiate();
+    let (report, _) = run(Algorithm::Mcpa, &entry.ptg, &chti(), model.as_ref(), 3);
+    let summary = r#"{"spec": "seed=3,crash=0.2", "trials": 4, "fault_free_makespan": 10.0,
+        "mean_degradation": 1.25, "p95_degradation": 1.5, "worst_degradation": 1.5,
+        "retries": 3, "tasks_killed": 0, "processor_failures": 0, "reschedules": 0}"#;
+    let json = serde_json::to_string_pretty(&report)
+        .expect("serializable")
+        .replacen("\"faults\": null", &format!("\"faults\": {summary}"), 1);
+    let back: sim::RunReport = serde_json::from_str(&json).expect("`kinds` may be absent");
+    let faults = back.faults.expect("summary present");
+    assert_eq!(faults.retries, 3);
+    assert_eq!(faults.kinds, sim::faults::FaultKindBreakdown::default());
+
+    // A run report whose convergence trace still carries the retired
+    // delta-evaluation and two-tier counters: unknown keys are ignored.
+    let trace = r#"{"generations": [{"generation": 0, "best": 2.0, "mean": 2.5,
+            "worst": 3.0, "rejected": 0, "mutated_alleles": 4, "cache_hits": 1,
+            "cache_misses": 3, "delta_evals": 3, "prefix_reuse_events": 40,
+            "surrogate_evals": 0, "exact_skipped": 0, "ambiguous_fallbacks": 0,
+            "surrogate_interval_width": 0.0}],
+        "cache_hits": 1, "cache_misses": 3, "delta_evals": 3, "lb_pruned": 1,
+        "prefix_reuse_events": 40, "noop_skips": 1, "worker_panics": 0,
+        "pool_respawns": 0, "serial_fallbacks": 0, "surrogate_evals": 0,
+        "exact_skipped": 0, "ambiguous_fallbacks": 0}"#;
+    let mut report = obs::StatsRecorder::new().report("emts-sim");
+    report.convergence = Some(serde_json::parse(trace).expect("valid JSON"));
+    let back = obs::RunReport::from_json(&report.to_json()).expect("report parses");
+    let trace = emts::ConvergenceTrace::from_value(back.convergence.as_ref().expect("trace"))
+        .expect("retired keys are ignored");
+    assert_eq!((trace.cache_hits, trace.cache_misses), (1, 3));
+    assert_eq!(trace[0].cache_misses, 3);
+}

@@ -51,6 +51,53 @@ fn mcpa_and_hcpa_equal_the_reference_loop_on_a_grid_cycle() {
     }
 }
 
+/// Pool workers only change who evaluates the offspring, never what the EA
+/// does with the results: EMTS5 with 0, 1 and 2 workers must return the
+/// same best allocation, the same best-makespan bits and the same
+/// per-generation fitness summaries. Every 6th item of one DAGGEN grid
+/// cycle covers all three graph sizes; both paper platforms, both models.
+#[test]
+fn emts_trajectories_do_not_depend_on_the_worker_count() {
+    use emts::{Emts, EmtsConfig, EmtsResult, GenerationStats};
+    use exec_model::PaperModel;
+    let costs = CostConfig::default();
+    let emts = Emts::new(EmtsConfig::emts5());
+    let keys = |r: &EmtsResult| {
+        r.trace
+            .iter()
+            .map(GenerationStats::fitness_key)
+            .collect::<Vec<_>>()
+    };
+    for i in (0..144).step_by(6) {
+        let g = workloads::stream::item(2011, i, &costs).ptg;
+        for cluster in [platform::chti(), platform::grelon()] {
+            for model in [PaperModel::Model1, PaperModel::Model2] {
+                let matrix = TimeMatrix::compute(
+                    &g,
+                    &model.instantiate(),
+                    cluster.speed_flops(),
+                    cluster.processors,
+                );
+                let runs: Vec<EmtsResult> = (0..=2)
+                    .map(|workers| {
+                        emts.run_with_workers(&g, &matrix, i, workers, &obs::NoopRecorder)
+                    })
+                    .collect();
+                for (workers, r) in runs.iter().enumerate().skip(1) {
+                    let ctx = format!("item {i}, {model:?} on {}, {workers} workers", cluster.name);
+                    assert_eq!(r.best, runs[0].best, "{ctx}");
+                    assert_eq!(
+                        r.best_makespan.to_bits(),
+                        runs[0].best_makespan.to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(keys(r), keys(&runs[0]), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 fn params_strategy() -> impl Strategy<Value = (DaggenParams, u64, u32)> {
     (
         5usize..60,
