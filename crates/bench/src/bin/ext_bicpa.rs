@@ -6,7 +6,6 @@
 //! irregular 100-task PTG on Grelon, and compares the pure-makespan corner
 //! against MCPA and EMTS5.
 
-use bench::ablation::ablation_workload;
 use bench::{output, Harness};
 use emts::{Emts, EmtsConfig};
 use exec_model::{SyntheticModel, TimeMatrix};
@@ -15,6 +14,7 @@ use heuristics::{allocate_and_map, Mcpa};
 use platform::grelon;
 use serde::Serialize;
 use stats::TextTable;
+use workloads::CostConfig;
 
 #[derive(Serialize)]
 struct FrontPoint {
@@ -26,7 +26,9 @@ struct FrontPoint {
 fn main() {
     let h = Harness::from_env("ext_bicpa");
     let args = &h.args;
-    let g = &ablation_workload(1, args.seed)[0];
+    // Stream item 114: irregular n = 100 (width 0.5, regularity 0.2,
+    // density 0.2, jump 2), also in the component grid's corpus.
+    let g = &workloads::stream::item(args.seed, 114, &CostConfig::default()).ptg;
     let cluster = grelon();
     let model = SyntheticModel::default();
     let matrix = TimeMatrix::compute(g, &model, cluster.speed_flops(), cluster.processors);

@@ -10,8 +10,7 @@
 //! regular PTGs, clearly above 1.0 against HCPA and on irregular PTGs, and
 //! larger improvements on the bigger platform (Grelon).
 
-use bench::experiment::relative_makespan_grid_obs;
-use bench::{output, EmtsVariant, Harness};
+use bench::{output, relative_makespan_grid, EmtsVariant, Harness};
 use exec_model::Amdahl;
 
 fn main() {
@@ -21,7 +20,7 @@ fn main() {
         "Figure 4 (Model 1, EMTS5) — scale {}, seed {} …",
         args.scale, args.seed
     ));
-    let results = relative_makespan_grid_obs(
+    let results = relative_makespan_grid(
         &Amdahl,
         EmtsVariant::Emts5,
         args.scale,

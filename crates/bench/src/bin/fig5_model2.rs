@@ -5,8 +5,7 @@
 //! larger platform (Grelon); EMTS10 is at least as good as EMTS5, with the
 //! biggest extra gains on irregular PTGs.
 
-use bench::experiment::relative_makespan_grid_obs;
-use bench::{output, EmtsVariant, Harness};
+use bench::{output, relative_makespan_grid, EmtsVariant, Harness};
 use exec_model::SyntheticModel;
 
 fn main() {
@@ -21,8 +20,7 @@ fn main() {
             args.scale,
             args.seed
         ));
-        let results =
-            relative_makespan_grid_obs(&model, variant, args.scale, args.seed, h.recorder());
+        let results = relative_makespan_grid(&model, variant, args.scale, args.seed, h.recorder());
         h.say(format_args!(
             "\nFigure 5 ({}) — relative makespan, Model 2 (synthetic non-monotonic)\n",
             variant.label()

@@ -9,7 +9,7 @@
 use emts::{Emts, EmtsConfig};
 use exec_model::{ExecutionTimeModel, TimeMatrix};
 use heuristics::{allocate_and_map, Hcpa, Mcpa};
-use obs::{NoopRecorder, Recorder};
+use obs::Recorder;
 use platform::{chti, grelon, Cluster};
 use serde::{Deserialize, Serialize};
 use stats::summary::ratio_summary;
@@ -82,18 +82,9 @@ fn panels(corpus: &Corpus) -> Vec<(&'static str, Vec<&CorpusEntry>)> {
 /// `scale` shrinks the corpus (1.0 = paper size); `seed` drives both corpus
 /// generation and the EA. Instance `i` of a panel uses EA seed
 /// `seed ⊕ hash(instance name)` so runs are reproducible yet independent.
-pub fn relative_makespan_grid<M: ExecutionTimeModel + ?Sized>(
-    model: &M,
-    variant: EmtsVariant,
-    scale: f64,
-    seed: u64,
-) -> Vec<PanelResult> {
-    relative_makespan_grid_obs(model, variant, scale, seed, &NoopRecorder)
-}
-
-/// [`relative_makespan_grid`] with telemetry: corpus generation and each
-/// panel get phase spans, and every EMTS run feeds the recorder.
-pub fn relative_makespan_grid_obs<M: ExecutionTimeModel + ?Sized, R: Recorder>(
+/// Corpus generation and each panel get phase spans, and every EMTS run
+/// feeds the recorder.
+pub fn relative_makespan_grid<M: ExecutionTimeModel + ?Sized, R: Recorder>(
     model: &M,
     variant: EmtsVariant,
     scale: f64,
@@ -105,22 +96,12 @@ pub fn relative_makespan_grid_obs<M: ExecutionTimeModel + ?Sized, R: Recorder>(
     let corpus = rec.time("corpus", || {
         Corpus::paper(scale, &CostConfig::default(), &mut rng)
     });
-    relative_makespan_grid_on_obs(&corpus, model, variant, seed, rec)
+    relative_makespan_grid_on(&corpus, model, variant, seed, rec)
 }
 
 /// [`relative_makespan_grid`] over an existing corpus — lets tests and
 /// custom campaigns supply arbitrarily small instance sets.
-pub fn relative_makespan_grid_on<M: ExecutionTimeModel + ?Sized>(
-    corpus: &Corpus,
-    model: &M,
-    variant: EmtsVariant,
-    seed: u64,
-) -> Vec<PanelResult> {
-    relative_makespan_grid_on_obs(corpus, model, variant, seed, &NoopRecorder)
-}
-
-/// [`relative_makespan_grid_on`] with telemetry.
-pub fn relative_makespan_grid_on_obs<M: ExecutionTimeModel + ?Sized, R: Recorder>(
+pub fn relative_makespan_grid_on<M: ExecutionTimeModel + ?Sized, R: Recorder>(
     corpus: &Corpus,
     model: &M,
     variant: EmtsVariant,
@@ -200,6 +181,7 @@ fn fxhash_str(s: &str) -> u64 {
 mod tests {
     use super::*;
     use exec_model::{Amdahl, SyntheticModel};
+    use obs::NoopRecorder;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use workloads::corpus::CorpusEntry;
@@ -262,6 +244,7 @@ mod tests {
             &SyntheticModel::default(),
             EmtsVariant::Emts5,
             3,
+            &NoopRecorder,
         );
         // 4 classes × 2 platforms × 2 baselines
         assert_eq!(results.len(), 16);
@@ -277,8 +260,14 @@ mod tests {
         // ≥ 1 per instance — the mean must be too.
         let corpus = tiny_corpus();
         for model_results in [
-            relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 5),
-            relative_makespan_grid_on(&corpus, &SyntheticModel::default(), EmtsVariant::Emts5, 5),
+            relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 5, &NoopRecorder),
+            relative_makespan_grid_on(
+                &corpus,
+                &SyntheticModel::default(),
+                EmtsVariant::Emts5,
+                5,
+                &NoopRecorder,
+            ),
         ] {
             for r in model_results {
                 assert!(
@@ -296,8 +285,8 @@ mod tests {
     #[test]
     fn results_are_reproducible() {
         let corpus = tiny_corpus();
-        let a = relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 9);
-        let b = relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 9);
+        let a = relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 9, &NoopRecorder);
+        let b = relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 9, &NoopRecorder);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.rel_makespan.mean, y.rel_makespan.mean);
         }
@@ -307,7 +296,8 @@ mod tests {
     fn empty_panels_are_skipped_not_crashed() {
         let mut corpus = tiny_corpus();
         corpus.entries.retain(|e| e.class == PtgClass::Fft);
-        let results = relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 1);
+        let results =
+            relative_makespan_grid_on(&corpus, &Amdahl, EmtsVariant::Emts5, 1, &NoopRecorder);
         assert_eq!(results.len(), 4); // 1 class × 2 platforms × 2 baselines
     }
 

@@ -1,14 +1,16 @@
 //! Experiment harness regenerating every figure and table of the paper.
 //!
 //! Each `fig*`/`table*` binary in `src/bin/` reproduces one artifact of the
-//! paper's evaluation (see DESIGN.md §5 for the full index); the Criterion
-//! benches in `benches/` time the building blocks behind the §V runtime
-//! discussion. This library holds the shared machinery: CLI parsing, the
-//! relative-makespan experiment of Figures 4 and 5, and result output.
+//! paper's evaluation (see DESIGN.md §5 for the full index); the `grid`
+//! binary runs every ablation and extension study as rows of one component
+//! grid; the Criterion benches in `benches/` time the building blocks
+//! behind the §V runtime discussion. This library holds the shared
+//! machinery: CLI parsing, the relative-makespan experiment of Figures 4
+//! and 5, the component grid, and result output.
 
-pub mod ablation;
 pub mod args;
 pub mod experiment;
+pub mod grid;
 pub mod output;
 pub mod report;
 

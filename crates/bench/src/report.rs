@@ -1,8 +1,8 @@
 //! Recorder-backed terminal output and telemetry reports for the harness
 //! binaries.
 //!
-//! Every `fig*`/`ablation_*`/`ext_*` binary drives its run through a
-//! [`Harness`]: terminal chatter goes through [`Harness::say`] /
+//! Every harness binary (`fig*`, `table*`, `ext_*`, `grid`) drives its run
+//! through a [`Harness`]: terminal chatter goes through [`Harness::say`] /
 //! [`Harness::note`] (silenced by `--quiet`), EMTS internals are recorded
 //! through [`Harness::recorder`], and `--report <file>` persists the whole
 //! run as a schema-versioned [`obs::RunReport`] for `emts-report`.

@@ -1,12 +1,13 @@
 //! EMTS configuration and the paper's two presets.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Tunable parameters of the EMTS evolution strategy.
 ///
 /// Defaults follow the paper's experimental setup (§V): `Δ = 0.9`,
-/// `f_m = 0.33`, shrink probability `a = 0.2`, `σ₁ = σ₂ = 5`.
+/// `f_m = 0.33`, shrink probability `a = 0.2`, `σ₁ = σ₂ = 5`. A wall-clock
+/// limit is not a parameter: pass a deadline to [`crate::Emts::run_deadline`]
+/// ("we focus on a given time constraint", §II-C).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EmtsConfig {
     /// Number of parents µ kept each generation.
@@ -33,10 +34,6 @@ pub struct EmtsConfig {
     /// results — mutation happens on the main thread, only the (pure)
     /// fitness evaluations run concurrently.
     pub parallel_evaluation: bool,
-    /// Optional wall-clock budget; the loop stops after the first
-    /// generation that exceeds it ("we focus on a given time constraint",
-    /// §II-C).
-    pub time_budget: Option<Duration>,
     /// Use comma-selection (best µ of offspring only) instead of the
     /// paper's plus-selection. Only for the selection ablation; plus is the
     /// paper's choice and the default.
@@ -131,7 +128,6 @@ impl Default for EmtsConfig {
             sigma_stretch: 5.0,
             heuristic_seeds: true,
             parallel_evaluation: true,
-            time_budget: None,
             comma_selection: false,
             rejection: false,
             rejection_slack: 1.5,

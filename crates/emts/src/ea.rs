@@ -43,8 +43,8 @@ pub struct EmtsResult {
     pub evaluations: usize,
     /// Wall-clock time of the whole run.
     pub wall_time: Duration,
-    /// Generations actually executed (< configured when the time budget
-    /// cuts the run short).
+    /// Generations actually executed (< configured when a
+    /// [`Emts::run_deadline`] deadline cuts the run short).
     pub generations_run: usize,
     /// Offspring whose mapping was aborted early by the rejection strategy
     /// (always 0 when `rejection` is off).
@@ -220,11 +220,6 @@ impl Emts {
         let mut rejected = 0usize;
         let mut pruned = 0usize;
         for u in 0..cfg.generations {
-            if let Some(budget) = cfg.time_budget {
-                if start.elapsed() >= budget {
-                    break;
-                }
-            }
             // lint:allow(src-timing) -- anytime-mode deadline, checked at generation boundaries
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
@@ -579,14 +574,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_skips_evolution() {
+    fn past_deadline_skips_evolution() {
         let (g, m) = fft_setup(false);
-        let cfg = EmtsConfig {
-            time_budget: Some(Duration::ZERO),
-            ..EmtsConfig::emts5()
-        };
-        let result = Emts::new(cfg).run(&g, &m, 6);
+        let result = Emts::new(EmtsConfig::emts5()).run_deadline(
+            &g,
+            &m,
+            6,
+            Some(Instant::now()),
+            &[],
+            &obs::NoopRecorder,
+        );
         assert_eq!(result.generations_run, 0);
+        assert_eq!(result.evaluations, 5);
         assert_eq!(result.best_makespan, result.seed_makespan);
     }
 

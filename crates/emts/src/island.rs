@@ -10,17 +10,18 @@
 //! * **hardware parallelism across the run**, complementing the per-
 //!   generation parallel fitness evaluation of [`crate::parallel`].
 //!
-//! Implementation: each epoch runs `generations_per_epoch` generations per
-//! island (using the ordinary [`Emts`] machinery on warm-started
-//! populations via allocation injection), then the best individual of each
-//! island replaces the worst of its ring successor.
+//! Implementation: each epoch runs `generations / epochs` generations per
+//! island through [`Emts::run_deadline`], warm-started from the island's
+//! carried champion (none in epoch 0, so every island starts from the
+//! heuristic seeds). After each epoch the ring migrates: island `i + 1`
+//! carries island `i`'s champion when it beats its own.
 
 use crate::config::EmtsConfig;
 use crate::ea::Emts;
 use exec_model::TimeMatrix;
+use obs::NoopRecorder;
 use ptg::Ptg;
-use sched::{Allocation, ListScheduler, Mapper};
-use std::time::{Duration, Instant};
+use sched::Allocation;
 
 /// Island-model configuration.
 #[derive(Debug, Clone)]
@@ -53,10 +54,9 @@ pub struct IslandResult {
     pub best_makespan: f64,
     /// Best makespan per island (post-run), in island order.
     pub island_makespans: Vec<f64>,
-    /// Total fitness evaluations across all islands.
+    /// Total fitness evaluations across all islands, warm re-evaluations
+    /// included.
     pub evaluations: usize,
-    /// Wall-clock time.
-    pub wall_time: Duration,
 }
 
 /// The island-model scheduler.
@@ -77,8 +77,6 @@ impl IslandEmts {
     /// Runs the island model; deterministic in `seed` (island `i` uses
     /// stream `seed·islands + i + epoch` per epoch).
     pub fn run(&self, g: &Ptg, matrix: &TimeMatrix, seed: u64) -> IslandResult {
-        // lint:allow(src-timing) -- results report elapsed wall time.
-        let start = Instant::now();
         let cfg = &self.cfg;
         // Per-epoch generation budget (≥ 1 each).
         let gens = (cfg.base.generations / cfg.epochs).max(1);
@@ -101,51 +99,43 @@ impl IslandEmts {
                 for (i, (slot, warm)) in results.iter_mut().zip(&carried).enumerate() {
                     let epoch_cfg = &epoch_cfg;
                     scope.spawn(move || {
-                        // Warm start: inject the carried individual by
-                        // running EMTS whose first mutation targets it via
-                        // the ordinary seeding, then take the better of the
-                        // EA result and the carried allocation.
-                        let emts = Emts::new(epoch_cfg.clone());
+                        // Warm start: the carried champion joins the seed
+                        // population, so plus-selection never loses it.
                         let stream = seed
                             .wrapping_mul(cfg.islands as u64)
                             .wrapping_add(i as u64)
                             .wrapping_add((epoch as u64) << 32);
-                        let r = emts.run(g, matrix, stream);
-                        let (alloc, ms) = match warm {
-                            Some(w) => {
-                                let wm = ListScheduler.makespan(g, matrix, w);
-                                if wm < r.best_makespan {
-                                    (w.clone(), wm)
-                                } else {
-                                    (r.best.clone(), r.best_makespan)
-                                }
-                            }
-                            None => (r.best.clone(), r.best_makespan),
-                        };
-                        *slot = Some((alloc, ms, r.evaluations));
+                        let r = Emts::new(epoch_cfg.clone()).run_deadline(
+                            g,
+                            matrix,
+                            stream,
+                            None,
+                            warm.as_slice(),
+                            &NoopRecorder,
+                        );
+                        *slot = Some((r.best, r.best_makespan, r.evaluations));
                     });
                 }
             });
-            let epoch_results: Vec<(Allocation, f64, usize)> = results
-                .into_iter()
-                .map(|r| r.expect("every island completed"))
-                .collect();
-            for (i, (alloc, ms, evals)) in epoch_results.iter().enumerate() {
-                carried[i] = Some(alloc.clone());
-                makespans[i] = *ms;
+            for (i, r) in results.into_iter().enumerate() {
+                let (alloc, ms, evals) = r.expect("every island completed");
+                carried[i] = Some(alloc);
+                makespans[i] = ms;
                 evaluations += evals;
             }
-            // Ring migration: island i's champion also seeds island i+1.
+            // Ring migration: island i + 1 carries island i's champion
+            // into the next epoch when it beats its own.
             if cfg.islands > 1 && epoch + 1 < cfg.epochs {
-                let champions: Vec<(Allocation, f64)> = epoch_results
+                let champions: Vec<(Option<Allocation>, f64)> = carried
                     .iter()
-                    .map(|(a, m, _)| (a.clone(), *m))
+                    .cloned()
+                    .zip(makespans.iter().copied())
                     .collect();
                 for i in 0..cfg.islands {
-                    let donor = &champions[(i + cfg.islands - 1) % cfg.islands];
-                    if donor.1 < makespans[i] {
-                        carried[i] = Some(donor.0.clone());
-                        makespans[i] = donor.1;
+                    let (donor, donor_ms) = &champions[(i + cfg.islands - 1) % cfg.islands];
+                    if *donor_ms < makespans[i] {
+                        carried[i] = donor.clone();
+                        makespans[i] = *donor_ms;
                     }
                 }
             }
@@ -161,7 +151,6 @@ impl IslandEmts {
             best_makespan,
             island_makespans: makespans,
             evaluations,
-            wall_time: start.elapsed(),
         }
     }
 }
@@ -278,6 +267,46 @@ mod tests {
         })
         .run(&g, &m, stream);
         assert_eq!(island.best_makespan, plain.best_makespan);
+    }
+
+    #[test]
+    fn later_epochs_warm_start_from_the_carried_champion() {
+        // One island over two epochs is two chained anytime runs: the
+        // second starts from the heuristic seeds plus the first one's best.
+        let (g, m) = setup();
+        let base = EmtsConfig {
+            parallel_evaluation: false,
+            ..EmtsConfig::emts10()
+        };
+        let island = IslandEmts::new(IslandConfig {
+            base: base.clone(),
+            islands: 1,
+            epochs: 2,
+        })
+        .run(&g, &m, 3);
+        let epoch = Emts::new(EmtsConfig {
+            generations: 5,
+            ..base
+        });
+        let first = epoch.run_deadline(&g, &m, 3, None, &[], &NoopRecorder);
+        let second = epoch.run_deadline(
+            &g,
+            &m,
+            3 + (1 << 32),
+            None,
+            std::slice::from_ref(&first.best),
+            &NoopRecorder,
+        );
+        // The first epoch improved on the seeds, so the warm start is a
+        // new individual in the second epoch's population.
+        assert!(first.best_makespan < first.seed_makespan);
+        assert!(second.best_makespan <= first.best_makespan);
+        assert_eq!(island.best, second.best);
+        assert_eq!(
+            island.best_makespan.to_bits(),
+            second.best_makespan.to_bits()
+        );
+        assert_eq!(island.evaluations, first.evaluations + second.evaluations);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::soa_heap::{
 };
 use exec_model::TimeMatrix;
 use obs::{NoopRecorder, Recorder};
-use ptg::critpath::{bottom_levels, bottom_levels_into};
+use ptg::critpath::bottom_levels_into;
 use ptg::{Ptg, TaskId};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -28,11 +28,12 @@ use std::collections::BinaryHeap;
 thread_local! {
     /// Per-thread scratch behind the convenience entry points ([`Mapper::map`],
     /// [`Mapper::makespan`], [`ListScheduler::makespan_bounded`],
-    /// [`ListScheduler::makespan_bounded_reference`]): after a thread's first
-    /// call these paths reuse steady-state buffers instead of allocating a
-    /// fresh [`EvalScratch`] per evaluation. Long-lived workers should still
-    /// hold their own scratch and call the `_with` variants directly.
-    static SHARED_SCRATCH: std::cell::RefCell<EvalScratch> =
+    /// [`ListScheduler::makespan_bounded_reference`], the insertion mapper
+    /// and the [`crate::Rescheduler`]): after a thread's first call these
+    /// paths reuse steady-state buffers instead of allocating a fresh
+    /// [`EvalScratch`] per evaluation. Long-lived workers should still hold
+    /// their own scratch and call the `_with` variants directly.
+    pub(crate) static SHARED_SCRATCH: std::cell::RefCell<EvalScratch> =
         std::cell::RefCell::new(EvalScratch::new());
 }
 
@@ -130,14 +131,15 @@ pub struct EvalScratch {
     /// `(bl key, ¬task id)` entries (see [`crate::soa_heap`]) — the grouped
     /// fitness core's queue.
     pub(crate) ready: MaxHeap128,
-    /// Old-style ready queue for the per-processor reference core, kept on
-    /// the comparator-driven `BinaryHeap` so the oracle shares no queue
+    /// Old-style ready queue for the per-processor core, kept on the
+    /// comparator-driven `BinaryHeap` so the oracle shares no queue
     /// implementation with the SoA fast path.
-    ready_ref: BinaryHeap<ReadyTask>,
-    /// Min-heap of `(free time, processor)` — used by the full mapper,
-    /// which must report concrete processor indices.
-    avail: BinaryHeap<Reverse<(OrderedF64, u32)>>,
-    /// The processors popped for the task being placed (full mapper only).
+    pub(crate) ready_ref: BinaryHeap<ReadyTask>,
+    /// Min-heap of `(free time, processor)` — used by the per-processor
+    /// core, which must report concrete processor indices.
+    pub(crate) avail: BinaryHeap<Reverse<(OrderedF64, u32)>>,
+    /// The processors popped for the task being placed (per-processor core
+    /// only).
     popped: Vec<(f64, u32)>,
     /// Min-heap of processor *groups* for the makespan-only core: every
     /// processor popped for a task gets the same finish time, so the heap
@@ -217,40 +219,38 @@ impl BoundedEval {
     }
 }
 
-impl ListScheduler {
-    /// Shared setup for the *allocating* mappers: per-task times, bottom
-    /// levels, in-degrees and the ready queue seeded with the sources.
-    /// (The list scheduler's own paths use [`EvalScratch`] instead.)
-    fn prepare(
-        g: &Ptg,
-        matrix: &TimeMatrix,
-        alloc: &Allocation,
-    ) -> (Vec<f64>, Vec<f64>, BinaryHeap<ReadyTask>, Vec<usize>) {
-        assert_eq!(alloc.len(), g.task_count(), "allocation/PTG size mismatch");
-        assert!(
-            alloc.as_slice().iter().all(|&p| p <= matrix.p_max()),
-            "allocation exceeds platform size"
-        );
-        let times = matrix.times_for(alloc.as_slice());
-        let bl = bottom_levels(g, &times);
-        let in_deg: Vec<usize> = g.task_ids().map(|v| g.in_degree(v)).collect();
-        let mut ready = BinaryHeap::with_capacity(g.task_count());
+impl EvalScratch {
+    /// Seeds the per-processor core's ready queue with every task whose
+    /// remaining in-degree is zero.
+    pub(crate) fn push_ready_sources(&mut self, g: &Ptg) {
+        self.ready_ref.clear();
         for v in g.task_ids() {
-            if in_deg[v.index()] == 0 {
-                ready.push(ReadyTask {
-                    bl: bl[v.index()],
+            if self.in_deg[v.index()] == 0 {
+                self.ready_ref.push(ReadyTask {
+                    bl: self.bl[v.index()],
                     task: v,
                 });
             }
         }
-        (times, bl, ready, in_deg)
     }
 
+    /// Seeds the per-processor core for a whole-graph mapping: every source
+    /// is ready and all `p_max` processors are free at time 0.
+    fn seed_fresh(&mut self, g: &Ptg, p_max: u32) {
+        self.push_ready_sources(g);
+        self.avail.clear();
+        for q in 0..p_max {
+            self.avail.push(Reverse((OrderedF64(0.0), q)));
+        }
+    }
+}
+
+impl ListScheduler {
     /// Resets `scratch`'s task-side buffers for an evaluation of `alloc` on
     /// `g`; no allocation once the buffers have reached steady-state
     /// capacity. In-degrees are one memcpy from the graph's CSR view. The
-    /// queues are seeded by the placement cores themselves (each core owns
-    /// its queue representation).
+    /// queues are left alone: the grouped core seeds its own, and callers
+    /// of the per-processor core seed theirs.
     // lint:hot-path
     pub(crate) fn prepare_into(
         g: &Ptg,
@@ -271,26 +271,33 @@ impl ListScheduler {
         scratch.data_ready.resize(g.task_count(), 0.0);
     }
 
-    /// The per-processor placement routine behind [`Mapper::map`] (and the
-    /// reference oracle for the grouped core below).
+    /// The per-processor placement routine behind [`Mapper::map`] and the
+    /// [`crate::Rescheduler`] (and the reference oracle for the grouped core
+    /// below).
+    ///
+    /// The caller sets up the task columns of `scratch` (times, bottom
+    /// levels, remaining in-degrees, data-ready floors) and seeds both
+    /// queues: the ready tasks and one `(free time, processor)` entry per
+    /// usable processor. A whole-graph mapping seeds every source and all
+    /// processors at 0 ([`EvalScratch::seed_fresh`]); a replan seeds the
+    /// remainder's ready tasks and the survivors at their availability.
     ///
     /// Ready tasks pop by decreasing bottom level (ties toward the smaller
-    /// task id); each takes the `s(v)` earliest-free processors from the
-    /// min-heap — identical tie-breaking by processor index as a full sort
-    /// of the availability vector, at O(s log P) instead of O(P log P) per
-    /// task. `on_place` observes every placement `(task, start, finish,
-    /// popped processors)`; the full mapper records placements there while
-    /// the makespan-only reference passes a no-op.
+    /// task id); each takes its `widths[v]` earliest-free processors from
+    /// the min-heap — identical tie-breaking by processor index as a full
+    /// sort of the availability vector, at O(s log P) instead of O(P log P)
+    /// per task. `on_place` observes every placement `(task, start, finish,
+    /// popped processors)`; the full mapper and the rescheduler record
+    /// placements there while the makespan-only reference passes a no-op.
     ///
     /// This core deliberately stays on the pre-refactor data structures —
     /// comparator-driven `BinaryHeap`s and the graph's pointer adjacency —
     /// so the bit-identity property tests pit two independent
     /// implementations against each other.
     #[inline]
-    fn schedule_core<F>(
+    pub(crate) fn schedule_core<F>(
         g: &Ptg,
-        alloc: &Allocation,
-        p_max: u32,
+        widths: &[u32],
         cutoff: f64,
         scratch: &mut EvalScratch,
         mut on_place: F,
@@ -301,26 +308,14 @@ impl ListScheduler {
         let threshold = reject_threshold(cutoff);
         let mut makespan = 0.0f64;
         let mut reject_key = 0.0f64;
-        scratch.ready_ref.clear();
-        for v in g.task_ids() {
-            if scratch.in_deg[v.index()] == 0 {
-                scratch.ready_ref.push(ReadyTask {
-                    bl: scratch.bl[v.index()],
-                    task: v,
-                });
-            }
-        }
-        scratch.avail.clear();
-        for q in 0..p_max {
-            scratch.avail.push(Reverse((OrderedF64(0.0), q)));
-        }
-
         while let Some(ReadyTask { task: v, .. }) = scratch.ready_ref.pop() {
-            let s = alloc.of(v) as usize;
+            let s = widths[v.index()] as usize;
             scratch.popped.clear();
             for _ in 0..s {
-                let Reverse((OrderedF64(free), q)) =
-                    scratch.avail.pop().expect("alloc ≤ P ensured by prepare");
+                let Reverse((OrderedF64(free), q)) = scratch
+                    .avail
+                    .pop()
+                    .expect("widths never exceed the seeded processors");
                 scratch.popped.push((free, q));
             }
             let procs_free = scratch.popped.last().expect("s ≥ 1").0;
@@ -521,11 +516,11 @@ impl Mapper for ListScheduler {
         let p_total = matrix.p_max();
         SHARED_SCRATCH.with_borrow_mut(|scratch| {
             Self::prepare_into(g, matrix, alloc, scratch);
+            scratch.seed_fresh(g, p_total);
             let mut placements = Vec::with_capacity(g.task_count());
             let outcome = Self::schedule_core(
                 g,
-                alloc,
-                p_total,
+                alloc.as_slice(),
                 f64::INFINITY,
                 scratch,
                 |task, start, finish, popped| {
@@ -654,7 +649,8 @@ impl ListScheduler {
     ) -> Option<f64> {
         SHARED_SCRATCH.with_borrow_mut(|scratch| {
             Self::prepare_into(g, matrix, alloc, scratch);
-            match Self::schedule_core(g, alloc, matrix.p_max(), cutoff, scratch, |_, _, _, _| {}) {
+            scratch.seed_fresh(g, matrix.p_max());
+            match Self::schedule_core(g, alloc.as_slice(), cutoff, scratch, |_, _, _, _| {}) {
                 BoundedEval::Complete { makespan, .. } => Some(makespan),
                 BoundedEval::Rejected => None,
             }
@@ -694,64 +690,73 @@ pub struct InsertionScheduler;
 impl Mapper for InsertionScheduler {
     fn map(&self, g: &Ptg, matrix: &TimeMatrix, alloc: &Allocation) -> Schedule {
         let p_total = matrix.p_max() as usize;
-        let (times, bl, mut ready, mut in_deg) = ListScheduler::prepare(g, matrix, alloc);
         // Per-processor busy intervals, kept sorted by start time.
         let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); p_total];
-        let mut data_ready = vec![0.0f64; g.task_count()];
         let mut placements = Vec::with_capacity(g.task_count());
-
-        while let Some(ReadyTask { task: v, .. }) = ready.pop() {
-            let s = alloc.of(v) as usize;
-            let d = times[v.index()];
-            let r = data_ready[v.index()];
-            // Candidate start times: the ready time and every interval end
-            // after it. The earliest feasible candidate wins.
-            let mut candidates: Vec<f64> = vec![r];
-            for iv in busy.iter().flatten() {
-                if iv.1 > r {
-                    candidates.push(iv.1);
+        SHARED_SCRATCH.with_borrow_mut(|scratch| {
+            ListScheduler::prepare_into(g, matrix, alloc, scratch);
+            scratch.push_ready_sources(g);
+            let EvalScratch {
+                times,
+                bl,
+                in_deg,
+                data_ready,
+                ready_ref: ready,
+                ..
+            } = scratch;
+            while let Some(ReadyTask { task: v, .. }) = ready.pop() {
+                let s = alloc.of(v) as usize;
+                let d = times[v.index()];
+                let r = data_ready[v.index()];
+                // Candidate start times: the ready time and every interval end
+                // after it. The earliest feasible candidate wins.
+                let mut candidates: Vec<f64> = vec![r];
+                for iv in busy.iter().flatten() {
+                    if iv.1 > r {
+                        candidates.push(iv.1);
+                    }
+                }
+                candidates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite times"));
+                candidates.dedup();
+                let mut placed: Option<(f64, Vec<u32>)> = None;
+                for &t in &candidates {
+                    let free: Vec<u32> = (0..p_total)
+                        .filter(|&q| is_free(&busy[q], t, t + d))
+                        .map(|q| q as u32)
+                        .collect();
+                    if free.len() >= s {
+                        placed = Some((t, free[..s].to_vec()));
+                        break;
+                    }
+                }
+                let (start, processors) =
+                    placed.expect("the time after all work finishes is always feasible");
+                let finish = start + d;
+                for &q in &processors {
+                    let list = &mut busy[q as usize];
+                    let pos = list
+                        .binary_search_by(|iv| iv.0.partial_cmp(&start).expect("finite times"))
+                        .unwrap_or_else(|e| e);
+                    list.insert(pos, (start, finish));
+                }
+                placements.push(Placement {
+                    task: v,
+                    start,
+                    finish,
+                    processors,
+                });
+                for &w in g.successors(v) {
+                    data_ready[w.index()] = data_ready[w.index()].max(finish);
+                    in_deg[w.index()] -= 1;
+                    if in_deg[w.index()] == 0 {
+                        ready.push(ReadyTask {
+                            bl: bl[w.index()],
+                            task: w,
+                        });
+                    }
                 }
             }
-            candidates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            candidates.dedup();
-            let mut placed: Option<(f64, Vec<u32>)> = None;
-            for &t in &candidates {
-                let free: Vec<u32> = (0..p_total)
-                    .filter(|&q| is_free(&busy[q], t, t + d))
-                    .map(|q| q as u32)
-                    .collect();
-                if free.len() >= s {
-                    placed = Some((t, free[..s].to_vec()));
-                    break;
-                }
-            }
-            let (start, processors) =
-                placed.expect("the time after all work finishes is always feasible");
-            let finish = start + d;
-            for &q in &processors {
-                let list = &mut busy[q as usize];
-                let pos = list
-                    .binary_search_by(|iv| iv.0.partial_cmp(&start).expect("finite times"))
-                    .unwrap_or_else(|e| e);
-                list.insert(pos, (start, finish));
-            }
-            placements.push(Placement {
-                task: v,
-                start,
-                finish,
-                processors,
-            });
-            for &w in g.successors(v) {
-                data_ready[w.index()] = data_ready[w.index()].max(finish);
-                in_deg[w.index()] -= 1;
-                if in_deg[w.index()] == 0 {
-                    ready.push(ReadyTask {
-                        bl: bl[w.index()],
-                        task: w,
-                    });
-                }
-            }
-        }
+        });
         Schedule::new(p_total as u32, placements)
     }
 

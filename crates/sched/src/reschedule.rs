@@ -22,10 +22,12 @@
 //!   from the time matrix at the clamped width.
 
 use crate::allocation::Allocation;
+use crate::mapper::{ListScheduler, OrderedF64, ReadyTask, SHARED_SCRATCH};
 use crate::schedule::Placement;
 use exec_model::TimeMatrix;
-use ptg::critpath::bottom_levels;
+use ptg::critpath::bottom_levels_into;
 use ptg::{Ptg, TaskId};
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Why a reschedule request could not produce a plan.
@@ -157,111 +159,106 @@ impl Rescheduler {
             settled_finish[r.task.index()] = Some(r.finish);
         }
 
-        // Priority: bottom levels over the remainder, with settled tasks
-        // contributing zero time (their work is already paid for).
-        let mut times = vec![0.0f64; n];
-        let mut width = vec![0u32; n];
-        for v in g.task_ids() {
-            if settled_finish[v.index()].is_none() {
-                let w = alloc.of(v).min(survivors);
-                width[v.index()] = w;
-                times[v.index()] = matrix.time(v, w);
-            }
-        }
-        let bl = bottom_levels(g, &times);
+        // Widths clamp to the survivors; settled tasks keep width 0.
+        let width: Vec<u32> = g
+            .task_ids()
+            .map(|v| match settled_finish[v.index()] {
+                None => alloc.of(v).min(survivors),
+                Some(_) => 0,
+            })
+            .collect();
 
         // Processor availability: `now` for idle survivors (raised to any
         // foreign-work floor), the running task's finish for occupied
-        // ones; dead processors never appear.
-        let mut avail: Vec<(f64, u32)> = state
-            .alive
-            .iter()
-            .enumerate()
-            .filter(|&(_, &alive)| alive)
-            .map(|(q, _)| {
+        // ones; dead processors never enter the queue.
+        let mut free: Vec<f64> = (0..state.alive.len())
+            .map(|q| {
                 let floor = state.busy_until.get(q).copied().unwrap_or(state.now);
-                (state.now.max(floor), q as u32)
+                state.now.max(floor)
             })
             .collect();
         for r in &state.running {
             for &q in &r.processors {
-                let slot = avail
-                    .iter_mut()
-                    .find(|(_, p)| *p == q)
-                    .expect("running tasks occupy surviving processors");
-                slot.0 = slot.0.max(r.finish);
+                assert!(
+                    state.alive.get(q as usize) == Some(&true),
+                    "running tasks occupy surviving processors"
+                );
+                free[q as usize] = free[q as usize].max(r.finish);
             }
         }
 
-        // Data readiness and in-degrees over the remainder only. The CSR
-        // arenas visit predecessors in builder order, exactly as the
-        // pointer adjacency did — the `f64::max` folds stay bit-identical.
         let csr = g.csr();
-        let mut data_ready = vec![state.now; n];
-        let mut in_deg = vec![0usize; n];
-        for v in g.task_ids() {
-            if settled_finish[v.index()].is_some() {
-                continue;
-            }
-            for &p in csr.predecessors(v.0) {
-                match settled_finish[p as usize] {
-                    Some(f) => data_ready[v.index()] = data_ready[v.index()].max(f),
-                    None => in_deg[v.index()] += 1,
-                }
-            }
-        }
-
-        // Plain list scheduling: ready tasks by decreasing bottom level
-        // (ties toward the smaller id), each on the earliest-free
-        // `width(v)` survivors (ties toward the smaller index).
-        let mut ready: Vec<TaskId> = g
-            .task_ids()
-            .filter(|v| settled_finish[v.index()].is_none() && in_deg[v.index()] == 0)
-            .collect();
         let mut placements = Vec::new();
-        while let Some(pos) = ready
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                bl[a.index()]
-                    .partial_cmp(&bl[b.index()])
-                    .expect("bottom levels are finite")
-                    .then_with(|| b.cmp(a))
-            })
-            .map(|(i, _)| i)
-        {
-            let v = ready.swap_remove(pos);
-            let s = width[v.index()] as usize;
-            // Earliest-free survivors: sort by (availability, index) and
-            // take the first s.
-            avail.sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("availability is finite")
-                    .then_with(|| a.1.cmp(&b.1))
-            });
-            let procs_free = avail[s - 1].0;
-            let start = data_ready[v.index()].max(procs_free);
-            let finish = start + times[v.index()];
-            let mut processors: Vec<u32> = avail[..s].iter().map(|&(_, q)| q).collect();
-            processors.sort_unstable();
-            for slot in &mut avail[..s] {
-                slot.0 = finish;
-            }
-            placements.push(Placement {
-                task: v,
-                start,
-                finish,
-                processors,
-            });
-            for &w in csr.successors(v.0) {
-                let wi = w as usize;
-                data_ready[wi] = data_ready[wi].max(finish);
-                in_deg[wi] -= 1;
-                if in_deg[wi] == 0 {
-                    ready.push(TaskId(w));
+        SHARED_SCRATCH.with_borrow_mut(|scratch| {
+            // Priority: bottom levels over the remainder, with settled
+            // tasks contributing zero time (their work is already paid
+            // for).
+            scratch.times.clear();
+            scratch
+                .times
+                .extend(g.task_ids().map(|v| match width[v.index()] {
+                    0 => 0.0,
+                    w => matrix.time(v, w),
+                }));
+            bottom_levels_into(g, &scratch.times, &mut scratch.bl);
+
+            // Data readiness and in-degrees over the remainder only. The
+            // CSR arenas visit predecessors in builder order, exactly as
+            // the pointer adjacency does — the `f64::max` folds stay
+            // bit-identical.
+            scratch.data_ready.clear();
+            scratch.data_ready.resize(n, state.now);
+            scratch.in_deg.clear();
+            scratch.in_deg.resize(n, 0);
+            for v in g.task_ids() {
+                if settled_finish[v.index()].is_some() {
+                    continue;
+                }
+                for &p in csr.predecessors(v.0) {
+                    match settled_finish[p as usize] {
+                        Some(f) => {
+                            scratch.data_ready[v.index()] = scratch.data_ready[v.index()].max(f)
+                        }
+                        None => scratch.in_deg[v.index()] += 1,
+                    }
                 }
             }
-        }
+
+            // Plain list scheduling on the mapper's core: ready tasks by
+            // decreasing bottom level (ties toward the smaller id), each on
+            // the earliest-free `width(v)` survivors (ties toward the
+            // smaller index). Settled tasks are never queued: their
+            // in-degree is 0 but they are not pushed.
+            scratch.ready_ref.clear();
+            for v in g.task_ids() {
+                if settled_finish[v.index()].is_none() && scratch.in_deg[v.index()] == 0 {
+                    scratch.ready_ref.push(ReadyTask {
+                        bl: scratch.bl[v.index()],
+                        task: v,
+                    });
+                }
+            }
+            scratch.avail.clear();
+            for (q, _) in state.alive.iter().enumerate().filter(|&(_, &a)| a) {
+                scratch.avail.push(Reverse((OrderedF64(free[q]), q as u32)));
+            }
+            ListScheduler::schedule_core(
+                g,
+                &width,
+                f64::INFINITY,
+                scratch,
+                |task, start, finish, popped| {
+                    let mut processors: Vec<u32> = popped.iter().map(|&(_, q)| q).collect();
+                    processors.sort_unstable();
+                    placements.push(Placement {
+                        task,
+                        start,
+                        finish,
+                        processors,
+                    });
+                },
+            );
+        });
         Ok(placements)
     }
 }

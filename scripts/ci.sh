@@ -122,6 +122,14 @@ FP_RESUMED=$(grep '"fingerprint"' "$STREAM_DIR/resumed.json")
          exit 1; }
 rm -rf "$STREAM_DIR"
 
+echo "== component grid smoke: every ablation and extension study runs at 5% scale"
+cargo build -q --offline --release -p bench --bin grid
+GRID_DIR=$(mktemp -d)
+target/release/grid --scale 0.05 --quiet --out "$GRID_DIR"
+grep -q '"studies"' "$GRID_DIR/EXPERIMENTS_grid.json" \
+    || { echo "grid smoke: no report written" >&2; exit 1; }
+rm -rf "$GRID_DIR"
+
 echo "== fault smoke: seeded injection is reproducible, fault-free replay is bit-identical"
 SIM="cargo run -q --offline -p sim --bin emts-sim --"
 FAULT_A=$(mktemp) FAULT_B=$(mktemp)

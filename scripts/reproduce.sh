@@ -28,9 +28,9 @@ run fig5_model2 "${SCALE_ARGS[@]}"
 run fig6_gantt
 run table_runtime "${SCALE_ARGS[@]}"
 
-for b in ablation_mutation ablation_seeding ablation_selection ablation_params \
-         ablation_mapper ablation_rejection ablation_adaptive \
-         ext_platform_sweep ext_convergence ext_models ext_bicpa ext_multicluster ext_island; do
+# Every ablation and extension study, as rows of one component grid.
+run grid "${ABL_SCALE[@]}"
+for b in ext_convergence ext_bicpa; do
   run "$b" "${ABL_SCALE[@]}"
 done
 

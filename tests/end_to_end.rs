@@ -140,6 +140,20 @@ fn reports_from_older_builds_still_parse() {
     .expect("defaulted keys may be absent");
     assert_eq!((row.cache_hits, row.cache_misses), (0, 0));
 
+    // An EMTS configuration written while it still carried a wall-clock
+    // `time_budget` (deadlines now go to `Emts::run_deadline`): the retired
+    // key is ignored.
+    let cfg: emts::EmtsConfig = serde_json::from_str(
+        r#"{"mu": 10, "lambda": 100, "generations": 10, "fm": 0.33, "delta": 0.9,
+            "shrink_prob": 0.2, "sigma_shrink": 5.0, "sigma_stretch": 5.0,
+            "heuristic_seeds": true, "parallel_evaluation": true,
+            "time_budget": {"secs": 2, "nanos": 0}, "comma_selection": false,
+            "rejection": false, "rejection_slack": 1.5, "uniform_mutation": false,
+            "crossover_prob": 0.0, "adaptive_sigma": false}"#,
+    )
+    .expect("the retired key is ignored");
+    assert_eq!(cfg, emts::EmtsConfig::emts10());
+
     // A run report whose fault summary predates the per-kind breakdown.
     let corpus = corpus();
     let entry = corpus.by_class(PtgClass::Fft).next().unwrap();
