@@ -10,8 +10,14 @@
 //! runs the full 100 000-item stream into `BENCH_throughput.json`.
 //!
 //! The reported throughput is *honest single-core end-to-end*: one thread,
-//! and the clock covers generation + time-matrix construction + mapping
-//! for every item of the current invocation. The separate mapper probe
+//! and the clock covers every item of the current invocation. The result
+//! splits that clock into four layers, each summed over the items: DAGGEN
+//! generation (`generate_seconds`), the Grelon time matrix
+//! (`matrix_seconds`), the random allocation draw (`allocate_seconds`) and
+//! the makespan-only mapping (`map_seconds`); freeing what a layer built
+//! counts to that layer. Only bookkeeping (fingerprint fold, counters,
+//! checkpoints) falls outside them, so they sum to `elapsed_seconds`
+//! within a few per cent. The separate mapper probe
 //! isolates the fitness core itself (ns per evaluation and per heap pop on
 //! the paper's hard case).
 //!
@@ -184,6 +190,24 @@ fn mapper_probe(seed: u64) -> MapperProbe {
     }
 }
 
+/// Seconds spent in each layer of the timed loop, summed over the items of
+/// this invocation.
+#[derive(Default)]
+struct LayerSeconds {
+    generate: f64,
+    matrix: f64,
+    allocate: f64,
+    map: f64,
+}
+
+/// Runs `f`, adding its wall time to `acc`.
+fn timed<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *acc += t.elapsed().as_secs_f64();
+    out
+}
+
 /// Result JSON written by `--out` (and printed unless `--quiet`).
 #[derive(Serialize)]
 struct StreamResult {
@@ -199,6 +223,10 @@ struct StreamResult {
     mean_makespan: f64,
     fingerprint: String,
     elapsed_seconds: f64,
+    generate_seconds: f64,
+    matrix_seconds: f64,
+    allocate_seconds: f64,
+    map_seconds: f64,
     throughput_ptgs_per_sec: f64,
     /// `null` unless the run completed with probing enabled (the vendored
     /// serde derive has no field-skipping, so an absent probe serializes
@@ -267,6 +295,7 @@ fn main() {
     let mut processed_this_run = 0u64;
     let mut since_checkpoint = 0u64;
     let mut stopped_early = false;
+    let mut layers = LayerSeconds::default();
     let rec = StatsRecorder::new();
     // Items already folded by a previous invocation of this checkpointed
     // run: the report distinguishes resumed progress from fresh work.
@@ -283,23 +312,34 @@ fn main() {
         rec.add("stream.shards_run", 1);
         let mut stream = PtgStream::shard(args.seed, args.count, shard, args.shards, costs.clone());
         stream.skip_items(done);
-        for mut item in stream {
-            let matrix = TimeMatrix::compute(
-                &item.ptg,
-                &Amdahl,
-                cluster.speed_flops(),
-                cluster.processors,
-            );
-            let widths: Vec<u32> = (0..item.ptg.task_count())
-                .map(|_| item.rng.gen_range(1..=cluster.processors))
-                .collect();
-            let alloc = Allocation::from_vec(widths);
-            let makespan = scheduler
-                .makespan_bounded_with(&item.ptg, &matrix, &alloc, f64::INFINITY, &mut scratch)
-                .expect("infinite cutoff never rejects");
+        while let Some(mut item) = timed(&mut layers.generate, || stream.next()) {
+            let matrix = timed(&mut layers.matrix, || {
+                TimeMatrix::compute(
+                    &item.ptg,
+                    &Amdahl,
+                    cluster.speed_flops(),
+                    cluster.processors,
+                )
+            });
+            let alloc = timed(&mut layers.allocate, || {
+                Allocation::from_vec(
+                    (0..item.ptg.task_count())
+                        .map(|_| item.rng.gen_range(1..=cluster.processors))
+                        .collect(),
+                )
+            });
+            let makespan = timed(&mut layers.map, || {
+                scheduler
+                    .makespan_bounded_with(&item.ptg, &matrix, &alloc, f64::INFINITY, &mut scratch)
+                    .expect("infinite cutoff never rejects")
+            });
             cp.fold(shard, item.index, item.ptg.task_count() as u64, makespan);
             rec.add("stream.items", 1);
             rec.add("stream.tasks", item.ptg.task_count() as u64);
+            // Freeing what a layer built is part of that layer's cost.
+            timed(&mut layers.generate, || drop(item));
+            timed(&mut layers.matrix, || drop(matrix));
+            timed(&mut layers.allocate, || drop(alloc));
             processed_this_run += 1;
             since_checkpoint += 1;
             if since_checkpoint >= args.checkpoint_every {
@@ -334,6 +374,10 @@ fn main() {
         },
         fingerprint: format!("{:016x}", cp.fingerprint),
         elapsed_seconds: elapsed,
+        generate_seconds: layers.generate,
+        matrix_seconds: layers.matrix,
+        allocate_seconds: layers.allocate,
+        map_seconds: layers.map,
         throughput_ptgs_per_sec: if elapsed > 0.0 {
             processed_this_run as f64 / elapsed
         } else {

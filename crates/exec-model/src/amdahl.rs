@@ -34,6 +34,26 @@ impl ExecutionTimeModel for Amdahl {
         (task.alpha + (1.0 - task.alpha) / p as f64) * seq
     }
 
+    /// `time`'s expression per entry, with the speed check, `flop / speed`
+    /// and `1 − α` hoisted per task. `p as f64` comes from a table so the
+    /// entry loop vectorizes.
+    fn fill_matrix(&self, tasks: &[Task], speed_flops: f64, p_max: u32, out: &mut [f64]) {
+        assert!(p_max >= 1, "allocation must use at least one processor");
+        assert!(
+            speed_flops > 0.0 && speed_flops.is_finite(),
+            "processor speed must be positive"
+        );
+        assert_eq!(out.len(), tasks.len() * p_max as usize, "matrix size");
+        let ps: Vec<f64> = (1..=p_max).map(|p| p as f64).collect();
+        for (task, row) in tasks.iter().zip(out.chunks_exact_mut(ps.len())) {
+            let seq = task.flop / speed_flops;
+            let parallel = 1.0 - task.alpha;
+            for (t, &p) in row.iter_mut().zip(&ps) {
+                *t = (task.alpha + parallel / p) * seq;
+            }
+        }
+    }
+
     fn name(&self) -> &'static str {
         "amdahl"
     }

@@ -66,6 +66,27 @@ pub trait ExecutionTimeModel: Send + Sync {
     /// valid inputs and may panic on `p == 0`.
     fn time(&self, task: &Task, p: u32, speed_flops: f64) -> f64;
 
+    /// Fills the row-major `tasks.len() × p_max` matrix `out`: entry
+    /// `out[i * p_max + p - 1]` is `self.time(&tasks[i], p, speed_flops)`
+    /// for `p ∈ 1..=p_max`, bit for bit.
+    ///
+    /// The default evaluates [`time`](Self::time) per entry. Models
+    /// override it to do per-task and per-`p` work once per call; an
+    /// override must keep every entry's floating-point expression and
+    /// evaluation order, so the bits cannot change. [`TimeMatrix::compute`]
+    /// builds every matrix through this method.
+    ///
+    /// # Panics
+    /// Panics if `p_max == 0` or `out.len() != tasks.len() * p_max`.
+    fn fill_matrix(&self, tasks: &[Task], speed_flops: f64, p_max: u32, out: &mut [f64]) {
+        assert_eq!(out.len(), tasks.len() * p_max as usize, "matrix size");
+        for (task, row) in tasks.iter().zip(out.chunks_exact_mut(p_max as usize)) {
+            for (p, t) in (1..=p_max).zip(row) {
+                *t = self.time(task, p, speed_flops);
+            }
+        }
+    }
+
     /// Short human-readable model name for logs and experiment reports.
     fn name(&self) -> &'static str {
         "custom"
@@ -76,6 +97,9 @@ impl<M: ExecutionTimeModel + ?Sized> ExecutionTimeModel for &M {
     fn time(&self, task: &Task, p: u32, speed_flops: f64) -> f64 {
         (**self).time(task, p, speed_flops)
     }
+    fn fill_matrix(&self, tasks: &[Task], speed_flops: f64, p_max: u32, out: &mut [f64]) {
+        (**self).fill_matrix(tasks, speed_flops, p_max, out)
+    }
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -84,6 +108,9 @@ impl<M: ExecutionTimeModel + ?Sized> ExecutionTimeModel for &M {
 impl<M: ExecutionTimeModel + ?Sized> ExecutionTimeModel for Box<M> {
     fn time(&self, task: &Task, p: u32, speed_flops: f64) -> f64 {
         (**self).time(task, p, speed_flops)
+    }
+    fn fill_matrix(&self, tasks: &[Task], speed_flops: f64, p_max: u32, out: &mut [f64]) {
+        (**self).fill_matrix(tasks, speed_flops, p_max, out)
     }
     fn name(&self) -> &'static str {
         (**self).name()

@@ -27,17 +27,19 @@ impl TimeMatrix {
         p_max: u32,
     ) -> Self {
         assert!(p_max >= 1, "platform must have at least one processor");
-        let mut times = Vec::with_capacity(g.task_count() * p_max as usize);
-        for v in g.task_ids() {
-            let task = g.task(v);
-            for p in 1..=p_max {
-                let t = model.time(task, p, speed_flops);
-                assert!(
-                    t.is_finite() && t > 0.0,
-                    "model produced invalid time {t} for task {v} at p = {p}"
-                );
-                times.push(t);
-            }
+        let mut times = vec![0.0; g.task_count() * p_max as usize];
+        model.fill_matrix(g.tasks(), speed_flops, p_max, &mut times);
+        // Finite and > 0; NaN fails both comparisons. The non-short-circuit
+        // fold vectorizes; the first bad entry is located only on failure.
+        let valid = |t: f64| t > 0.0 && t < f64::INFINITY;
+        if !times.iter().fold(true, |ok, &t| ok & valid(t)) {
+            let i = times.iter().position(|&t| !valid(t)).expect("a bad entry");
+            let v = TaskId::from_index(i / p_max as usize);
+            let p = i % p_max as usize + 1;
+            panic!(
+                "model produced invalid time {} for task {v} at p = {p}",
+                times[i]
+            );
         }
         TimeMatrix { p_max, times }
     }
@@ -107,8 +109,12 @@ impl TimeMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Amdahl, SyntheticModel};
-    use ptg::PtgBuilder;
+    use crate::wrappers::Scaled;
+    use crate::{
+        Amdahl, Downey, Monotonized, NonMonotonicPenalty, PerTaskModel, RedistributionCost,
+        SparseTabulated, SyntheticModel, Tabulated,
+    };
+    use ptg::{PtgBuilder, Task};
 
     fn two_task_graph() -> Ptg {
         let mut b = PtgBuilder::new();
@@ -118,16 +124,143 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn matrix_matches_direct_model_evaluation() {
-        let g = two_task_graph();
-        let m = SyntheticModel::default();
-        let mat = TimeMatrix::compute(&g, &m, 2e9, 16);
-        for v in g.task_ids() {
-            for p in 1..=16 {
-                assert_eq!(mat.time(v, p), m.time(g.task(v), p, 2e9));
+    /// Independent tasks with flops over six orders of magnitude and α ∈
+    /// {0, 0.25, 1}, plus α = 0.1, whose `1 − α` is inexact: with it a
+    /// reciprocal multiply or a fused `mul_add` changes bits.
+    fn spread_graph() -> Ptg {
+        let mut b = PtgBuilder::new();
+        for alpha in [0.0, 0.25, 1.0, 0.1] {
+            for flop in [1.0e6, 3.3e8, 1.0e12] {
+                b.add_task("t", flop, alpha);
             }
         }
+        b.build().unwrap()
+    }
+
+    /// Builds `g`'s matrix through `model` at each P and compares every
+    /// entry's bits with `model.time`.
+    fn assert_matrix_is_time<M: ExecutionTimeModel + ?Sized>(label: &str, g: &Ptg, model: &M) {
+        const SPEED: f64 = 3.1e9;
+        for p_max in [1, 2, 3, 20, 120, 160] {
+            let mat = TimeMatrix::compute(g, model, SPEED, p_max);
+            for v in g.task_ids() {
+                for p in 1..=p_max {
+                    let want = model.time(g.task(v), p, SPEED);
+                    assert_eq!(
+                        mat.time(v, p).to_bits(),
+                        want.to_bits(),
+                        "{label}: task {v}, p = {p} of {p_max}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The concrete type, `dyn`, `&dyn` (the `&M` impl) and `Box<dyn>`.
+    fn assert_every_call_path<M: ExecutionTimeModel + 'static>(label: &str, model: M) {
+        let g = spread_graph();
+        assert_matrix_is_time(&format!("{label} (concrete)"), &g, &model);
+        let by_ref: &dyn ExecutionTimeModel = &model;
+        assert_matrix_is_time(&format!("{label} (dyn)"), &g, by_ref);
+        assert_matrix_is_time(&format!("{label} (&dyn)"), &g, &by_ref);
+        let boxed: Box<dyn ExecutionTimeModel> = Box::new(model);
+        assert_matrix_is_time(&format!("{label} (Box<dyn>)"), &g, &boxed);
+    }
+
+    #[test]
+    fn matrix_matches_direct_model_evaluation() {
+        let odd_factors = NonMonotonicPenalty {
+            base: Amdahl,
+            odd_penalty: 1.7,
+            sqrt_penalty: 1.05,
+        };
+        let reference = Task::new("ref", 1e9, 0.1);
+        let sampled = Tabulated::sample(&SyntheticModel::default(), &reference, 1e9, 24);
+        let sparse =
+            SparseTabulated::from_measurements(&[(1, 10.0), (4, 3.0), (16, 1.2), (64, 0.9)]);
+        let per_task = PerTaskModel::new(
+            vec![
+                Box::new(Amdahl),
+                Box::new(SyntheticModel::default()),
+                Box::new(Downey::new(4.0, 1.5)),
+            ],
+            |t| (t.alpha * 4.0) as usize,
+        );
+        assert_every_call_path("amdahl", Amdahl);
+        assert_every_call_path("synthetic", SyntheticModel::default());
+        assert_every_call_path("penalty 1.7/1.05", odd_factors);
+        assert_every_call_path(
+            "penalty over downey",
+            NonMonotonicPenalty::paper(Downey::new(8.0, 0.5)),
+        );
+        assert_every_call_path("downey", Downey::new(8.0, 0.5));
+        assert_every_call_path("tabulated", sampled);
+        assert_every_call_path("sparse tabulated", sparse);
+        assert_every_call_path("per-task", per_task);
+        assert_every_call_path(
+            "redistribution",
+            RedistributionCost::typical(SyntheticModel::default()),
+        );
+        assert_every_call_path("monotonized", Monotonized::new(SyntheticModel::default()));
+        assert_every_call_path("scaled", Scaled::new(SyntheticModel::default(), 1.7));
+    }
+
+    /// Fills every entry with 2.0 but answers 1.0 per entry, so a matrix
+    /// shows which of the two methods built it.
+    struct FillMarker;
+
+    impl ExecutionTimeModel for FillMarker {
+        fn time(&self, _: &Task, _: u32, _: f64) -> f64 {
+            1.0
+        }
+        fn fill_matrix(&self, _: &[Task], _: f64, _: u32, out: &mut [f64]) {
+            out.fill(2.0);
+        }
+    }
+
+    #[test]
+    fn references_and_boxes_forward_fill_matrix() {
+        let g = two_task_graph();
+        let by_ref: &dyn ExecutionTimeModel = &FillMarker;
+        let boxed: Box<dyn ExecutionTimeModel> = Box::new(FillMarker);
+        for mat in [
+            TimeMatrix::compute(&g, &by_ref, 1e9, 4),
+            TimeMatrix::compute(&g, &boxed, 1e9, 4),
+        ] {
+            assert_eq!(mat.time(TaskId(1), 3), 2.0);
+        }
+    }
+
+    /// Amdahl, except task "c" gets `bad` at width `p`.
+    struct BrokenAt {
+        p: u32,
+        bad: f64,
+    }
+
+    impl ExecutionTimeModel for BrokenAt {
+        fn time(&self, task: &Task, p: u32, speed_flops: f64) -> f64 {
+            if task.name == "c" && p == self.p {
+                self.bad
+            } else {
+                Amdahl.time(task, p, speed_flops)
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "model produced invalid time 0 for task v1 at p = 3")]
+    fn zero_time_panics_naming_task_and_width() {
+        let _ = TimeMatrix::compute(&two_task_graph(), &BrokenAt { p: 3, bad: 0.0 }, 1e9, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "model produced invalid time NaN for task v1 at p = 8")]
+    fn nan_time_panics_naming_task_and_width() {
+        let bad = BrokenAt {
+            p: 8,
+            bad: f64::NAN,
+        };
+        let _ = TimeMatrix::compute(&two_task_graph(), &bad, 1e9, 8);
     }
 
     #[test]

@@ -63,6 +63,18 @@ impl<M: ExecutionTimeModel> ExecutionTimeModel for NonMonotonicPenalty<M> {
         self.base.time(task, p, speed_flops) * self.penalty(p)
     }
 
+    /// The base model's matrix, each row multiplied by `penalty(1..=p_max)`
+    /// built once per call.
+    fn fill_matrix(&self, tasks: &[Task], speed_flops: f64, p_max: u32, out: &mut [f64]) {
+        self.base.fill_matrix(tasks, speed_flops, p_max, out);
+        let penalties: Vec<f64> = (1..=p_max).map(|p| self.penalty(p)).collect();
+        for row in out.chunks_exact_mut(penalties.len()) {
+            for (t, &f) in row.iter_mut().zip(&penalties) {
+                *t *= f;
+            }
+        }
+    }
+
     fn name(&self) -> &'static str {
         "synthetic"
     }

@@ -120,16 +120,9 @@ rm -f "$ONLINE_ROLLING" "$ONLINE_REACTIVE"
 echo "wrote $ONLINE_OUT:"
 cat "$ONLINE_OUT"
 
-echo "== lint smoke: full-tree emts-lint wall time"
+echo "== lint v2 smoke: workspace call-graph analysis wall time and rule hits"
 cargo build -q --offline --release -p lint
 LINT=target/release/emts-lint
-LINT_T0=$(date +%s%N)
-$LINT --deny none crates data > /dev/null
-LINT_T1=$(date +%s%N)
-LINT_WALL_MS=$(( (LINT_T1 - LINT_T0) / 1000000 ))
-echo "emts-lint over crates/ + data/: ${LINT_WALL_MS} ms"
-
-echo "== lint v2 smoke: workspace call-graph analysis wall time and rule hits"
 # The full two-pass analysis (scan + call graph + dataflow + artifact
 # cross-checks) over everything CI lints; must stay interactive-fast.
 LINT_V2_BUDGET_MS=2000
@@ -158,7 +151,7 @@ EMTS_RUN_REPORT="$PWD/$REPORT" \
     cargo bench --offline -p bench --bench emts_generation -- fitness 2>&1 | tee -a "$LOG"
 
 awk -v batch="$BATCH" -v fault_spec="$FAULT_SPEC" \
-    -v p95_fft="$P95_FFT" -v p95_irr="$P95_IRR" -v lint_wall_ms="$LINT_WALL_MS" \
+    -v p95_fft="$P95_FFT" -v p95_irr="$P95_IRR" \
     -v lint_v2_wall_ms="$LINT_V2_WALL_MS" \
     -v lint_v2_tree_findings="$LINT_V2_TREE_FINDINGS" \
     -v lint_v2_corpus_hits="$LINT_V2_CORPUS_HITS" '
@@ -226,8 +219,6 @@ awk -v batch="$BATCH" -v fault_spec="$FAULT_SPEC" \
             printf "    \"irregular_n50\": %s\n", p95_irr
             printf "  },\n"
         }
-        if (lint_wall_ms != "")
-            printf "  \"lint_wall_ms\": %d,\n", lint_wall_ms
         if (lint_v2_wall_ms != "") {
             printf "  \"lint_v2\": {\n"
             printf "    \"wall_ms\": %d,\n", lint_v2_wall_ms

@@ -104,6 +104,26 @@ STREAM_DIR=$(mktemp -d)
 # items mid-checkpoint-interval and resumed from its checkpoint: the
 # order-independent fingerprints must agree exactly.
 $STREAM --count 1000 --seed 2011 --no-probe --quiet --out "$STREAM_DIR/full.json"
+# The uninterrupted run must also reproduce the committed fingerprint: a
+# change that moved every item would still pass the comparison below.
+STREAM_FP_1K=f430e1329dd5a752
+grep -q "\"fingerprint\": \"$STREAM_FP_1K\"" "$STREAM_DIR/full.json" \
+    || { echo "stream smoke: 1k seed-2011 fingerprint is no longer $STREAM_FP_1K" >&2
+         grep '"fingerprint"' "$STREAM_DIR/full.json" >&2
+         exit 1; }
+# The four layer times must account for the wall clock within 5%.
+awk -F': ' '
+    function val(s) { s = $2; gsub(/,/, "", s); return s }
+    /"elapsed_seconds"/ { elapsed = val() }
+    /"(generate|matrix|allocate|map)_seconds"/ { layers += val(); n++ }
+    END {
+        if (n != 4 || elapsed <= 0) { print "stream smoke: layer times missing" > "/dev/stderr"; exit 1 }
+        r = layers / elapsed
+        if (r < 0.95 || r > 1.05) {
+            printf "stream smoke: layers sum to %.4f of elapsed, outside 0.95..1.05\n", r > "/dev/stderr"
+            exit 1
+        }
+    }' "$STREAM_DIR/full.json"
 $STREAM --count 1000 --seed 2011 --shards 4 --checkpoint "$STREAM_DIR/cp.json" \
     --checkpoint-every 128 --stop-after 300 --no-probe --quiet \
     --out "$STREAM_DIR/partial.json"
