@@ -1,7 +1,7 @@
-//! The component grid: every ablation and extension study as rows over
-//! one streaming corpus (see `bench::grid`). Prints one markdown table per
-//! study and writes `EXPERIMENTS_grid.json`; `--full --out .` regenerates
-//! the committed copy.
+//! The component grid: every ablation study and the model and platform
+//! sweeps as rows over one streaming corpus (see `bench::grid`). Prints
+//! one markdown table per study and writes `EXPERIMENTS_grid.json`;
+//! `--full --out .` regenerates the committed copy.
 
 use bench::{grid, output, Harness};
 

@@ -1,23 +1,21 @@
-//! The component grid: every ablation and extension study as rows of one
-//! harness. A `Study` is a named list of rows whose first row is the
-//! baseline; a `Row` is a label plus a closure `(&Ptg, seed) -> Outcome`
-//! that picks its own platform and model (Grelon and Model 2 unless the
-//! study varies them). Every row runs on every 3rd item of one DAGGEN
-//! stream grid cycle (16 PTGs each of n = 20, 50, 100 at full scale) under
-//! two EA seeds. The harness times each call; wall time is the only field
-//! of a [`GridReport`] that changes between reruns. EMTS rows evaluate
-//! serially (islands and portfolios run one thread per island or member).
+//! The component grid: every ablation study and the model and platform
+//! sweeps as rows of one harness. A `Study` is a named list of rows whose
+//! first row is the baseline; a `Row` is a label plus a closure
+//! `(&Ptg, seed) -> Outcome` that picks its own platform and model (Grelon
+//! and Model 2 unless the study varies them). Every row runs on every 3rd
+//! item of one DAGGEN stream grid cycle (16 PTGs each of n = 20, 50, 100 at
+//! full scale) under two EA seeds. The harness times each call; wall time
+//! is the only field of a [`GridReport`] that changes between reruns. Every
+//! row runs on one thread; EMTS rows evaluate serially.
 
-use emts::portfolio::{default_portfolio, run_portfolio};
-use emts::{Emts, EmtsConfig, EmtsResult, GridEmts, IslandConfig, IslandEmts};
+use emts::{Emts, EmtsConfig};
 use exec_model::{
     Amdahl, Downey, ExecutionTimeModel, PerTaskModel, RedistributionCost, SyntheticModel,
     TimeMatrix,
 };
-use heuristics::{allocate_and_map, Allocator, Hcpa, HcpaGrid, Mcpa};
+use heuristics::{allocate_and_map, Allocator, Mcpa};
 use obs::Recorder;
-use platform::grid::grid5000_pair;
-use platform::{chti, grelon, Cluster};
+use platform::{grelon, Cluster};
 use ptg::Ptg;
 use sched::{InsertionScheduler, ListScheduler, Mapper};
 use serde::Serialize;
@@ -163,42 +161,16 @@ fn emts(label: impl Into<String>, cfg: EmtsConfig) -> Row {
     emts_on(label, grelon(), model2(), cfg)
 }
 
-/// A one-shot allocator plus the list scheduler on `cluster` and `model`.
-fn heuristic_on(
-    label: impl Into<String>,
-    cluster: Cluster,
-    model: Rc<dyn ExecutionTimeModel>,
-    allocator: impl Allocator + 'static,
-) -> Row {
-    Row::new(label, move |g, _| {
-        let m = matrix(g, &cluster, &*model);
-        Outcome::new(allocate_and_map(&allocator, g, &m).1, 0, 0)
-    })
-}
-
-/// `[MCPA, EMTS5]` on `cluster` and `model`: the extension studies' pair.
+/// `[MCPA, EMTS5]` on `cluster` and `model`: each sweep study's pair.
 fn mcpa_vs_emts5(cluster: Cluster, model: Rc<dyn ExecutionTimeModel>) -> Vec<Row> {
-    vec![
-        heuristic_on("MCPA", cluster.clone(), model.clone(), Mcpa),
-        emts_on("EMTS5", cluster, model, EmtsConfig::emts5()),
-    ]
-}
-
-/// `islands` islands of (5+λ)-ES over 10 generations in 2 epochs, on
-/// Grelon, Model 2.
-fn island_model(label: &str, islands: usize, lambda: usize) -> Row {
-    let base = with(EmtsConfig::emts5(), |c| {
-        (c.lambda, c.generations) = (lambda, 10)
+    let mcpa = Row::new("MCPA", {
+        let (cluster, model) = (cluster.clone(), model.clone());
+        move |g, _| {
+            let m = matrix(g, &cluster, &*model);
+            Outcome::new(allocate_and_map(&Mcpa, g, &m).1, 0, 0)
+        }
     });
-    let island = IslandEmts::new(IslandConfig {
-        base,
-        islands,
-        epochs: 2,
-    });
-    Row::new(label, move |g, seed| {
-        let r = island.run(g, &matrix(g, &grelon(), &SyntheticModel::default()), seed);
-        Outcome::new(r.best_makespan, r.evaluations, 0)
-    })
+    vec![mcpa, emts_on("EMTS5", cluster, model, EmtsConfig::emts5())]
 }
 
 /// `cfg` with one edit applied.
@@ -211,7 +183,6 @@ fn with(mut cfg: EmtsConfig, edit: impl FnOnce(&mut EmtsConfig)) -> EmtsConfig {
 fn studies() -> Vec<Study> {
     let (e5, e10) = (EmtsConfig::emts5, EmtsConfig::emts10);
     let cold = |cfg| with(cfg, |c| c.heuristic_seeds = false);
-    let adaptive = |cfg| with(cfg, |c| c.adaptive_sigma = true);
     let reject = |slack| with(e10(), |c| (c.rejection, c.rejection_slack) = (true, slack));
     let seeding = [
         emts("seeded EMTS5 (MCPA + HCPA + Δ-CP)", e5()),
@@ -234,12 +205,6 @@ fn studies() -> Vec<Study> {
     let fm =
         [0.33, 0.1, 0.66, 1.0].map(|fm| emts(format!("f_m = {fm}"), with(e5(), |c| c.fm = fm)));
     let delta = [0.9, 0.5, 0.7, 1.0].map(|d| emts(format!("Δ = {d}"), with(e5(), |c| c.delta = d)));
-    let sigma = [
-        emts("fixed σ = 5, EMTS5", e5()),
-        emts("1/5 success rule, EMTS5", adaptive(e5())),
-        emts("fixed σ = 5, EMTS10", e10()),
-        emts("1/5 success rule, EMTS10", adaptive(e10())),
-    ];
     let rejection = [
         emts("no rejection (EMTS10)", e10()),
         emts("slack 1.0", reject(1.0)),
@@ -259,37 +224,14 @@ fn studies() -> Vec<Study> {
             Outcome::new(makespan, 0, 0)
         })
     });
-    // Equal budget: islands × λ = 100 offspring per generation over 10
-    // generations, like EMTS10's 1,010 evaluations.
-    let islands = [
-        emts("EMTS10 (one population)", e10()),
-        island_model("4 islands × (5+25), 2 epochs", 4, 25),
-        island_model("8 islands × (5+12), 2 epochs", 8, 12),
-    ];
-    let recombining = with(e10(), |c| c.crossover_prob = 0.25);
-    let crossover = [
-        emts("EMTS10", e10()),
-        emts("EMTS10 + crossover 0.25", recombining),
-    ];
-    let portfolio = Row::new("default portfolio (5 members)", |g, seed| {
-        let m = matrix(g, &grelon(), &SyntheticModel::default());
-        let p = run_portfolio(&default_portfolio(), g, &m, seed);
-        let sum = |f: fn(&EmtsResult) -> usize| p.members.iter().map(|x| f(&x.result)).sum();
-        let best = p.best().result.best_makespan;
-        Outcome::new(best, sum(|r| r.evaluations), sum(|r| r.rejected))
-    });
     let mut out = vec![
         Study::new("seeding", seeding),
         Study::new("selection", selection),
         Study::new("mutation", mutation),
         Study::new("f_m (paper: 0.33)", fm),
         Study::new("Δ (paper: 0.9)", delta),
-        Study::new("σ", sigma),
         Study::new("§VI rejection", rejection),
         Study::new("mapper", mapper),
-        Study::new("islands", islands),
-        Study::new("crossover", crossover),
-        Study::new("portfolio", [emts("EMTS10", e10()), portfolio]),
     ];
 
     let models: [(&str, Rc<dyn ExecutionTimeModel>); 5] = [
@@ -317,32 +259,6 @@ fn studies() -> Vec<Study> {
         let rows = mcpa_vs_emts5(Cluster::new(format!("p{p}"), p, 3.1), model2());
         out.push(Study::new(format!("platform: P = {p}"), rows));
     }
-
-    let grid = grid5000_pair();
-    let grid_hcpa = Row::new(format!("HCPA-grid on {}", grid.name), {
-        let grid = grid.clone();
-        move |g, _| {
-            let (_, s) = HcpaGrid.schedule(g, &SyntheticModel::default(), &grid);
-            Outcome::new(s.makespan(), 0, 0)
-        }
-    });
-    let grid_emts = Row::new(format!("grid-EMTS5 on {}", grid.name), move |g, seed| {
-        let r = GridEmts::default().run(g, &SyntheticModel::default(), &grid, seed);
-        Outcome::new(
-            r.best_makespan.min(r.hcpa_native_makespan),
-            r.evaluations,
-            0,
-        )
-    });
-    let multi_cluster = [
-        heuristic_on("HCPA on Chti", chti(), model2(), Hcpa),
-        emts_on("EMTS5 on Chti", chti(), model2(), e5()),
-        heuristic_on("HCPA on Grelon", grelon(), model2(), Hcpa),
-        emts_on("EMTS5 on Grelon", grelon(), model2(), e5()),
-        grid_hcpa,
-        grid_emts,
-    ];
-    out.push(Study::new("multi-cluster", multi_cluster));
     out
 }
 
@@ -480,17 +396,5 @@ mod tests {
             report
         });
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn island_rows_spend_emts10s_evaluation_budget() {
-        let report = tiny();
-        let study = report.studies.iter().find(|s| s.study == "islands");
-        let study = study.expect("islands study");
-        let emts10 = study.rows[0].evaluations;
-        for r in &study.rows[1..] {
-            let gap = (r.evaluations / emts10 - 1.0).abs();
-            assert!(gap <= 0.1, "{}: {} vs {emts10}", r.label, r.evaluations);
-        }
     }
 }

@@ -53,18 +53,6 @@ pub struct EmtsConfig {
     /// Draw mutation magnitudes from `U{1..=2σ}` instead of the asymmetric
     /// folded normal. Only for the mutation-operator ablation.
     pub uniform_mutation: bool,
-    /// Probability that an offspring is produced by single-point crossover
-    /// of two distinct parents' allocation vectors (GA-style, after the
-    /// GA/LSH literature) before mutation. 0.0 — the paper's pure-ES
-    /// configuration — disables recombination entirely and is the default.
-    #[serde(default)]
-    pub crossover_prob: f64,
-    /// Adapt both σ parameters online with Rechenberg's 1/5 success rule
-    /// (the classic step-size control from the evolution-strategy
-    /// literature the paper cites): after each generation, grow σ when more
-    /// than a fifth of the offspring improved on the generation-start best,
-    /// shrink it otherwise. Off by default (the paper uses fixed σ = 5).
-    pub adaptive_sigma: bool,
 }
 
 impl EmtsConfig {
@@ -108,10 +96,6 @@ impl EmtsConfig {
             self.rejection_slack >= 1.0,
             "rejection_slack below 1.0 could reject improving offspring"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.crossover_prob),
-            "crossover_prob must lie in [0, 1]"
-        );
     }
 }
 
@@ -131,9 +115,7 @@ impl Default for EmtsConfig {
             comma_selection: false,
             rejection: false,
             rejection_slack: 1.5,
-            crossover_prob: 0.0,
             uniform_mutation: false,
-            adaptive_sigma: false,
         }
     }
 }

@@ -1,7 +1,6 @@
 //! The EMTS evolution loop (§III).
 
 use crate::config::EmtsConfig;
-use crate::crossover::single_point;
 use crate::individual::{select_best, Individual};
 use crate::mutation::{mutation_count, MutationOperator};
 use crate::parallel::{EvalPool, FitnessEngine};
@@ -173,12 +172,10 @@ impl Emts {
         let v = g.task_count();
         let p_max = matrix.p_max();
         let cfg = &self.cfg;
-        // Local copy so the 1/5 success rule can adapt σ without mutating
-        // the scheduler object (runs stay independent).
-        let mut op = self.op;
+        let op = &self.op;
 
         let mut engine = FitnessEngine::new(pool);
-        let mut population = rec.time("seed", || initial_population(cfg, &op, g, matrix, &mut rng));
+        let mut population = rec.time("seed", || initial_population(cfg, op, g, matrix, &mut rng));
         let mut evaluations = population.len();
         if !warm.is_empty() {
             // Warm-start from incumbent individuals (online rolling
@@ -234,32 +231,11 @@ impl Emts {
             let m = mutation_count(u, cfg.generations, cfg.fm, v);
             // Mutation consumes the RNG on this thread only, so parallel
             // fitness evaluation cannot change the search trajectory.
-            let gen_start_best = population
-                .iter()
-                .map(|i| i.fitness)
-                .fold(f64::INFINITY, f64::min);
             let mut offspring_allocs: Vec<Allocation> = Vec::with_capacity(cfg.lambda);
             rec.time("mutate", || {
                 for _ in 0..cfg.lambda {
                     let pidx = rand::Rng::gen_range(&mut rng, 0..population.len());
-                    // Optional single-point crossover before mutation. The
-                    // outer probability guard must precede every RNG draw so
-                    // the default configuration (crossover_prob = 0.0, the
-                    // paper's pure ES) consumes the exact same stream as
-                    // before the operator existed.
-                    let mut alloc = if cfg.crossover_prob > 0.0
-                        && population.len() > 1
-                        && rand::Rng::gen_bool(&mut rng, cfg.crossover_prob)
-                    {
-                        // Second parent distinct from the first.
-                        let mut qidx = rand::Rng::gen_range(&mut rng, 0..population.len() - 1);
-                        if qidx >= pidx {
-                            qidx += 1;
-                        }
-                        single_point(&population[pidx].alloc, &population[qidx].alloc, &mut rng)
-                    } else {
-                        population[pidx].alloc.clone()
-                    };
+                    let mut alloc = population[pidx].alloc.clone();
                     op.mutate(&mut alloc, m, p_max, &mut rng);
                     offspring_allocs.push(alloc);
                 }
@@ -280,11 +256,9 @@ impl Emts {
             // Survival screen: under plus-selection an offspring whose
             // makespan exceeds the worst current parent is discarded by
             // select_best with certainty (µ parents all rank ahead of it),
-            // so evaluating past that bound is wasted work. A screened-out
-            // offspring also never counts as a 1/5-rule success (its
-            // makespan exceeds the generation-start best), so the whole
-            // trajectory — selection, σ adaptation, RNG stream — is
-            // untouched. Unsound under comma-selection, where parents die.
+            // so evaluating past that bound is wasted work, and the whole
+            // trajectory — selection, RNG stream — is untouched. Unsound
+            // under comma-selection, where parents die.
             let survival_cutoff = if cfg.comma_selection {
                 f64::INFINITY
             } else {
@@ -310,24 +284,6 @@ impl Emts {
                 })
                 .collect();
             let _select_span = rec.span("select");
-            if cfg.adaptive_sigma {
-                // Rechenberg's 1/5 success rule: an offspring counts as a
-                // success when it beats the generation-start best. The
-                // factor 1.22 ≈ e^0.2 is the classic choice; σ is kept in
-                // [0.5, P] so steps stay meaningful.
-                let successes = offspring
-                    .iter()
-                    .filter(|o| o.fitness < gen_start_best)
-                    .count();
-                let factor = if (successes as f64) > cfg.lambda as f64 / 5.0 {
-                    1.22
-                } else {
-                    1.0 / 1.22
-                };
-                op.sigma_shrink = (op.sigma_shrink * factor).clamp(0.5, p_max as f64);
-                op.sigma_stretch = (op.sigma_stretch * factor).clamp(0.5, p_max as f64);
-            }
-
             population = if cfg.comma_selection {
                 // (µ, λ): parents die; requires λ ≥ µ to sustain the
                 // population.
@@ -395,7 +351,7 @@ impl Emts {
 mod tests {
     use super::*;
     use exec_model::{Amdahl, SyntheticModel};
-    use heuristics::{allocate_and_map, Hcpa, Mcpa};
+    use heuristics::{allocate_and_map, Allocator, Hcpa, Mcpa};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use workloads::{daggen::random_ptg, fft::fft_ptg, CostConfig, DaggenParams};
@@ -515,52 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn crossover_keeps_plus_selection_guarantees_and_determinism() {
-        let (g, m) = fft_setup(true);
-        let cfg = EmtsConfig {
-            crossover_prob: 0.5,
-            ..EmtsConfig::emts5()
-        };
-        let a = Emts::new(cfg.clone()).run(&g, &m, 13);
-        let b = Emts::new(cfg).run(&g, &m, 13);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_makespan.to_bits(), b.best_makespan.to_bits());
-        assert!(a.best_makespan <= a.seed_makespan + 1e-12);
-        assert!(a.best.is_valid_for(&g, 20));
-        // Recombination must actually change the search relative to the
-        // pure ES under the same seed.
-        let pure = Emts::new(EmtsConfig::emts5()).run(&g, &m, 13);
-        assert!(
-            a.trace
-                .iter()
-                .zip(&pure.trace)
-                .any(|(x, y)| x.mean != y.mean),
-            "crossover had no effect on the trajectory"
-        );
-    }
-
-    #[test]
-    fn crossover_prob_zero_is_bit_identical_to_the_pure_es() {
-        // The guard must keep the RNG stream untouched: explicitly setting
-        // 0.0 and the default must coincide to the bit.
-        let (g, m) = fft_setup(true);
-        let base = Emts::new(EmtsConfig::emts5()).run(&g, &m, 7);
-        let zero = Emts::new(EmtsConfig {
-            crossover_prob: 0.0,
-            ..EmtsConfig::emts5()
-        })
-        .run(&g, &m, 7);
-        assert_eq!(base.best, zero.best);
-        let keys = |r: &EmtsResult| {
-            r.trace
-                .iter()
-                .map(GenerationStats::fitness_key)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(keys(&base), keys(&zero));
-    }
-
-    #[test]
     fn emts10_does_at_least_as_well_as_emts5() {
         // Same seed ⇒ EMTS10 explores a superset-quality search: not a
         // strict guarantee (different stream shapes), so compare best to
@@ -587,6 +497,44 @@ mod tests {
         assert_eq!(result.generations_run, 0);
         assert_eq!(result.evaluations, 5);
         assert_eq!(result.best_makespan, result.seed_makespan);
+    }
+
+    #[test]
+    fn warm_starts_skip_duplicate_seeds_and_carry_the_champion() {
+        // The online loop carries each epoch's plan into the next one
+        // through `warm`.
+        let (g, m) = fft_setup(true);
+        let emts = Emts::new(EmtsConfig::emts5());
+        let warm_run = |seed, warm: &Allocation| {
+            emts.run_deadline(
+                &g,
+                &m,
+                seed,
+                None,
+                std::slice::from_ref(warm),
+                &obs::NoopRecorder,
+            )
+        };
+        let keys = |r: &EmtsResult| {
+            r.trace
+                .iter()
+                .map(GenerationStats::fitness_key)
+                .collect::<Vec<_>>()
+        };
+        // A warm allocation equal to a heuristic seed is skipped: the run
+        // is bit-identical to a cold start.
+        let cold = emts.run(&g, &m, 7);
+        let duplicate = warm_run(7, &Mcpa.allocate(&g, &m));
+        assert_eq!(duplicate.best, cold.best);
+        assert_eq!(duplicate.evaluations, cold.evaluations);
+        assert_eq!(keys(&duplicate), keys(&cold));
+        // A new warm allocation costs one evaluation and joins the seed
+        // population, so the next run starts from the carried champion.
+        let first = emts.run(&g, &m, 1);
+        let second = warm_run(2, &first.best);
+        assert!(second.seed_makespan <= first.best_makespan);
+        assert!(second.best_makespan <= first.best_makespan);
+        assert_eq!(second.evaluations, emts.run(&g, &m, 2).evaluations + 1);
     }
 
     #[test]
@@ -625,41 +573,6 @@ mod tests {
             "EMTS {} should beat MCPA {}",
             result.best_makespan,
             ms_mcpa
-        );
-    }
-
-    #[test]
-    fn adaptive_sigma_keeps_plus_selection_guarantees() {
-        let (g, m) = fft_setup(true);
-        for seed in 0..4 {
-            let r = Emts::new(EmtsConfig {
-                adaptive_sigma: true,
-                ..EmtsConfig::emts10()
-            })
-            .run(&g, &m, seed);
-            assert!(r.best_makespan <= r.seed_makespan + 1e-12);
-            assert!(r.best.is_valid_for(&g, 20));
-        }
-    }
-
-    #[test]
-    fn adaptive_sigma_changes_the_search_trajectory() {
-        let (g, m) = fft_setup(true);
-        let fixed = Emts::new(EmtsConfig::emts10()).run(&g, &m, 5);
-        let adaptive = Emts::new(EmtsConfig {
-            adaptive_sigma: true,
-            ..EmtsConfig::emts10()
-        })
-        .run(&g, &m, 5);
-        // Identical until the first σ update kicks in; afterwards the
-        // mutation stream differs. The traces should not be identical.
-        assert!(
-            fixed
-                .trace
-                .iter()
-                .zip(&adaptive.trace)
-                .any(|(a, b)| a.mean != b.mean),
-            "adaptive sigma had no effect on the trajectory"
         );
     }
 

@@ -43,24 +43,16 @@
 //! ```
 
 pub mod config;
-pub mod crossover;
 pub mod ea;
-pub mod grid;
 pub mod individual;
-pub mod island;
 pub mod mutation;
 pub mod parallel;
-pub mod portfolio;
 pub mod seeds;
 pub mod trace;
 
 pub use config::EmtsConfig;
-pub use crossover::single_point;
 pub use ea::{Emts, EmtsResult};
-pub use grid::{GridEmts, GridEmtsConfig, GridEmtsResult};
 pub use individual::Individual;
-pub use island::{IslandConfig, IslandEmts, IslandResult};
 pub use mutation::MutationOperator;
 pub use parallel::{EvalPool, FitnessEngine, PoolError};
-pub use portfolio::{run_portfolio, PortfolioResult};
 pub use trace::{ConvergenceTrace, GenerationStats};

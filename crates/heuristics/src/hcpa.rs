@@ -12,8 +12,7 @@
 //! starve task parallelism by over-widening the critical path).
 //!
 //! We keep HCPA as its own type so experiment code mirrors the paper's
-//! naming, and because it is the natural seam for a future multi-cluster
-//! extension.
+//! naming.
 
 use crate::common::{run_cpa_loop, CpaLoop};
 use crate::Allocator;

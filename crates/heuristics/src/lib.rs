@@ -27,7 +27,6 @@ pub mod cpa;
 pub mod cpr;
 pub mod delta;
 pub mod hcpa;
-pub mod hcpa_grid;
 pub mod mcpa;
 pub mod mcpa2;
 pub mod trivial;
@@ -37,7 +36,6 @@ pub use cpa::Cpa;
 pub use cpr::Cpr;
 pub use delta::DeltaCritical;
 pub use hcpa::Hcpa;
-pub use hcpa_grid::HcpaGrid;
 pub use mcpa::Mcpa;
 pub use mcpa2::Mcpa2;
 pub use trivial::{AllMax, AllOne, BestSpeedup};

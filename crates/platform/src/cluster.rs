@@ -35,11 +35,6 @@ impl Cluster {
         self.speed_gflops * 1e9
     }
 
-    /// Aggregate peak performance in GFLOPS.
-    pub fn peak_gflops(&self) -> f64 {
-        self.speed_gflops * self.processors as f64
-    }
-
     /// Time to execute `flop` operations on one processor, in seconds.
     pub fn seq_time(&self, flop: f64) -> f64 {
         flop / self.speed_flops()
@@ -64,12 +59,6 @@ mod tests {
     fn speed_conversion_to_flops() {
         let c = Cluster::new("c", 4, 2.5);
         assert_eq!(c.speed_flops(), 2.5e9);
-    }
-
-    #[test]
-    fn peak_is_count_times_speed() {
-        let c = Cluster::new("c", 20, 4.3);
-        assert!((c.peak_gflops() - 86.0).abs() < 1e-9);
     }
 
     #[test]

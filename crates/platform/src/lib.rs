@@ -9,9 +9,7 @@
 
 pub mod cluster;
 pub mod file;
-pub mod grid;
 pub mod presets;
 
 pub use cluster::Cluster;
-pub use grid::Grid;
 pub use presets::{chti, grelon};

@@ -26,7 +26,6 @@ pub mod bounds;
 pub mod gantt;
 pub mod mapper;
 pub mod metrics;
-pub mod multi;
 pub mod reschedule;
 pub mod schedule;
 mod soa_heap;

@@ -6,12 +6,10 @@
 //! the mutation-operator density of Fig. 3) and fixed-width text tables for
 //! terminal reports.
 
-pub mod compare;
 pub mod histogram;
 pub mod summary;
 pub mod table;
 
-pub use compare::{median, quantile, welch_t_test, WelchTest};
 pub use histogram::Histogram;
 pub use summary::Summary;
 pub use table::TextTable;

@@ -1,15 +1,15 @@
-//! Composing workflows and racing EA configurations.
+//! Composing workflows from kernel PTGs.
 //!
 //! Real pipelines chain kernels: this example builds "Strassen, then an
 //! FFT over the result, beside an independent stencil sweep" by composing
-//! PTGs serially and in parallel, then schedules the composite with a
-//! *portfolio* of EMTS configurations racing on separate threads — the
-//! paper's future-work idea of comparing evolutionary methods, automated.
+//! PTGs serially and in parallel, then schedules the composite with MCPA
+//! and with EMTS10.
 //!
 //! Run with: `cargo run --release --example workflow_composition`
 
-use emts::portfolio::{default_portfolio, run_portfolio};
+use emts::{Emts, EmtsConfig};
 use exec_model::{SyntheticModel, TimeMatrix};
+use heuristics::{allocate_and_map, Mcpa};
 use platform::Cluster;
 use ptg::transform::{compose_parallel, compose_serial, transitive_reduction};
 use rand::SeedableRng;
@@ -47,23 +47,15 @@ fn main() {
         cluster.processors,
     );
 
-    let portfolio = default_portfolio();
-    let outcome = run_portfolio(&portfolio, &workflow, &matrix, 17);
-    println!("\nportfolio results on {cluster}:");
-    for member in &outcome.members {
-        println!(
-            "  {:<16} makespan {:>8.2} s  ({} evaluations, {:.0} ms)",
-            member.label,
-            member.result.best_makespan,
-            member.result.evaluations,
-            member.result.wall_time.as_secs_f64() * 1e3
-        );
-    }
-    let best = outcome.best();
+    let (_, mcpa) = allocate_and_map(&Mcpa, &workflow, &matrix);
+    let emts = Emts::new(EmtsConfig::emts10()).run(&workflow, &matrix, 17);
+    println!("\nschedules on {cluster}:");
+    println!("  MCPA    makespan {mcpa:>8.2} s");
     println!(
-        "\nwinner: {} at {:.2} s ({}× improvement over its seeds)",
-        best.label,
-        best.result.best_makespan,
-        format_args!("{:.3}", best.result.improvement())
+        "  EMTS10  makespan {:>8.2} s  ({} evaluations, {:.0} ms, {}× improvement over its seeds)",
+        emts.best_makespan,
+        emts.evaluations,
+        emts.wall_time.as_secs_f64() * 1e3,
+        format_args!("{:.3}", emts.improvement())
     );
 }

@@ -142,12 +142,14 @@ FP_RESUMED=$(grep '"fingerprint"' "$STREAM_DIR/resumed.json")
          exit 1; }
 rm -rf "$STREAM_DIR"
 
-echo "== component grid smoke: every ablation and extension study runs at 5% scale"
+echo "== component grid: a full rerun reproduces the committed EXPERIMENTS_grid.json"
 cargo build -q --offline --release -p bench --bin grid
 GRID_DIR=$(mktemp -d)
-target/release/grid --scale 0.05 --quiet --out "$GRID_DIR"
-grep -q '"studies"' "$GRID_DIR/EXPERIMENTS_grid.json" \
-    || { echo "grid smoke: no report written" >&2; exit 1; }
+target/release/grid --full --quiet --out "$GRID_DIR"
+# Every row runs serially, so every field but the wall times is deterministic.
+diff <(grep -v wall_seconds "$GRID_DIR/EXPERIMENTS_grid.json") \
+     <(grep -v wall_seconds EXPERIMENTS_grid.json) \
+    || { echo "grid: the rerun differs from the committed EXPERIMENTS_grid.json" >&2; exit 1; }
 rm -rf "$GRID_DIR"
 
 echo "== fault smoke: seeded injection is reproducible, fault-free replay is bit-identical"

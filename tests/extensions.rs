@@ -1,9 +1,8 @@
-//! Integration coverage for the extension APIs: portfolios, islands,
-//! BiCPA, CPR, model fitting, sparse interpolation and graph contraction —
-//! each exercised end-to-end against the core pipeline.
+//! Integration coverage for the extension APIs: BiCPA, CPR, model fitting,
+//! sparse interpolation and graph contraction — each exercised end-to-end
+//! against the core pipeline.
 
-use emts::portfolio::{default_portfolio, run_portfolio};
-use emts::{Emts, EmtsConfig, IslandConfig, IslandEmts};
+use emts::{Emts, EmtsConfig};
 use exec_model::fit::fit_amdahl_to_model;
 use exec_model::{Amdahl, ExecutionTimeModel, SparseTabulated, SyntheticModel, TimeMatrix};
 use heuristics::bicpa::{pareto_front, tradeoff_curve};
@@ -28,29 +27,6 @@ fn sample(n: usize, seed: u64) -> ptg::Ptg {
         &CostConfig::default(),
         &mut ChaCha8Rng::seed_from_u64(seed),
     )
-}
-
-#[test]
-fn portfolio_winner_beats_every_heuristic_baseline() {
-    let g = sample(40, 1);
-    let m = TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, 40);
-    let outcome = run_portfolio(&default_portfolio(), &g, &m, 5);
-    let (_, mcpa) = allocate_and_map(&Mcpa, &g, &m);
-    assert!(outcome.best().result.best_makespan <= mcpa + 1e-9);
-}
-
-#[test]
-fn island_results_map_to_reproducible_makespans() {
-    let g = sample(40, 2);
-    let m = TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, 40);
-    let result = IslandEmts::new(IslandConfig {
-        islands: 2,
-        epochs: 2,
-        base: EmtsConfig::emts5(),
-    })
-    .run(&g, &m, 3);
-    let remapped = ListScheduler.makespan(&g, &m, &result.best);
-    assert!((remapped - result.best_makespan).abs() <= 1e-9 * remapped);
 }
 
 #[test]
