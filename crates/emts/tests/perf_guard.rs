@@ -8,8 +8,9 @@
 //!   compiled-out (`NoopRecorder`) mapper loop,
 //! * the SoA grouped core (packed `u128` heaps, CSR adjacency) must beat
 //!   the retained pre-refactor oracle core by a clear margin,
-//! * the CPA allocation loop behind MCPA and HCPA (one prefix bottom-level
-//!   sweep per step) must beat the retained two-pass reference loop.
+//! * the CPA allocation loop behind MCPA and HCPA (one prefix sweep per
+//!   step that also yields the critical path) must beat the retained
+//!   two-pass reference loop.
 //!
 //! `#[ignore]` because wall clock in a debug build is meaningless —
 //! `scripts/ci.sh` runs them with `cargo test --release -- --ignored`.
@@ -213,11 +214,14 @@ fn soa_core_is_faster_than_the_reference_oracle() {
 #[ignore = "wall-clock guard; run in release via scripts/ci.sh"]
 fn cpa_loop_is_faster_than_the_reference() {
     const ROUNDS: usize = 5;
-    // The prefix sweep measures 2.8–3.2× over the two-pass loop on the
-    // whole Grelon corpus; 1.8× is what a single full sweep into a reused
-    // buffer reaches, so the guard fails if the loop falls back to that or
-    // to anything slower.
-    const REQUIRED_SPEEDUP: f64 = 1.8;
+    // One sweep per step that also yields each task's heaviest successor
+    // measures 3.2–5.7× over the two-pass loop (two sets of 20
+    // back-to-back release runs on a 2-vCPU host, medians 4.25× and
+    // 4.0×); the reference gains from the non-NaN bottom-level fold too.
+    // The previous loop, which re-scanned successors to walk the critical
+    // path, measured 2.9–3.2× on the same host. 3.0× is the highest floor
+    // that passed every run.
+    const REQUIRED_SPEEDUP: f64 = 3.0;
 
     // Every sixth item of one cycle of the paper's DAGGEN grid: 24 graphs
     // covering n = 20, 50 and 100 and every shape.
@@ -239,13 +243,8 @@ fn cpa_loop_is_faster_than_the_reference() {
 
     let fast = |g: &ptg::Ptg, m: &TimeMatrix| (Mcpa.allocate(g, m), Hcpa.allocate(g, m));
     let reference = |g: &ptg::Ptg, m: &TimeMatrix| {
-        let rule = Mcpa::growth_rule(g, m.p_max());
-        let mcpa = CpaLoop {
-            may_grow: &rule,
-            stop_on_no_gain: false,
-        };
         (
-            run_cpa_loop_reference(g, m, &mcpa),
+            run_cpa_loop_reference(g, m, &Mcpa::cpa_loop()),
             run_cpa_loop_reference(g, m, &CpaLoop::default()),
         )
     };

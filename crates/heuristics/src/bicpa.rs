@@ -16,7 +16,7 @@
 use crate::common::{run_cpa_loop, CpaLoop};
 use crate::Allocator;
 use exec_model::TimeMatrix;
-use ptg::{Ptg, TaskId};
+use ptg::Ptg;
 use sched::{Allocation, ListScheduler, Mapper};
 
 /// One point of the trade-off curve.
@@ -37,15 +37,11 @@ pub fn tradeoff_curve(g: &Ptg, matrix: &TimeMatrix) -> Vec<TradeoffPoint> {
     let p_total = matrix.p_max();
     (1..=p_total)
         .map(|cap| {
-            let may_grow = move |alloc: &Allocation, v: TaskId| alloc.of(v) < cap;
-            let allocation = run_cpa_loop(
-                g,
-                matrix,
-                &CpaLoop {
-                    may_grow: &may_grow,
-                    stop_on_no_gain: false,
-                },
-            );
+            let capped = CpaLoop {
+                caps: Some(vec![cap; g.task_count()]),
+                ..CpaLoop::default()
+            };
+            let allocation = run_cpa_loop(g, matrix, &capped);
             let makespan = ListScheduler.makespan(g, matrix, &allocation);
             let times = matrix.times_for(allocation.as_slice());
             let work = allocation.work_area(&times);

@@ -4,47 +4,60 @@
 //! start every task at one processor and, while the critical-path length
 //! `T_CP` exceeds the average area `T_A = (1/P) Σ_v s(v)·T(v, s(v))`, give
 //! one more processor to the critical-path task whose *time-per-processor*
-//! benefits most. The variants differ only in which tasks are allowed to
-//! grow, so the loop takes a growth-constraint callback.
+//! benefits most. The variants differ only in which tasks may grow, and
+//! [`CpaLoop`] states that as data: a per-task cap (MCPA2, BiCPA) and
+//! MCPA's level bound.
 //!
 //! **Per-step cost.** One +1 step changes one task's time, so only that task
 //! and its ancestors get new bottom levels, and all of them precede it in
-//! topological order. The loop keeps the bottom levels in one buffer and
-//! re-sweeps just that topological prefix (`bottom_levels_prefix_into`),
-//! then reads `T_CP` and the critical path off the same buffer. Each task's
-//! gain is cached until the task grows. The test oracle
-//! [`run_cpa_loop_reference`] instead runs two full bottom-level passes per
-//! step (one for `T_CP`, one inside `critical_path`) and recomputes every
-//! candidate's gain; every value and comparison is bitwise the same in
-//! both, so their allocations are identical.
+//! topological order. The loop copies the successor lists once per call
+//! into an arena laid out in topological order, each list sorted by task
+//! id, and per step re-sweeps just the topological prefix that ends at the
+//! grown task. That one sweep yields everything the step reads:
+//!
+//! * each swept task's bottom level, folded with a plain `>` (bottom levels
+//!   are finite and ≥ 0, which the sweep asserts, so the value is
+//!   `f64::max`'s);
+//! * its heaviest successor — the first strict maximum of an id-sorted
+//!   list, so the largest bottom level with the smallest id, which is
+//!   [`critical_path`]'s tie-break.
+//!
+//! One pass over the sources gives `T_CP` and the first task of the
+//! critical path, and the rest of the path is a pointer walk over the
+//! heaviest successors. Each task's gain is cached until the task grows;
+//! MCPA's level sums are exact integers kept up to date; `Σ s·t` is kept
+//! incrementally with a bound on its rounding error, and only when `T_CP`
+//! lies within that bound of `T_A` does the loop recompute the in-order
+//! sum and decide on it. So every stop test is the exact one.
+//!
+//! The test oracle [`run_cpa_loop_reference`] instead runs two full
+//! bottom-level passes per step (one for `T_CP`, one inside
+//! `critical_path`), recomputes every candidate's gain, the level sums and
+//! the area; every value and comparison is bitwise the same in both, so
+//! their allocations are identical.
 
 use exec_model::TimeMatrix;
-use ptg::critpath::{
-    bottom_levels, bottom_levels_into, bottom_levels_prefix_into, critical_path, critical_path_walk,
-};
+use ptg::critpath::{bottom_levels, critical_path};
+use ptg::levels::PrecedenceLevels;
 use ptg::topo::topo_positions;
 use ptg::{Ptg, TaskId};
 use sched::Allocation;
 
-/// Configuration of the shared CPA loop.
-pub struct CpaLoop<'a> {
-    /// Permits task `v` to grow from its current allocation (checked before
-    /// each increment). MCPA uses this for its per-level bound; plain CPA
-    /// always returns true.
-    pub may_grow: &'a dyn Fn(&Allocation, TaskId) -> bool,
+/// Configuration of the shared CPA loop: which tasks may grow, and whether
+/// a step that gains nothing stops it.
+#[derive(Debug, Clone, Default)]
+pub struct CpaLoop {
+    /// Per-task allocation caps, indexed by task id: task `v` grows only
+    /// while `s(v) < caps[v]`. `None` caps every task at the platform size
+    /// `P`. MCPA2 passes its work shares, BiCPA one uniform cap.
+    pub caps: Option<Vec<u32>>,
+    /// MCPA's level bound: a task grows only while the total allocation of
+    /// its precedence level is below `P`.
+    pub level_bound: bool,
     /// If true, the loop also stops when the best achievable gain is zero or
     /// negative (useful under non-monotonic models; the classic algorithms
     /// do not check this because monotonic models always gain).
     pub stop_on_no_gain: bool,
-}
-
-impl Default for CpaLoop<'_> {
-    fn default() -> Self {
-        CpaLoop {
-            may_grow: &|_, _| true,
-            stop_on_no_gain: false,
-        }
-    }
 }
 
 /// The gain CPA attributes to growing task `v` by one processor: the drop in
@@ -54,23 +67,151 @@ pub fn cpa_gain(matrix: &TimeMatrix, v: TaskId, s: u32) -> f64 {
     matrix.time(v, s) / s as f64 - matrix.time(v, s + 1) / (s + 1) as f64
 }
 
+/// Marks a task without successors in the heaviest-successor table.
+const NO_TASK: u32 = u32::MAX;
+
+/// The successor lists in one arena, laid out in topological order, each
+/// list sorted by task id.
+struct Successors {
+    /// `order[i]` is the task at topological position `i`.
+    order: Vec<u32>,
+    /// The successors of `order[i]` are `succ[off[i]..off[i + 1]]`.
+    off: Vec<u32>,
+    succ: Vec<u32>,
+}
+
+impl Successors {
+    fn new(g: &Ptg) -> Self {
+        let csr = g.csr();
+        let order: Vec<u32> = g.topo_order().iter().map(|v| v.0).collect();
+        let mut off = Vec::with_capacity(order.len() + 1);
+        let mut succ = Vec::with_capacity(g.edge_count());
+        off.push(0);
+        for &v in &order {
+            let start = succ.len();
+            succ.extend_from_slice(csr.successors(v));
+            succ[start..].sort_unstable();
+            off.push(succ.len() as u32);
+        }
+        Successors { order, off, succ }
+    }
+
+    /// Re-sweeps topological positions `last..=0`: the bottom level `bl` and
+    /// heaviest successor `heavy` (or [`NO_TASK`]) of each task there.
+    // lint:hot-path
+    fn sweep(&self, last: usize, times: &[f64], bl: &mut [f64], heavy: &mut [u32]) {
+        for i in (0..=last).rev() {
+            let list = &self.succ[self.off[i] as usize..self.off[i + 1] as usize];
+            let (down, best) = match list.split_first() {
+                Some((&first, rest)) => {
+                    let (mut down, mut best) = (bl[first as usize], first);
+                    for &s in rest {
+                        let level = bl[s as usize];
+                        if level > down {
+                            (down, best) = (level, s);
+                        }
+                    }
+                    (down, best)
+                }
+                None => (0.0, NO_TASK),
+            };
+            let v = self.order[i] as usize;
+            let level = times[v] + down;
+            // NaN fails this too, so no NaN ever reaches a comparison above.
+            assert!(level >= 0.0, "bottom levels are finite and non-negative");
+            bl[v] = level;
+            heavy[v] = best;
+        }
+    }
+}
+
+/// `Σ s(v)·t(v)` kept incrementally, with a bound on how far the running
+/// sum may lie from the in-order sum [`Allocation::work_area`] computes.
+#[derive(Debug, Clone, Copy)]
+struct WorkArea {
+    /// The running sum.
+    sum: f64,
+    /// Bound on `|sum − S|`, where `S` is the exact real sum of the float
+    /// products `s(v)·t(v)` that `work_area` adds up.
+    err: f64,
+    /// Task count: the in-order sum lies within `n·ε·S` of `S`.
+    n: f64,
+}
+
+impl WorkArea {
+    fn exact(alloc: &Allocation, times: &[f64]) -> Self {
+        let sum = alloc.work_area(times);
+        let n = times.len() as f64;
+        WorkArea {
+            sum,
+            err: n * f64::EPSILON * sum,
+            n,
+        }
+    }
+
+    /// A task went from `s − 1` processors at `old` seconds to `s` at
+    /// `new`. The difference and the addition each round by at most `ε/2`
+    /// of their result.
+    fn grow(&mut self, s: u32, old: f64, new: f64) {
+        let d = s as f64 * new - (s - 1) as f64 * old;
+        self.sum += d;
+        self.err += f64::EPSILON * (d.abs() + self.sum.abs());
+    }
+
+    /// The stop test `t_cp <= work_area / p`, decided exactly: from the
+    /// running sum when `t_cp` lies clear of its error interval, and
+    /// otherwise from the in-order sum, which this then resumes from.
+    fn covers(&mut self, t_cp: f64, p: u32, alloc: &Allocation, times: &[f64]) -> bool {
+        let p = p as f64;
+        // Twice the bounds on `|sum − S|` and `|work_area − S|`. Rounding is
+        // monotone, so the two quotients below bracket `work_area / p`.
+        let slack = 2.0 * (self.err + self.n * f64::EPSILON * (self.sum + self.err));
+        if t_cp <= (self.sum - slack) / p {
+            return true;
+        }
+        if t_cp > (self.sum + slack) / p {
+            return false;
+        }
+        *self = WorkArea::exact(alloc, times);
+        t_cp <= self.sum / p
+    }
+}
+
 /// Runs the CPA allocation loop and returns the final allocation.
 ///
 /// Terminates because every iteration increases the total allocation by one
 /// and each task is capped at `P`, so at most `V · (P − 1)` iterations run.
-/// Each iteration costs one bottom-level sweep over the topological prefix
-/// that ends at the task it grew (see the module docs).
-pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop<'_>) -> Allocation {
+/// Each iteration costs one sweep over the topological prefix that ends at
+/// the task it grew, a pass over the sources and a walk along the critical
+/// path (see the module docs).
+///
+/// # Panics
+/// Panics if `cfg.caps` does not hold one cap per task.
+pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
+    let n = g.task_count();
     let p_total = matrix.p_max();
-    let mut alloc = Allocation::ones(g.task_count());
-    let mut times = matrix.times_for(alloc.as_slice());
-    let topo_pos = topo_positions(g);
+    let limit: Vec<u32> = match &cfg.caps {
+        Some(caps) => {
+            assert_eq!(caps.len(), n, "one cap per task");
+            caps.iter().map(|&c| c.min(p_total)).collect()
+        }
+        None => vec![p_total; n],
+    };
+    // MCPA's bound reads each level's total allocation, kept exact.
+    let levels = PrecedenceLevels::compute(g);
+    let level: Vec<usize> = g.task_ids().map(|v| levels.level_of(v)).collect();
+    let mut level_sum: Vec<u32> = levels.iter().map(|(_, tasks)| tasks.len() as u32).collect();
+    let arena = Successors::new(g);
+    let pos = topo_positions(g);
     let sources = g.csr().sources();
-    let mut bl = Vec::new();
-    bottom_levels_into(g, &times, &mut bl);
+    let mut alloc = Allocation::ones(n);
+    let mut times = matrix.times_for(alloc.as_slice());
+    let mut area = WorkArea::exact(&alloc, &times);
+    let (mut bl, mut heavy) = (vec![0.0; n], vec![NO_TASK; n]);
+    arena.sweep(n - 1, &times, &mut bl, &mut heavy);
     // A task's gain depends only on its own allocation, so it is computed
     // once per allocation and reused until the task grows again. Tasks at
-    // `P` never become candidates, so their entry is never read.
+    // their cap never become candidates, so their entry is never read.
     let gain_at = |v: TaskId, s: u32| {
         if s < p_total {
             cpa_gain(matrix, v, s)
@@ -81,41 +222,68 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop<'_>) -> Allocati
     let mut gains: Vec<f64> = g.task_ids().map(|v| gain_at(v, 1)).collect();
     loop {
         // Every task's bottom level is at most some source's, so the max
-        // over the sources is the max over all tasks, bit for bit.
-        let t_cp = sources
-            .iter()
-            .map(|&s| bl[s as usize])
-            .fold(0.0f64, f64::max);
-        let t_a = alloc.work_area(&times) / p_total as f64;
-        if t_cp <= t_a {
+        // over the sources is `T_CP`; the first source reaching it (the
+        // smallest id) starts the critical path.
+        let mut cur = sources[0];
+        let mut t_cp = bl[cur as usize];
+        for &s in &sources[1..] {
+            if bl[s as usize] > t_cp {
+                (cur, t_cp) = (s, bl[s as usize]);
+            }
+        }
+        if area.covers(t_cp, p_total, &alloc, &times) {
             break;
         }
-        // Candidates: tasks on the current critical path that can still grow.
-        let best = critical_path_walk(g, &bl)
-            .filter(|&v| alloc.of(v) < p_total && (cfg.may_grow)(&alloc, v))
-            .map(|v| (v, gains[v.index()]))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains are finite"));
+        // Candidates: tasks on the current critical path that can still
+        // grow. Gains are finite (the matrix holds finite times), and on
+        // equal gains the later task wins, as in `Iterator::max_by`.
+        let mut best: Option<(usize, f64)> = None;
+        while cur != NO_TASK {
+            let v = cur as usize;
+            let grows = alloc.as_slice()[v] < limit[v]
+                && (!cfg.level_bound || level_sum[level[v]] < p_total);
+            if grows && best.is_none_or(|(_, b)| gains[v] >= b) {
+                best = Some((v, gains[v]));
+            }
+            cur = heavy[v];
+        }
         let Some((v, gain)) = best else {
             break; // nothing on the critical path may grow
         };
         if cfg.stop_on_no_gain && gain <= 0.0 {
             break;
         }
-        let s = alloc.of(v) + 1;
-        alloc.set(v, s);
-        times[v.index()] = matrix.time(v, s);
-        gains[v.index()] = gain_at(v, s);
-        bottom_levels_prefix_into(g, &times, topo_pos[v.index()] as usize + 1, &mut bl);
+        let task = TaskId::from_index(v);
+        let s = alloc.of(task) + 1;
+        alloc.set(task, s);
+        let time = matrix.time(task, s);
+        area.grow(s, times[v], time);
+        times[v] = time;
+        gains[v] = gain_at(task, s);
+        level_sum[level[v]] += 1;
+        arena.sweep(pos[v] as usize, &times, &mut bl, &mut heavy);
     }
     alloc
 }
 
-/// The CPA loop as first written: two full bottom-level passes and four
-/// fresh vectors per step. Kept only as the oracle that pins
-/// [`run_cpa_loop`]'s output bit for bit; not for production use.
+/// The CPA loop as first written: two full bottom-level passes, four fresh
+/// vectors and, under MCPA's bound, a freshly summed level total per step. Kept
+/// only as the oracle that pins [`run_cpa_loop`]'s output bit for bit; not
+/// for production use.
 #[doc(hidden)]
-pub fn run_cpa_loop_reference(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop<'_>) -> Allocation {
+pub fn run_cpa_loop_reference(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
     let p_total = matrix.p_max();
+    let levels = PrecedenceLevels::compute(g);
+    let may_grow = |alloc: &Allocation, v: TaskId| {
+        let s = alloc.of(v);
+        let level_sum = || -> u32 {
+            let tasks = levels.tasks_on_level(levels.level_of(v));
+            tasks.iter().map(|&w| alloc.of(w)).sum()
+        };
+        s < p_total
+            && cfg.caps.as_ref().is_none_or(|caps| s < caps[v.index()])
+            && (!cfg.level_bound || level_sum() < p_total)
+    };
     let mut alloc = Allocation::ones(g.task_count());
     let mut times = matrix.times_for(alloc.as_slice());
     loop {
@@ -129,7 +297,7 @@ pub fn run_cpa_loop_reference(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop<'_>) -
         let cp = critical_path(g, &times);
         let best = cp
             .into_iter()
-            .filter(|&v| alloc.of(v) < p_total && (cfg.may_grow)(&alloc, v))
+            .filter(|&v| may_grow(&alloc, v))
             .map(|v| (v, cpa_gain(matrix, v, alloc.of(v))))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains are finite"));
         let Some((v, gain)) = best else {
@@ -233,13 +401,96 @@ mod tests {
     fn growth_constraint_is_respected() {
         let g = chain();
         let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 8);
-        let cap = |alloc: &Allocation, v: TaskId| alloc.of(v) < 3;
         let cfg = CpaLoop {
-            may_grow: &cap,
-            stop_on_no_gain: false,
+            caps: Some(vec![3, 3]),
+            ..CpaLoop::default()
         };
         let alloc = run_cpa_loop(&g, &m, &cfg);
-        assert!(alloc.as_slice().iter().all(|&s| s <= 3), "{alloc:?}");
+        assert_eq!(alloc.as_slice(), &[3, 3]);
+        assert_eq!(alloc, run_cpa_loop_reference(&g, &m, &cfg));
+    }
+
+    #[test]
+    #[should_panic(expected = "one cap per task")]
+    fn caps_must_cover_every_task() {
+        let g = chain();
+        let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 8);
+        let cfg = CpaLoop {
+            caps: Some(vec![3]),
+            ..CpaLoop::default()
+        };
+        run_cpa_loop(&g, &m, &cfg);
+    }
+
+    #[test]
+    fn equal_levels_break_toward_the_smaller_id_on_unsorted_lists() {
+        // A source fanning out to four tasks of equal cost, its edges
+        // inserted in descending id order, so the builder's successor list
+        // is not sorted by id. Sequential times do not depend on α, so the
+        // fan's bottom levels tie while their gains differ: a walk that
+        // took the wrong tied task would grow a different one.
+        let mut b = PtgBuilder::new();
+        let src = b.add_task("src", 4e9, 0.1);
+        let fan: Vec<TaskId> = [0.05, 0.1, 0.2, 0.3]
+            .iter()
+            .enumerate()
+            .map(|(i, &alpha)| b.add_task(format!("w{i}"), 8e9, alpha))
+            .collect();
+        for &w in fan.iter().rev() {
+            b.add_edge(src, w).unwrap();
+        }
+        let g = b.build().unwrap();
+        for p in 2..=32u32 {
+            let m = TimeMatrix::compute(&g, &Amdahl, 1e9, p);
+            for cfg in [
+                CpaLoop::default(),
+                CpaLoop {
+                    level_bound: true,
+                    ..CpaLoop::default()
+                },
+            ] {
+                assert_eq!(
+                    run_cpa_loop(&g, &m, &cfg),
+                    run_cpa_loop_reference(&g, &m, &cfg),
+                    "P = {p}, {cfg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stop_test_is_exact_next_to_the_area_bound() {
+        // After many increments the running sum has drifted from the
+        // in-order sum; T_CP one ulp either side of T_A must still get the
+        // in-order answer.
+        let times0: Vec<f64> = (0..50).map(|i| 0.1 + (i % 7) as f64 / 3.0).collect();
+        let mut alloc = Allocation::ones(times0.len());
+        let mut times = times0.clone();
+        let mut area = WorkArea::exact(&alloc, &times);
+        for step in 0..2000usize {
+            let v = TaskId::from_index(step * 31 % times.len());
+            let s = alloc.of(v) + 1;
+            let new = times0[v.index()] / s as f64 + 1e-3;
+            alloc.set(v, s);
+            area.grow(s, times[v.index()], new);
+            times[v.index()] = new;
+            let t_a = alloc.work_area(&times) / 7.0;
+            for t_cp in [
+                0.5 * t_a,
+                f64::from_bits(t_a.to_bits() - 1),
+                t_a,
+                f64::from_bits(t_a.to_bits() + 1),
+                2.0 * t_a,
+            ] {
+                // A copy, so a recompute does not reset the drift.
+                let mut probe = area;
+                assert_eq!(
+                    probe.covers(t_cp, 7, &alloc, &times),
+                    t_cp <= t_a,
+                    "step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! critical path (by widening its most profitable task) until the average
 //! area — total work spread over all `P` processors — dominates. Complexity
 //! O(V(V+E)P), as cited in the paper's §III-E: at most `V·(P−1)` steps of
-//! O(V+E) each. Here a step re-sweeps only the bottom levels of the
-//! topological prefix that ends at the task it grew, one partial pass
-//! instead of two full ones (see [`crate::common`]).
+//! O(V+E) each. Here a step re-sweeps only the topological prefix that ends
+//! at the task it grew, and that one partial pass also yields each swept
+//! task's heaviest successor, so the critical path is a pointer walk
+//! instead of a second pass (see [`crate::common`]).
 
 use crate::common::{run_cpa_loop, CpaLoop};
 use crate::Allocator;

@@ -9,12 +9,15 @@
 //! platform. This prevents CPA's classic failure mode on regular PTGs,
 //! where the critical path swallows the machine and concurrent tasks
 //! serialize behind it.
+//!
+//! The bound is a limit of the shared loop, [`CpaLoop::level_bound`]: the
+//! loop keeps each level's total allocation as an exact integer and checks
+//! it for each critical-path candidate.
 
 use crate::common::{run_cpa_loop, CpaLoop};
 use crate::Allocator;
 use exec_model::TimeMatrix;
-use ptg::levels::PrecedenceLevels;
-use ptg::{Ptg, TaskId};
+use ptg::Ptg;
 use sched::Allocation;
 
 /// The MCPA allocation procedure.
@@ -22,33 +25,19 @@ use sched::Allocation;
 pub struct Mcpa;
 
 impl Mcpa {
-    /// MCPA's growth rule on `g` with `p_total` processors, as a
-    /// [`CpaLoop::may_grow`] callback: a task may grow while the total
-    /// allocation of its precedence level is below `p_total`.
-    pub fn growth_rule(g: &Ptg, p_total: u32) -> impl Fn(&Allocation, TaskId) -> bool {
-        let levels = PrecedenceLevels::compute(g);
-        move |alloc: &Allocation, v: TaskId| {
-            let level = levels.level_of(v);
-            let level_sum: u32 = levels
-                .tasks_on_level(level)
-                .iter()
-                .map(|&w| alloc.of(w))
-                .sum();
-            level_sum < p_total
+    /// The [`CpaLoop`] MCPA runs: CPA under the level bound, which the loop
+    /// keeps as exact per-level sums.
+    pub fn cpa_loop() -> CpaLoop {
+        CpaLoop {
+            level_bound: true,
+            ..CpaLoop::default()
         }
     }
 }
 
 impl Allocator for Mcpa {
     fn allocate(&self, g: &Ptg, matrix: &TimeMatrix) -> Allocation {
-        run_cpa_loop(
-            g,
-            matrix,
-            &CpaLoop {
-                may_grow: &Mcpa::growth_rule(g, matrix.p_max()),
-                stop_on_no_gain: false,
-            },
-        )
+        run_cpa_loop(g, matrix, &Mcpa::cpa_loop())
     }
 
     fn name(&self) -> &'static str {
@@ -62,7 +51,8 @@ mod tests {
     use crate::allocate_and_map;
     use crate::hcpa::Hcpa;
     use exec_model::Amdahl;
-    use ptg::PtgBuilder;
+    use ptg::levels::PrecedenceLevels;
+    use ptg::{PtgBuilder, TaskId};
 
     /// A wide layered PTG: src → 8 equal workers → sink.
     fn wide(workers: usize) -> Ptg {

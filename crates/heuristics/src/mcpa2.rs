@@ -17,12 +17,15 @@
 //!    `ceil(P · flop(v) / Σ_{w ∈ l} flop(w))`, so light co-level tasks keep
 //!    enough processors to run concurrently while heavy ones may widen
 //!    beyond the uniform `P / c_l` share.
+//!
+//! Both are limits of the shared loop: the work shares are computed once
+//! as [`CpaLoop::caps`], and the level bound is [`CpaLoop::level_bound`].
 
 use crate::common::{run_cpa_loop, CpaLoop};
 use crate::Allocator;
 use exec_model::TimeMatrix;
 use ptg::levels::PrecedenceLevels;
-use ptg::{Ptg, TaskId};
+use ptg::Ptg;
 use sched::Allocation;
 
 /// The MCPA2-style allocation procedure.
@@ -30,45 +33,29 @@ use sched::Allocation;
 pub struct Mcpa2;
 
 impl Mcpa2 {
-    /// MCPA2's growth rule on `g` with `p_total` processors, as a
-    /// [`CpaLoop::may_grow`] callback: MCPA's level bound plus each task's
-    /// work-proportional cap.
-    pub fn growth_rule(g: &Ptg, p_total: u32) -> impl Fn(&Allocation, TaskId) -> bool {
+    /// The [`CpaLoop`] MCPA2 runs on `g` with `p_total` processors: MCPA's
+    /// level bound plus each task's work-proportional cap.
+    pub fn cpa_loop(g: &Ptg, p_total: u32) -> CpaLoop {
         let levels = PrecedenceLevels::compute(g);
-        // Per-task work-proportional cap, computed once.
-        let mut cap = vec![1u32; g.task_count()];
+        let mut caps = vec![1u32; g.task_count()];
         for (_, tasks) in levels.iter() {
             let level_work: f64 = tasks.iter().map(|&v| g.task(v).flop).sum();
             for &v in tasks {
                 let share = g.task(v).flop / level_work;
-                cap[v.index()] = (((p_total as f64) * share).ceil() as u32).clamp(1, p_total);
+                caps[v.index()] = (((p_total as f64) * share).ceil() as u32).clamp(1, p_total);
             }
         }
-        move |alloc: &Allocation, v: TaskId| {
-            if alloc.of(v) >= cap[v.index()] {
-                return false;
-            }
-            let level = levels.level_of(v);
-            let level_sum: u32 = levels
-                .tasks_on_level(level)
-                .iter()
-                .map(|&w| alloc.of(w))
-                .sum();
-            level_sum < p_total
+        CpaLoop {
+            caps: Some(caps),
+            level_bound: true,
+            stop_on_no_gain: false,
         }
     }
 }
 
 impl Allocator for Mcpa2 {
     fn allocate(&self, g: &Ptg, matrix: &TimeMatrix) -> Allocation {
-        run_cpa_loop(
-            g,
-            matrix,
-            &CpaLoop {
-                may_grow: &Mcpa2::growth_rule(g, matrix.p_max()),
-                stop_on_no_gain: false,
-            },
-        )
+        run_cpa_loop(g, matrix, &Mcpa2::cpa_loop(g, matrix.p_max()))
     }
 
     fn name(&self) -> &'static str {

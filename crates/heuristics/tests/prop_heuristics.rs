@@ -5,7 +5,8 @@ use heuristics::common::{run_cpa_loop, run_cpa_loop_reference, CpaLoop};
 use heuristics::{Allocator, BestSpeedup, Cpa, DeltaCritical, Hcpa, Mcpa, Mcpa2};
 use proptest::prelude::*;
 use ptg::levels::PrecedenceLevels;
-use rand::SeedableRng;
+use ptg::{Ptg, PtgBuilder, TaskId};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use workloads::daggen::{random_ptg, DaggenParams};
 use workloads::CostConfig;
@@ -35,6 +36,30 @@ fn scenario() -> impl Strategy<Value = (DaggenParams, u64, u32)> {
         })
 }
 
+/// `g` rebuilt with its edges inserted in a shuffled order, so its
+/// successor lists are no longer sorted by task id. With `equal_costs`,
+/// every task takes task 0's flop and α, which forces exact bottom-level
+/// and gain ties.
+fn rebuilt(g: &Ptg, rng: &mut ChaCha8Rng, equal_costs: bool) -> Ptg {
+    let mut b = PtgBuilder::new();
+    for v in g.task_ids() {
+        let cost = if equal_costs {
+            g.task(TaskId(0))
+        } else {
+            g.task(v)
+        };
+        b.add_task(g.task(v).name.clone(), cost.flop, cost.alpha);
+    }
+    let mut edges: Vec<(TaskId, TaskId)> = g.edges().collect();
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.gen_range(0..=i));
+    }
+    for (from, to) in edges {
+        b.add_edge(from, to).expect("edges of a valid PTG");
+    }
+    b.build().expect("a valid PTG rebuilt")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -46,26 +71,28 @@ proptest! {
         cap_seed in 0u32..u32::MAX,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = random_ptg(&params, &CostConfig::default(), &mut rng);
+        let drawn = random_ptg(&params, &CostConfig::default(), &mut rng);
         let cap = 1 + cap_seed % procs;
-        let bicpa_cap = move |alloc: &sched::Allocation, v: ptg::TaskId| alloc.of(v) < cap;
-        for model in [&Amdahl as &dyn exec_model::ExecutionTimeModel, &SyntheticModel::default()] {
-            let m = TimeMatrix::compute(&g, model, 3.1e9, procs);
-            let mcpa = Mcpa::growth_rule(&g, procs);
-            let mcpa2 = Mcpa2::growth_rule(&g, procs);
-            let rules: [(&str, CpaLoop<'_>); 5] = [
+        for (graph, g) in [
+            ("shuffled", rebuilt(&drawn, &mut rng, false)),
+            ("shuffled equal-cost", rebuilt(&drawn, &mut rng, true)),
+        ] {
+            let rules = [
                 ("CPA", CpaLoop::default()),
                 ("CPA stop_on_no_gain", CpaLoop { stop_on_no_gain: true, ..CpaLoop::default() }),
-                ("MCPA", CpaLoop { may_grow: &mcpa, stop_on_no_gain: false }),
-                ("MCPA2", CpaLoop { may_grow: &mcpa2, stop_on_no_gain: false }),
-                ("BiCPA cap", CpaLoop { may_grow: &bicpa_cap, stop_on_no_gain: false }),
+                ("MCPA", Mcpa::cpa_loop()),
+                ("MCPA2", Mcpa2::cpa_loop(&g, procs)),
+                ("BiCPA cap", CpaLoop { caps: Some(vec![cap; g.task_count()]), ..CpaLoop::default() }),
             ];
-            for (name, cfg) in &rules {
-                prop_assert_eq!(
-                    run_cpa_loop(&g, &m, cfg),
-                    run_cpa_loop_reference(&g, &m, cfg),
-                    "{} under {} on P={}", name, model.name(), procs
-                );
+            for model in [&Amdahl as &dyn exec_model::ExecutionTimeModel, &SyntheticModel::default()] {
+                let m = TimeMatrix::compute(&g, model, 3.1e9, procs);
+                for (name, cfg) in &rules {
+                    prop_assert_eq!(
+                        run_cpa_loop(&g, &m, cfg),
+                        run_cpa_loop_reference(&g, &m, cfg),
+                        "{} under {} on the {} graph, P={}", name, model.name(), graph, procs
+                    );
+                }
             }
         }
     }

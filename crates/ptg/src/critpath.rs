@@ -12,7 +12,7 @@
 //!   by the mapper and analyses),
 //! * critical path — a path realizing `max_v bl(v)`.
 
-use crate::graph::{CsrAdjacency, Ptg};
+use crate::graph::Ptg;
 use crate::node::TaskId;
 
 /// Computes the bottom level of every task in O(V + E).
@@ -32,45 +32,24 @@ pub fn bottom_levels(g: &Ptg, times: &[f64]) -> Vec<f64> {
 /// Panics if `times.len() != g.task_count()`.
 // lint:hot-path
 pub fn bottom_levels_into(g: &Ptg, times: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    out.resize(g.task_count(), 0.0);
-    bottom_levels_prefix_into(g, times, g.task_count(), out);
-}
-
-/// Re-sweeps the bottom levels of the topological prefix
-/// `g.topo_order()[..end]` in place and leaves every later entry of `bl`
-/// untouched.
-///
-/// When only task `v`'s time changed, only `v` and its ancestors can get a
-/// new bottom level, and all of them sit at or before `v`'s topological
-/// position. So `end = pos(v) + 1` (see
-/// [`topo_positions`](crate::topo::topo_positions)) brings `bl` bitwise to
-/// what [`bottom_levels_into`] computes from scratch: every task is
-/// recomputed by the same successor-order fold, from successors that are
-/// either re-swept already or unchanged.
-///
-/// # Panics
-/// Panics if `times` or `bl` do not hold one entry per task, or if
-/// `end > g.task_count()`.
-// lint:hot-path
-pub fn bottom_levels_prefix_into(g: &Ptg, times: &[f64], end: usize, bl: &mut [f64]) {
     assert_eq!(
         times.len(),
         g.task_count(),
         "one execution time per task required"
     );
-    assert_eq!(bl.len(), g.task_count(), "one bottom level per task");
-    // The CSR view walks each successor list as one contiguous slice; the
-    // fold order equals the builder adjacency order, so the f64::max chain —
-    // and therefore every produced bit pattern — matches the Vec<Vec> walk.
+    out.clear();
+    out.resize(g.task_count(), 0.0);
+    // Bottom levels are finite and ≥ 0, so a plain `>` folds to the same
+    // maximum as `f64::max`, without its NaN handling on the serial
+    // dependency chain.
     let csr = g.csr();
-    for &v in g.topo_order()[..end].iter().rev() {
+    for &v in g.topo_order().iter().rev() {
         let down = csr
             .successors(v.0)
             .iter()
-            .map(|&s| bl[s as usize])
-            .fold(0.0f64, f64::max);
-        bl[v.index()] = times[v.index()] + down;
+            .map(|&s| out[s as usize])
+            .fold(0.0f64, |max, level| if level > max { level } else { max });
+        out[v.index()] = times[v.index()] + down;
     }
 }
 
@@ -102,49 +81,28 @@ pub fn critical_path_length(g: &Ptg, times: &[f64]) -> f64 {
     bottom_levels(g, times).into_iter().fold(0.0, f64::max)
 }
 
-/// Extracts one critical path as a source→sink task sequence: the
-/// [`critical_path_walk`] over freshly computed bottom levels.
-pub fn critical_path(g: &Ptg, times: &[f64]) -> Vec<TaskId> {
-    let bl = bottom_levels(g, times);
-    critical_path_walk(g, &bl).collect()
-}
-
-/// Walks one critical path, source to sink, over given bottom levels `bl`.
+/// Extracts one critical path as a source→sink task sequence.
 ///
 /// Starts from the source with the largest bottom level and repeatedly moves
 /// to the successor whose bottom level dominates. Ties break toward the
-/// smallest task id, so the result is deterministic. The walk allocates
-/// nothing, so loops that keep `bl` up to date can re-walk it every step.
+/// smallest task id, so the result is deterministic.
 ///
 /// # Panics
-/// The iterator panics if a bottom level it compares is NaN.
-#[inline]
-pub fn critical_path_walk<'a>(g: &'a Ptg, bl: &'a [f64]) -> CriticalPathWalk<'a> {
+/// Panics if a bottom level it compares is NaN.
+pub fn critical_path(g: &Ptg, times: &[f64]) -> Vec<TaskId> {
+    critical_path_walk(g, &bottom_levels(g, times))
+}
+
+/// [`critical_path`]'s walk over given bottom levels `bl`.
+fn critical_path_walk(g: &Ptg, bl: &[f64]) -> Vec<TaskId> {
     let csr = g.csr();
-    CriticalPathWalk {
-        csr,
-        bl,
-        next: heaviest(csr.sources(), bl),
+    let mut path = Vec::new();
+    let mut next = heaviest(csr.sources(), bl);
+    while let Some(cur) = next {
+        path.push(TaskId(cur));
+        next = heaviest(csr.successors(cur), bl);
     }
-}
-
-/// Iterator returned by [`critical_path_walk`].
-#[derive(Debug, Clone)]
-pub struct CriticalPathWalk<'a> {
-    csr: &'a CsrAdjacency,
-    bl: &'a [f64],
-    next: Option<u32>,
-}
-
-impl Iterator for CriticalPathWalk<'_> {
-    type Item = TaskId;
-
-    #[inline]
-    fn next(&mut self) -> Option<TaskId> {
-        let cur = self.next?;
-        self.next = heaviest(self.csr.successors(cur), self.bl);
-        Some(TaskId(cur))
-    }
+    path
 }
 
 /// The task of `candidates` with the largest bottom level, the smallest id
@@ -185,7 +143,6 @@ pub fn delta_critical(g: &Ptg, times: &[f64], delta: f64) -> Vec<TaskId> {
 mod tests {
     use super::*;
     use crate::build::PtgBuilder;
-    use crate::topo::topo_positions;
 
     /// 0(3s) -> 1(5s) -> 3(1s); 0 -> 2(2s) -> 3
     fn weighted_diamond() -> (Ptg, Vec<f64>) {
@@ -276,57 +233,16 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sweep_after_one_change_is_bitwise_a_full_sweep() {
-        // Random DAGs over a local xorshift: after changing one task's time,
-        // re-sweeping the prefix up to its topological position must land on
-        // the from-scratch levels bit for bit.
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..10 {
-            let n = 10 + (next() % 40) as usize;
-            let mut b = PtgBuilder::new();
-            for i in 0..n {
-                b.add_task(format!("t{i}"), 1.0, 0.0);
-            }
-            for v in 1..n {
-                for _ in 0..=(next() % 3) {
-                    let p = (next() % v as u64) as u32;
-                    let _ = b.add_edge(TaskId(p), TaskId(v as u32));
-                }
-            }
-            let g = b.build().unwrap();
-            let pos = topo_positions(&g);
-            let mut times: Vec<f64> = (0..n).map(|_| 1.0 + (next() % 100) as f64 / 7.0).collect();
-            let mut bl = bottom_levels(&g, &times);
-            for _ in 0..8 {
-                let v = (next() % n as u64) as usize;
-                times[v] = 1.0 + (next() % 100) as f64 / 7.0;
-                bottom_levels_prefix_into(&g, &times, pos[v] as usize + 1, &mut bl);
-                let fresh = bottom_levels(&g, &times);
-                for w in 0..n {
-                    assert_eq!(bl[w].to_bits(), fresh[w].to_bits(), "task {w}");
-                }
-                let walked: Vec<TaskId> = critical_path_walk(&g, &bl).collect();
-                assert_eq!(walked, critical_path(&g, &times));
-            }
-        }
-    }
-
-    #[test]
     fn walk_over_given_levels_matches_critical_path() {
         let (g, t) = weighted_diamond();
         let bl = bottom_levels(&g, &t);
-        let walked: Vec<TaskId> = critical_path_walk(&g, &bl).collect();
-        assert_eq!(walked, critical_path(&g, &t));
+        assert_eq!(critical_path_walk(&g, &bl), critical_path(&g, &t));
         // Ties break toward the smaller id: equal branches pick task 1.
         let tied = bottom_levels(&g, &[3.0, 2.0, 2.0, 1.0]);
-        let walked: Vec<TaskId> = critical_path_walk(&g, &tied).collect();
-        assert_eq!(walked, vec![TaskId(0), TaskId(1), TaskId(3)]);
+        assert_eq!(
+            critical_path_walk(&g, &tied),
+            vec![TaskId(0), TaskId(1), TaskId(3)]
+        );
     }
 
     #[test]

@@ -29,14 +29,9 @@ fn mcpa_and_hcpa_equal_the_reference_loop_on_a_grid_cycle() {
             for (i, g) in graphs.iter().enumerate() {
                 let matrix =
                     TimeMatrix::compute(g, &model_impl, cluster.speed_flops(), cluster.processors);
-                let mcpa_rule = Mcpa::growth_rule(g, cluster.processors);
-                let mcpa_cfg = CpaLoop {
-                    may_grow: &mcpa_rule,
-                    stop_on_no_gain: false,
-                };
                 assert_eq!(
                     Mcpa.allocate(g, &matrix),
-                    run_cpa_loop_reference(g, &matrix, &mcpa_cfg),
+                    run_cpa_loop_reference(g, &matrix, &Mcpa::cpa_loop()),
                     "MCPA, item {i}, {model:?} on {}",
                     cluster.name
                 );
