@@ -6,7 +6,7 @@
 //!
 //! * the flight recorder must stay within its overhead budget over the
 //!   compiled-out (`NoopRecorder`) mapper loop,
-//! * the SoA grouped core (packed `u128` heaps, CSR adjacency) must beat
+//! * the SoA grouped core (packed `u128` heaps, flat task columns) must beat
 //!   the retained pre-refactor oracle core by a clear margin,
 //! * the CPA allocation loop behind MCPA and HCPA (one prefix sweep per
 //!   step that also yields the critical path) must beat the retained
@@ -136,7 +136,7 @@ fn soa_core_is_faster_than_the_reference_oracle() {
     // The oracle keeps one heap entry per *processor* (the pre-grouping
     // design), so on P=120 the SoA grouped core measures ~80× faster
     // here; 10× leaves an order of magnitude for noisy CI hosts while
-    // still catching any wholesale regression of the packed-heap/CSR
+    // still catching any wholesale regression of the packed-heap
     // core. (Against the grouped-BinaryHeap core it replaced, the SoA
     // core measures ~1.8× — that comparison lives in BENCH_fitness.json's
     // `list_makespan_only/Grelon_n100` history, not here, because the old

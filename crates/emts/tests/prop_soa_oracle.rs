@@ -1,15 +1,15 @@
 //! Property-based bit-identity of the SoA fitness core against the
 //! pre-refactor oracle.
 //!
-//! The struct-of-arrays refactor (CSR adjacency, packed `u128` heaps,
+//! The struct-of-arrays refactor (flat task columns, packed `u128` heaps,
 //! branchless sifts) must be a pure representation change:
 //! `makespan_bounded_reference` keeps the original comparator-driven
-//! `BinaryHeap`s and pointer adjacency, and the production cores — the
-//! grouped fitness core with and without telemetry, the full mapper, the
-//! rescheduler — have to reproduce its results *bit for bit* on random
-//! DAGGEN PTGs, under **both** execution-time models (Amdahl and the
-//! synthetic Model 2), accept and reject alike. `prop_fitness.rs` runs
-//! every evaluation entry point against the same oracle.
+//! `BinaryHeap`s, and the production cores — the grouped fitness core with
+//! and without telemetry, the full mapper, the rescheduler — have to
+//! reproduce its results *bit for bit* on random DAGGEN PTGs, under
+//! **both** execution-time models (Amdahl and the synthetic Model 2),
+//! accept and reject alike. `prop_fitness.rs` runs every evaluation entry
+//! point against the same oracle.
 
 use exec_model::{Amdahl, ExecutionTimeModel, SyntheticModel, TimeMatrix};
 use obs::StatsRecorder;
@@ -115,7 +115,7 @@ proptest! {
 
     /// The full-schedule path (placements, not just makespans) agrees with
     /// the oracle makespan, and the rescheduler's from-scratch replan —
-    /// which shares only the CSR adjacency with the SoA core — reproduces
+    /// which shares only the graph's adjacency with the SoA core — reproduces
     /// the very same starts and finishes on both models.
     #[test]
     fn full_schedules_and_fresh_replans_agree((seed, n, p, _cf) in scenario()) {

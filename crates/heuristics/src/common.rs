@@ -68,30 +68,29 @@ pub fn cpa_gain(matrix: &TimeMatrix, v: TaskId, s: u32) -> f64 {
 }
 
 /// Marks a task without successors in the heaviest-successor table.
-const NO_TASK: u32 = u32::MAX;
+const NO_TASK: TaskId = TaskId(u32::MAX);
 
 /// The successor lists in one arena, laid out in topological order, each
 /// list sorted by task id.
 struct Successors {
     /// `order[i]` is the task at topological position `i`.
-    order: Vec<u32>,
+    order: Vec<TaskId>,
     /// The successors of `order[i]` are `succ[off[i]..off[i + 1]]`.
-    off: Vec<u32>,
-    succ: Vec<u32>,
+    off: Vec<usize>,
+    succ: Vec<TaskId>,
 }
 
 impl Successors {
     fn new(g: &Ptg) -> Self {
-        let csr = g.csr();
-        let order: Vec<u32> = g.topo_order().iter().map(|v| v.0).collect();
+        let order = g.topo_order().to_vec();
         let mut off = Vec::with_capacity(order.len() + 1);
         let mut succ = Vec::with_capacity(g.edge_count());
         off.push(0);
         for &v in &order {
             let start = succ.len();
-            succ.extend_from_slice(csr.successors(v));
+            succ.extend_from_slice(g.successors(v));
             succ[start..].sort_unstable();
-            off.push(succ.len() as u32);
+            off.push(succ.len());
         }
         Successors { order, off, succ }
     }
@@ -99,14 +98,14 @@ impl Successors {
     /// Re-sweeps topological positions `last..=0`: the bottom level `bl` and
     /// heaviest successor `heavy` (or [`NO_TASK`]) of each task there.
     // lint:hot-path
-    fn sweep(&self, last: usize, times: &[f64], bl: &mut [f64], heavy: &mut [u32]) {
+    fn sweep(&self, last: usize, times: &[f64], bl: &mut [f64], heavy: &mut [TaskId]) {
         for i in (0..=last).rev() {
-            let list = &self.succ[self.off[i] as usize..self.off[i + 1] as usize];
+            let list = &self.succ[self.off[i]..self.off[i + 1]];
             let (down, best) = match list.split_first() {
                 Some((&first, rest)) => {
-                    let (mut down, mut best) = (bl[first as usize], first);
+                    let (mut down, mut best) = (bl[first.index()], first);
                     for &s in rest {
-                        let level = bl[s as usize];
+                        let level = bl[s.index()];
                         if level > down {
                             (down, best) = (level, s);
                         }
@@ -115,7 +114,7 @@ impl Successors {
                 }
                 None => (0.0, NO_TASK),
             };
-            let v = self.order[i] as usize;
+            let v = self.order[i].index();
             let level = times[v] + down;
             // NaN fails this too, so no NaN ever reaches a comparison above.
             assert!(level >= 0.0, "bottom levels are finite and non-negative");
@@ -203,7 +202,7 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
     let mut level_sum: Vec<u32> = levels.iter().map(|(_, tasks)| tasks.len() as u32).collect();
     let arena = Successors::new(g);
     let pos = topo_positions(g);
-    let sources = g.csr().sources();
+    let sources = g.sources();
     let mut alloc = Allocation::ones(n);
     let mut times = matrix.times_for(alloc.as_slice());
     let mut area = WorkArea::exact(&alloc, &times);
@@ -225,10 +224,10 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
         // over the sources is `T_CP`; the first source reaching it (the
         // smallest id) starts the critical path.
         let mut cur = sources[0];
-        let mut t_cp = bl[cur as usize];
+        let mut t_cp = bl[cur.index()];
         for &s in &sources[1..] {
-            if bl[s as usize] > t_cp {
-                (cur, t_cp) = (s, bl[s as usize]);
+            if bl[s.index()] > t_cp {
+                (cur, t_cp) = (s, bl[s.index()]);
             }
         }
         if area.covers(t_cp, p_total, &alloc, &times) {
@@ -239,7 +238,7 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
         // equal gains the later task wins, as in `Iterator::max_by`.
         let mut best: Option<(usize, f64)> = None;
         while cur != NO_TASK {
-            let v = cur as usize;
+            let v = cur.index();
             let grows = alloc.as_slice()[v] < limit[v]
                 && (!cfg.level_bound || level_sum[level[v]] < p_total);
             if grows && best.is_none_or(|(_, b)| gains[v] >= b) {

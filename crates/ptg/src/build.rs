@@ -1,15 +1,30 @@
 //! Incremental construction of validated PTGs.
 
 use crate::error::PtgError;
-use crate::graph::Ptg;
+use crate::graph::{sources_of, EdgeLists, Ptg};
 use crate::node::{Task, TaskId};
 use crate::topo;
+
+/// Marks the end of a task's in-list in the edge arena.
+const NO_EDGE: usize = usize::MAX;
+
+/// One edge of the arena, threaded onto its target's in-list.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    from: TaskId,
+    to: TaskId,
+    /// The edge into `to` added before this one, or [`NO_EDGE`].
+    prev_in: usize,
+}
 
 /// Builder for [`Ptg`].
 ///
 /// Tasks receive dense ids in insertion order. `build` validates every task
 /// payload, rejects duplicate edges and self-loops eagerly, and finally
 /// verifies acyclicity while computing a topological order.
+///
+/// Edges go into one arena in insertion order; `build` lays them out as
+/// the graph's successor and predecessor lists, each in that order.
 ///
 /// ```
 /// use ptg::{PtgBuilder, TaskId};
@@ -25,9 +40,12 @@ use crate::topo;
 #[derive(Debug, Default, Clone)]
 pub struct PtgBuilder {
     tasks: Vec<Task>,
-    succ: Vec<Vec<TaskId>>,
-    pred: Vec<Vec<TaskId>>,
-    edge_count: usize,
+    /// Every edge, in insertion order.
+    edges: Vec<Edge>,
+    /// Per task, its latest incoming edge in `edges`, or [`NO_EDGE`].
+    last_in: Vec<usize>,
+    in_deg: Vec<u32>,
+    out_deg: Vec<u32>,
 }
 
 impl PtgBuilder {
@@ -40,9 +58,10 @@ impl PtgBuilder {
     pub fn with_capacity(n: usize) -> Self {
         PtgBuilder {
             tasks: Vec::with_capacity(n),
-            succ: Vec::with_capacity(n),
-            pred: Vec::with_capacity(n),
-            edge_count: 0,
+            edges: Vec::new(),
+            last_in: Vec::with_capacity(n),
+            in_deg: Vec::with_capacity(n),
+            out_deg: Vec::with_capacity(n),
         }
     }
 
@@ -64,8 +83,9 @@ impl PtgBuilder {
     pub fn push_task(&mut self, task: Task) -> TaskId {
         let id = TaskId::from_index(self.tasks.len());
         self.tasks.push(task);
-        self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
+        self.last_in.push(NO_EDGE);
+        self.in_deg.push(0);
+        self.out_deg.push(0);
         id
     }
 
@@ -81,12 +101,22 @@ impl PtgBuilder {
         if from == to {
             return Err(PtgError::SelfLoop(from));
         }
-        if self.succ[from.index()].contains(&to) {
-            return Err(PtgError::DuplicateEdge(from, to));
+        let mut e = self.last_in[to.index()];
+        while e != NO_EDGE {
+            let edge = self.edges[e];
+            if edge.from == from {
+                return Err(PtgError::DuplicateEdge(from, to));
+            }
+            e = edge.prev_in;
         }
-        self.succ[from.index()].push(to);
-        self.pred[to.index()].push(from);
-        self.edge_count += 1;
+        self.edges.push(Edge {
+            from,
+            to,
+            prev_in: self.last_in[to.index()],
+        });
+        self.last_in[to.index()] = self.edges.len() - 1;
+        self.in_deg[to.index()] += 1;
+        self.out_deg[from.index()] += 1;
         Ok(())
     }
 
@@ -107,15 +137,19 @@ impl PtgBuilder {
         for t in &self.tasks {
             t.validate().map_err(PtgError::InvalidTask)?;
         }
-        let topo = topo::topological_order(&self.succ, &self.pred)?;
+        let edges = &self.edges;
+        let succ = EdgeLists::group(&self.out_deg, edges.iter().map(|e| (e.from, e.to)));
+        let pred = EdgeLists::group(&self.in_deg, edges.iter().map(|e| (e.to, e.from)));
+        let sources = sources_of(&self.in_deg);
+        let topo = topo::topological_order(&succ, &self.in_deg, &sources)?;
         debug_assert_eq!(topo.len(), self.tasks.len());
         Ok(Ptg {
             tasks: self.tasks,
-            succ: self.succ,
-            pred: self.pred,
+            succ,
+            pred,
+            in_deg: self.in_deg,
+            sources,
             topo,
-            edge_count: self.edge_count,
-            csr: std::sync::OnceLock::new(),
         })
     }
 }

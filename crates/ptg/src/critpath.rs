@@ -42,12 +42,11 @@ pub fn bottom_levels_into(g: &Ptg, times: &[f64], out: &mut Vec<f64>) {
     // Bottom levels are finite and ≥ 0, so a plain `>` folds to the same
     // maximum as `f64::max`, without its NaN handling on the serial
     // dependency chain.
-    let csr = g.csr();
     for &v in g.topo_order().iter().rev() {
-        let down = csr
-            .successors(v.0)
+        let down = g
+            .successors(v)
             .iter()
-            .map(|&s| out[s as usize])
+            .map(|&s| out[s.index()])
             .fold(0.0f64, |max, level| if level > max { level } else { max });
         out[v.index()] = times[v.index()] + down;
     }
@@ -95,12 +94,11 @@ pub fn critical_path(g: &Ptg, times: &[f64]) -> Vec<TaskId> {
 
 /// [`critical_path`]'s walk over given bottom levels `bl`.
 fn critical_path_walk(g: &Ptg, bl: &[f64]) -> Vec<TaskId> {
-    let csr = g.csr();
     let mut path = Vec::new();
-    let mut next = heaviest(csr.sources(), bl);
+    let mut next = heaviest(g.sources(), bl);
     while let Some(cur) = next {
-        path.push(TaskId(cur));
-        next = heaviest(csr.successors(cur), bl);
+        path.push(cur);
+        next = heaviest(g.successors(cur), bl);
     }
     path
 }
@@ -109,11 +107,11 @@ fn critical_path_walk(g: &Ptg, bl: &[f64]) -> Vec<TaskId> {
 /// on ties; `None` when there is no candidate.
 // lint:hot-path
 #[inline]
-fn heaviest(candidates: &[u32], bl: &[f64]) -> Option<u32> {
+fn heaviest(candidates: &[TaskId], bl: &[f64]) -> Option<TaskId> {
     let (&first, rest) = candidates.split_first()?;
     let mut best = first;
     for &c in rest {
-        let (level, best_level) = (bl[c as usize], bl[best as usize]);
+        let (level, best_level) = (bl[c.index()], bl[best.index()]);
         assert!(
             !(level.is_nan() || best_level.is_nan()),
             "bottom levels are finite"

@@ -1,91 +1,62 @@
 //! The immutable, validated PTG.
 
+use crate::error::PtgError;
 use crate::node::{Task, TaskId};
-use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use crate::topo::is_valid_topological_order;
+use serde::{DeError, Deserialize, Serialize};
 
-/// Flat compressed-sparse-row view of a graph's adjacency.
-///
-/// The schedulers' inner loops walk successor/predecessor lists for every
-/// placement; the builder's `Vec<Vec<TaskId>>` representation costs one
-/// pointer chase (and one potential cache miss) per task. This view packs
-/// all lists into two arenas — one `u32` target array plus one offset array
-/// per direction — so a task's neighbours are a contiguous `&[u32]` slice
-/// and the whole adjacency of a 100-task graph fits in a few cache lines.
-///
-/// List *order is preserved* from the builder adjacency: every fold over
-/// successors (bottom levels, data-ready propagation) visits neighbours in
-/// the identical order, which keeps `f64::max` chains bit-identical to the
-/// pointer-chasing code paths.
+/// One direction of a graph's adjacency: every task's list, back to back
+/// in one arena.
 #[derive(Debug, Clone)]
-pub struct CsrAdjacency {
-    /// Successor arena: targets of task `v` are
-    /// `succ[succ_off[v] as usize .. succ_off[v + 1] as usize]`.
-    succ: Vec<u32>,
-    /// `task_count + 1` offsets into `succ`.
-    succ_off: Vec<u32>,
-    /// Predecessor arena, same layout as `succ`.
-    pred: Vec<u32>,
-    /// `task_count + 1` offsets into `pred`.
-    pred_off: Vec<u32>,
-    /// Per-task in-degree (`pred` run lengths, pre-extracted so schedulers
-    /// can seed their dependency counters with one memcpy).
-    in_deg: Vec<u32>,
-    /// Tasks with no predecessors, ascending.
-    sources: Vec<u32>,
+pub(crate) struct EdgeLists {
+    /// `task_count + 1` offsets: task `v`'s list is `ids[off[v]..off[v + 1]]`.
+    off: Vec<usize>,
+    ids: Vec<TaskId>,
 }
 
-impl CsrAdjacency {
-    // lint:allow(src-hot-path-alloc-transitive) -- builds once per graph behind OnceCell; hot-path callers of Ptg::csr hit the cached view
-    fn build(succ: &[Vec<TaskId>], pred: &[Vec<TaskId>], edge_count: usize) -> Self {
-        let n = succ.len();
-        let mut csr = CsrAdjacency {
-            succ: Vec::with_capacity(edge_count),
-            succ_off: Vec::with_capacity(n + 1),
-            pred: Vec::with_capacity(edge_count),
-            pred_off: Vec::with_capacity(n + 1),
-            in_deg: Vec::with_capacity(n),
-            sources: Vec::new(),
-        };
-        csr.succ_off.push(0);
-        csr.pred_off.push(0);
-        for v in 0..n {
-            csr.succ.extend(succ[v].iter().map(|t| t.0));
-            csr.succ_off.push(csr.succ.len() as u32);
-            csr.pred.extend(pred[v].iter().map(|t| t.0));
-            csr.pred_off.push(csr.pred.len() as u32);
-            csr.in_deg.push(pred[v].len() as u32);
-            if pred[v].is_empty() {
-                csr.sources.push(v as u32);
-            }
+impl EdgeLists {
+    /// Groups `(key, id)` pairs by key with one stable counting sort: each
+    /// key's list holds its ids in the order the pairs came. `counts[k]` is
+    /// the number of pairs with key `k`.
+    pub(crate) fn group(counts: &[u32], pairs: impl IntoIterator<Item = (TaskId, TaskId)>) -> Self {
+        let mut off = Vec::with_capacity(counts.len() + 1);
+        off.push(0);
+        let mut total = 0;
+        for &c in counts {
+            total += c as usize;
+            off.push(total);
         }
-        csr
+        let mut next = off[..counts.len()].to_vec();
+        let mut ids = vec![TaskId(0); total];
+        for (key, id) in pairs {
+            let slot = &mut next[key.index()];
+            ids[*slot] = id;
+            *slot += 1;
+        }
+        EdgeLists { off, ids }
     }
 
-    /// Successors of task index `v` as raw `u32` ids, builder order.
-    // lint:hot-path
-    #[inline]
-    pub fn successors(&self, v: u32) -> &[u32] {
-        &self.succ[self.succ_off[v as usize] as usize..self.succ_off[v as usize + 1] as usize]
+    /// Concatenates ready-made lists, keeping their order.
+    fn concat(lists: &[Vec<TaskId>]) -> Self {
+        let mut off = Vec::with_capacity(lists.len() + 1);
+        off.push(0);
+        let mut ids = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for list in lists {
+            ids.extend_from_slice(list);
+            off.push(ids.len());
+        }
+        EdgeLists { off, ids }
     }
 
-    /// Predecessors of task index `v` as raw `u32` ids, builder order.
-    // lint:hot-path
+    /// The list of task `v`.
     #[inline]
-    pub fn predecessors(&self, v: u32) -> &[u32] {
-        &self.pred[self.pred_off[v as usize] as usize..self.pred_off[v as usize + 1] as usize]
+    pub(crate) fn of(&self, v: TaskId) -> &[TaskId] {
+        &self.ids[self.off[v.index()]..self.off[v.index() + 1]]
     }
 
-    /// Per-task in-degrees, indexed by task id.
-    #[inline]
-    pub fn in_degrees(&self) -> &[u32] {
-        &self.in_deg
-    }
-
-    /// Task ids with no predecessors, ascending.
-    #[inline]
-    pub fn sources(&self) -> &[u32] {
-        &self.sources
+    /// Every list, in task order.
+    fn lists(&self) -> impl Iterator<Item = &[TaskId]> {
+        self.off.windows(2).map(|w| &self.ids[w[0]..w[1]])
     }
 }
 
@@ -98,51 +69,151 @@ impl CsrAdjacency {
 /// * adjacency lists are deduplicated and free of self-loops.
 ///
 /// Per-task data (`tasks`, adjacency) is indexed by [`TaskId::index`].
+/// The adjacency is stored once, flat: each direction keeps all its lists
+/// in one arena, so a task's neighbours are one contiguous slice. Both keep
+/// the order in which the builder received the edges, so every fold over
+/// neighbours visits them in that order.
 #[derive(Debug, Clone)]
 pub struct Ptg {
     pub(crate) tasks: Vec<Task>,
-    pub(crate) succ: Vec<Vec<TaskId>>,
-    pub(crate) pred: Vec<Vec<TaskId>>,
+    pub(crate) succ: EdgeLists,
+    pub(crate) pred: EdgeLists,
+    /// Per-task in-degree, so schedulers seed their dependency counters
+    /// with one copy.
+    pub(crate) in_deg: Vec<u32>,
+    /// Tasks with no predecessors, ascending.
+    pub(crate) sources: Vec<TaskId>,
     pub(crate) topo: Vec<TaskId>,
-    pub(crate) edge_count: usize,
-    /// Lazily-built flat adjacency (see [`CsrAdjacency`]). Derived state:
-    /// excluded from the serde wire format and rebuilt on first use after
-    /// deserialization.
-    pub(crate) csr: OnceLock<CsrAdjacency>,
 }
 
-// Hand-written serde impls: the wire format is exactly what the field
-// derive produced before the `csr` cache existed (the five persistent
-// fields, declaration order), so committed artifacts keep round-tripping.
+/// The tasks of `in_deg` whose in-degree is 0, ascending.
+pub(crate) fn sources_of(in_deg: &[u32]) -> Vec<TaskId> {
+    (0..in_deg.len())
+        .filter(|&v| in_deg[v] == 0)
+        .map(TaskId::from_index)
+        .collect()
+}
+
+// The wire format nests each task's lists (`succ`, `pred`) and stores the
+// edge count, as the fields of the first `Ptg` did, so committed artifacts
+// keep round-tripping.
 impl Serialize for Ptg {
     fn to_value(&self) -> serde::Value {
+        let nested = |lists: &EdgeLists| {
+            serde::Value::Array(lists.lists().map(|list| list.to_value()).collect())
+        };
         serde::Value::Object(vec![
             ("tasks".to_string(), self.tasks.to_value()),
-            ("succ".to_string(), self.succ.to_value()),
-            ("pred".to_string(), self.pred.to_value()),
+            ("succ".to_string(), nested(&self.succ)),
+            ("pred".to_string(), nested(&self.pred)),
             ("topo".to_string(), self.topo.to_value()),
-            ("edge_count".to_string(), self.edge_count.to_value()),
+            ("edge_count".to_string(), self.edge_count().to_value()),
         ])
     }
 }
 
+/// Loading checks everything the builder guarantees, so a stored graph that
+/// names a missing task, repeats or reverses an edge, or stores an order
+/// that is not topological is an error here rather than a panic later.
+/// The stored list orders and topological order are kept.
 impl Deserialize for Ptg {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
         let obj = v
             .as_object()
-            .ok_or_else(|| serde::DeError::expected("object", "Ptg"))?;
-        Ok(Ptg {
-            tasks: serde::de_field(obj, "tasks", "Ptg")?,
-            succ: serde::de_field(obj, "succ", "Ptg")?,
-            pred: serde::de_field(obj, "pred", "Ptg")?,
-            topo: serde::de_field(obj, "topo", "Ptg")?,
-            edge_count: serde::de_field(obj, "edge_count", "Ptg")?,
-            csr: OnceLock::new(),
-        })
+            .ok_or_else(|| DeError::expected("object", "Ptg"))?;
+        let tasks: Vec<Task> = serde::de_field(obj, "tasks", "Ptg")?;
+        let succ: Vec<Vec<TaskId>> = serde::de_field(obj, "succ", "Ptg")?;
+        let pred: Vec<Vec<TaskId>> = serde::de_field(obj, "pred", "Ptg")?;
+        let topo: Vec<TaskId> = serde::de_field(obj, "topo", "Ptg")?;
+        let edge_count: usize = serde::de_field(obj, "edge_count", "Ptg")?;
+        Ptg::from_lists(tasks, &succ, &pred, topo, edge_count)
+            .map_err(|msg| DeError::custom(format!("invalid Ptg: {msg}")))
     }
 }
 
 impl Ptg {
+    /// Validates stored lists and assembles the graph from them.
+    fn from_lists(
+        tasks: Vec<Task>,
+        succ: &[Vec<TaskId>],
+        pred: &[Vec<TaskId>],
+        topo: Vec<TaskId>,
+        edge_count: usize,
+    ) -> Result<Ptg, String> {
+        let n = tasks.len();
+        if n == 0 {
+            return Err(PtgError::Empty.to_string());
+        }
+        for t in &tasks {
+            t.validate()?;
+        }
+        if succ.len() != n || pred.len() != n {
+            return Err(format!(
+                "{n} tasks but {} successor and {} predecessor lists",
+                succ.len(),
+                pred.len()
+            ));
+        }
+        // `last_from[w]` is the last task seen with an edge into `w`.
+        let mut last_from = vec![usize::MAX; n];
+        let mut in_deg = vec![0u32; n];
+        for (v, list) in succ.iter().enumerate() {
+            let from = TaskId::from_index(v);
+            for &w in list {
+                let err = if w.index() >= n {
+                    PtgError::UnknownTask(w)
+                } else if w == from {
+                    PtgError::SelfLoop(w)
+                } else if last_from[w.index()] == v {
+                    PtgError::DuplicateEdge(from, w)
+                } else {
+                    last_from[w.index()] = v;
+                    in_deg[w.index()] += 1;
+                    continue;
+                };
+                return Err(err.to_string());
+            }
+        }
+        let succ = EdgeLists::concat(succ);
+        if edge_count != succ.ids.len() {
+            return Err(format!(
+                "edge_count is {edge_count} but the successor lists hold {} edges",
+                succ.ids.len()
+            ));
+        }
+        // Each stored predecessor list must hold exactly the tasks with an
+        // edge into its task, in any order. Grouping the edges by target in
+        // source order lists those tasks in ascending order.
+        let reversed = EdgeLists::group(
+            &in_deg,
+            succ.lists()
+                .enumerate()
+                .flat_map(|(v, list)| list.iter().map(move |&w| (w, TaskId::from_index(v)))),
+        );
+        for (w, stored) in pred.iter().enumerate() {
+            let to = TaskId::from_index(w);
+            let mut sorted = stored.clone();
+            sorted.sort_unstable();
+            if sorted != reversed.of(to) {
+                return Err(format!(
+                    "the predecessors stored for {to} are not the tasks with an edge into it"
+                ));
+            }
+        }
+        let g = Ptg {
+            tasks,
+            succ,
+            pred: EdgeLists::concat(pred),
+            sources: sources_of(&in_deg),
+            in_deg,
+            topo,
+        };
+        if !is_valid_topological_order(&g, &g.topo) {
+            return Err("topo is not a topological order of the tasks".to_string());
+        }
+        Ok(g)
+    }
+
     /// Number of tasks `V`.
     #[inline]
     pub fn task_count(&self) -> usize {
@@ -152,7 +223,7 @@ impl Ptg {
     /// Number of edges `E`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.succ.ids.len()
     }
 
     /// The task payload for `id`.
@@ -172,28 +243,38 @@ impl Ptg {
         (0..self.tasks.len()).map(TaskId::from_index)
     }
 
-    /// Direct successors of `id` (tasks depending on it).
+    /// Direct successors of `id` (tasks depending on it), in the order the
+    /// builder received the edges.
+    // lint:hot-path
     #[inline]
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        &self.succ[id.index()]
+        self.succ.of(id)
     }
 
-    /// Direct predecessors of `id` (tasks it depends on).
+    /// Direct predecessors of `id` (tasks it depends on), in the order the
+    /// builder received the edges.
+    // lint:hot-path
     #[inline]
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        &self.pred[id.index()]
+        self.pred.of(id)
     }
 
     /// In-degree of `id`.
     #[inline]
     pub fn in_degree(&self, id: TaskId) -> usize {
-        self.pred[id.index()].len()
+        self.predecessors(id).len()
     }
 
     /// Out-degree of `id`.
     #[inline]
     pub fn out_degree(&self, id: TaskId) -> usize {
-        self.succ[id.index()].len()
+        self.successors(id).len()
+    }
+
+    /// Per-task in-degrees, indexed by [`TaskId::index`].
+    #[inline]
+    pub fn in_degrees(&self) -> &[u32] {
+        &self.in_deg
     }
 
     /// A topological order computed at build time (sources first).
@@ -202,11 +283,10 @@ impl Ptg {
         &self.topo
     }
 
-    /// Tasks with no predecessors.
-    pub fn sources(&self) -> Vec<TaskId> {
-        self.task_ids()
-            .filter(|&v| self.in_degree(v) == 0)
-            .collect()
+    /// Tasks with no predecessors, ascending.
+    #[inline]
+    pub fn sources(&self) -> &[TaskId] {
+        &self.sources
     }
 
     /// Tasks with no successors.
@@ -218,7 +298,7 @@ impl Ptg {
 
     /// True if the graph contains the edge `a → b`.
     pub fn has_edge(&self, a: TaskId, b: TaskId) -> bool {
-        self.succ[a.index()].contains(&b)
+        self.successors(a).contains(&b)
     }
 
     /// Iterator over all edges `(from, to)`.
@@ -231,24 +311,13 @@ impl Ptg {
     pub fn total_flop(&self) -> f64 {
         self.tasks.iter().map(|t| t.flop).sum()
     }
-
-    /// The flat CSR adjacency view, built once per graph on first use.
-    ///
-    /// The schedulers' hot loops use this instead of
-    /// [`Self::successors`]/[`Self::predecessors`] to avoid one pointer
-    /// chase per visited task; neighbour order is identical, so either view
-    /// produces bit-identical schedules.
-    #[inline]
-    pub fn csr(&self) -> &CsrAdjacency {
-        self.csr
-            .get_or_init(|| CsrAdjacency::build(&self.succ, &self.pred, self.edge_count))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::build::PtgBuilder;
     use crate::node::TaskId;
+    use crate::Ptg;
 
     fn diamond() -> crate::Ptg {
         // 0 -> {1, 2} -> 3
@@ -310,24 +379,87 @@ mod tests {
         assert!((g.total_flop() - 4e9).abs() < 1e-6);
     }
 
+    /// Loads a graph from its JSON fields; the tasks are `t0`, `t1`, ….
+    fn load(
+        flops: &[f64],
+        succ: &str,
+        pred: &str,
+        topo: &str,
+        edges: usize,
+    ) -> Result<Ptg, String> {
+        let tasks: Vec<String> = flops
+            .iter()
+            .enumerate()
+            .map(|(i, f)| format!(r#"{{"name":"t{i}","flop":{f:?},"alpha":0.1}}"#))
+            .collect();
+        let json = format!(
+            r#"{{"tasks":[{}],"succ":{succ},"pred":{pred},"topo":{topo},"edge_count":{edges}}}"#,
+            tasks.join(",")
+        );
+        serde_json::from_str(&json).map_err(|e| e.to_string())
+    }
+
     #[test]
-    fn csr_view_matches_pointer_adjacency() {
-        let g = diamond();
-        let csr = g.csr();
-        for v in g.task_ids() {
-            let succ: Vec<u32> = g.successors(v).iter().map(|t| t.0).collect();
-            assert_eq!(csr.successors(v.0), succ.as_slice(), "{v}");
-            let pred: Vec<u32> = g.predecessors(v).iter().map(|t| t.0).collect();
-            assert_eq!(csr.predecessors(v.0), pred.as_slice(), "{v}");
-            assert_eq!(csr.in_degrees()[v.index()] as usize, g.in_degree(v));
+    fn json_keeps_the_stored_predecessor_order() {
+        let g = load(&[1.0; 3], "[[1,2],[2],[]]", "[[],[0],[1,0]]", "[0,1,2]", 3).unwrap();
+        assert_eq!(g.predecessors(TaskId(2)), &[TaskId(1), TaskId(0)]);
+        assert_eq!(g.in_degrees(), &[0, 1, 2]);
+        assert_eq!(g.sources(), &[TaskId(0)]);
+    }
+
+    #[test]
+    fn json_edge_to_a_missing_task_is_rejected() {
+        let err = load(&[1.0; 2], "[[7],[]]", "[[],[]]", "[0,1]", 1).unwrap_err();
+        assert!(err.contains("unknown task id v7"), "{err}");
+    }
+
+    #[test]
+    fn json_self_loop_is_rejected() {
+        let err = load(&[1.0; 2], "[[0],[]]", "[[0],[]]", "[0,1]", 1).unwrap_err();
+        assert!(err.contains("self loop on task v0"), "{err}");
+    }
+
+    #[test]
+    fn json_duplicate_edge_is_rejected() {
+        let err = load(&[1.0; 2], "[[1,1],[]]", "[[],[0,0]]", "[0,1]", 2).unwrap_err();
+        assert!(err.contains("duplicate edge v0 -> v1"), "{err}");
+    }
+
+    #[test]
+    fn json_predecessors_must_mirror_successors() {
+        // Against the edges 0 → 1, 0 → 2 and 1 → 2.
+        for pred in [
+            "[[],[0],[1]]",     // an edge missing
+            "[[],[0],[1,0,0]]", // an edge repeated, list too long
+            "[[],[0],[1,1]]",   // an edge repeated, list of the right length
+            "[[1],[0],[1,0]]",  // an edge that does not exist
+            "[[],[2],[1,0]]",   // the wrong task
+            "[[],[0],[1,9]]",   // a task that does not exist
+            "[[],[0]]",         // a list missing
+        ] {
+            let err = load(&[1.0; 3], "[[1,2],[2],[]]", pred, "[0,1,2]", 3).unwrap_err();
+            assert!(err.contains("predecessor"), "{pred}: {err}");
         }
-        assert_eq!(csr.sources(), &[0]);
-        // The view survives clone and serde round trips (rebuilt lazily).
-        let cloned = g.clone();
-        assert_eq!(cloned.csr().successors(0), csr.successors(0));
-        let json = serde_json::to_string(&g).unwrap();
-        let back: crate::Ptg = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.csr().predecessors(3), csr.predecessors(3));
+    }
+
+    #[test]
+    fn json_wrong_edge_count_is_rejected() {
+        let err = load(&[1.0; 2], "[[1],[]]", "[[],[0]]", "[0,1]", 2).unwrap_err();
+        assert!(err.contains("edge_count is 2"), "{err}");
+    }
+
+    #[test]
+    fn json_invalid_task_payload_is_rejected() {
+        let err = load(&[-1.0, 1.0], "[[1],[]]", "[[],[0]]", "[0,1]", 1).unwrap_err();
+        assert!(err.contains("flop must be positive"), "{err}");
+    }
+
+    #[test]
+    fn json_topo_must_be_a_topological_order() {
+        for topo in ["[1,0]", "[0]", "[0,0]", "[0,5]"] {
+            let err = load(&[1.0; 2], "[[1],[]]", "[[],[0]]", topo, 1).unwrap_err();
+            assert!(err.contains("not a topological order"), "{topo}: {err}");
+        }
     }
 
     #[test]

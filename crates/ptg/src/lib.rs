@@ -22,6 +22,14 @@
 //! The graph is deliberately self-contained (no external graph crate): the
 //! schedulers only need forward/backward adjacency, topological traversal and
 //! longest-path computations, all of which live here.
+//!
+//! A [`Ptg`] holds its adjacency once, flat. The builder appends each edge
+//! to one arena in insertion order; `build` lays that arena out as a
+//! successor and a predecessor arena with one stable counting sort each, so
+//! every task's neighbours are one contiguous `&[TaskId]` slice in insertion
+//! order. In-degrees, sources and a topological order are computed at the
+//! same time. Schedulers, critical paths and simulators all read these
+//! slices directly.
 
 pub mod analysis;
 pub mod build;

@@ -1,42 +1,40 @@
 //! Topological ordering (Kahn's algorithm) and cycle detection.
 
 use crate::error::PtgError;
-use crate::graph::Ptg;
+use crate::graph::{EdgeLists, Ptg};
 use crate::node::TaskId;
-use std::collections::VecDeque;
 
-/// Computes a topological order over raw adjacency lists.
+/// Computes a topological order over the builder's successor lists.
 ///
 /// Used by the builder before a [`Ptg`] exists. Returns
 /// [`PtgError::Cycle`] naming one task on a cycle if the graph is cyclic.
-/// The produced order is deterministic: among simultaneously-ready tasks the
-/// one with the smallest id comes first.
+/// The produced order is deterministic: Kahn's algorithm with a FIFO queue
+/// that starts from `sources` (ascending) and appends each task when its
+/// last predecessor leaves. The order itself serves as the queue.
 pub(crate) fn topological_order(
-    succ: &[Vec<TaskId>],
-    pred: &[Vec<TaskId>],
+    succ: &EdgeLists,
+    in_deg: &[u32],
+    sources: &[TaskId],
 ) -> Result<Vec<TaskId>, PtgError> {
-    let n = succ.len();
-    let mut in_deg: Vec<usize> = pred.iter().map(Vec::len).collect();
-    // A binary heap would give strictly sorted ready sets; a FIFO over
-    // ids pushed in increasing order is deterministic too and O(V + E).
-    let mut queue: VecDeque<TaskId> = (0..n)
-        .filter(|&i| in_deg[i] == 0)
-        .map(TaskId::from_index)
-        .collect();
+    let n = in_deg.len();
+    let mut left = in_deg.to_vec();
     let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &w in &succ[v.index()] {
-            in_deg[w.index()] -= 1;
-            if in_deg[w.index()] == 0 {
-                queue.push_back(w);
+    order.extend_from_slice(sources);
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
+        for &w in succ.of(v) {
+            left[w.index()] -= 1;
+            if left[w.index()] == 0 {
+                order.push(w);
             }
         }
     }
     if order.len() != n {
         // Some task kept a nonzero in-degree: it lies on (or behind) a cycle.
-        let culprit = (0..n)
-            .find(|&i| in_deg[i] > 0)
+        let culprit = left
+            .iter()
+            .position(|&d| d > 0)
             .map(TaskId::from_index)
             .expect("cycle implies a task with nonzero in-degree");
         return Err(PtgError::Cycle(culprit));

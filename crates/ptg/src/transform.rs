@@ -74,7 +74,7 @@ pub fn compose_serial(first: &Ptg, second: &Ptg) -> Ptg {
         b.add_edge(shift(a), shift(c)).expect("copied edge");
     }
     for sink in first.sinks() {
-        for src in second.sources() {
+        for &src in second.sources() {
             b.add_edge(sink, shift(src)).expect("bridge edge");
         }
     }

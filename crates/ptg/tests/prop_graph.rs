@@ -1,15 +1,116 @@
 //! Property-based tests for the PTG substrate.
 //!
-//! Strategy: generate random "forward" edge sets over `n` tasks (only edges
-//! `i → j` with `i < j`), which are acyclic by construction, and check that
+//! Two strategies. Random "forward" edge sets over `n` tasks (only edges
+//! `i → j` with `i < j`) are acyclic by construction; the tests check that
 //! every derived structure (topological order, precedence levels, bottom
-//! levels, reachability) satisfies its defining invariants.
+//! levels, reachability) satisfies its defining invariants. Random builder
+//! call sequences — repeated edges, reversed pairs that close cycles,
+//! self-loops and ids past the last task — are replayed against a naive
+//! nested-`Vec` model of the builder, which must agree with it call by
+//! call and on the finished graph, before and after a serde round trip.
 
 use proptest::prelude::*;
 use ptg::critpath::{bottom_levels, critical_path, critical_path_length, top_levels};
 use ptg::levels::PrecedenceLevels;
 use ptg::topo::is_valid_topological_order;
-use ptg::{Ptg, PtgBuilder, TaskId};
+use ptg::{Ptg, PtgBuilder, PtgError, TaskId};
+use std::collections::VecDeque;
+
+/// The builder as first written: one `Vec` per task and direction, a
+/// duplicate check by `contains`, and Kahn's algorithm over a FIFO queue.
+struct NestedModel {
+    succ: Vec<Vec<TaskId>>,
+    pred: Vec<Vec<TaskId>>,
+}
+
+impl NestedModel {
+    fn new(n: usize) -> Self {
+        NestedModel {
+            succ: vec![Vec::new(); n],
+            pred: vec![Vec::new(); n],
+        }
+    }
+
+    fn add_edge(&mut self, from: TaskId, to: TaskId) -> Result<(), PtgError> {
+        let n = self.succ.len();
+        if from.index() >= n {
+            return Err(PtgError::UnknownTask(from));
+        }
+        if to.index() >= n {
+            return Err(PtgError::UnknownTask(to));
+        }
+        if from == to {
+            return Err(PtgError::SelfLoop(from));
+        }
+        if self.succ[from.index()].contains(&to) {
+            return Err(PtgError::DuplicateEdge(from, to));
+        }
+        self.succ[from.index()].push(to);
+        self.pred[to.index()].push(from);
+        Ok(())
+    }
+
+    fn sources(&self) -> Vec<TaskId> {
+        (0..self.pred.len())
+            .filter(|&v| self.pred[v].is_empty())
+            .map(TaskId::from_index)
+            .collect()
+    }
+
+    /// Sources in id order, then each task once its last predecessor left;
+    /// on a cycle, the smallest task whose in-degree never reached 0.
+    fn topo(&self) -> Result<Vec<TaskId>, PtgError> {
+        let mut left: Vec<usize> = self.pred.iter().map(Vec::len).collect();
+        let mut queue: VecDeque<TaskId> = self.sources().into();
+        let mut order = Vec::new();
+        while let Some(v) = queue.pop_front() {
+            order.push(v);
+            for &w in &self.succ[v.index()] {
+                left[w.index()] -= 1;
+                if left[w.index()] == 0 {
+                    queue.push_back(w);
+                }
+            }
+        }
+        match left.iter().position(|&d| d > 0) {
+            Some(culprit) => Err(PtgError::Cycle(TaskId::from_index(culprit))),
+            None => Ok(order),
+        }
+    }
+
+    /// Asserts that `g` is exactly the model's graph.
+    fn check(&self, g: &Ptg, topo: &[TaskId]) {
+        let edges: usize = self.succ.iter().map(Vec::len).sum();
+        assert_eq!(g.task_count(), self.succ.len());
+        assert_eq!(g.edge_count(), edges);
+        for v in g.task_ids() {
+            assert_eq!(g.successors(v), self.succ[v.index()].as_slice(), "{v}");
+            assert_eq!(g.predecessors(v), self.pred[v.index()].as_slice(), "{v}");
+            assert_eq!(
+                g.in_degrees()[v.index()] as usize,
+                self.pred[v.index()].len()
+            );
+        }
+        assert_eq!(g.sources(), self.sources().as_slice());
+        assert_eq!(g.topo_order(), topo);
+    }
+}
+
+/// Strategy producing (task count, forward only, builder calls). A call
+/// `(from, to, dedup)` may name ids up to two past the last task; `dedup`
+/// picks `add_edge_dedup` over `add_edge`. Forward-only cases order every
+/// pair, so they build; the others mostly close a cycle.
+fn calls_strategy() -> impl Strategy<Value = (usize, bool, Vec<(u32, u32, bool)>)> {
+    (1usize..12, 0u8..2).prop_flat_map(|(n, forward)| {
+        let id = 0u32..(n as u32 + 2);
+        let call = (id.clone(), id, 0u8..2).prop_map(|(a, b, dedup)| (a, b, dedup == 1));
+        (
+            Just(n),
+            Just(forward == 1),
+            proptest::collection::vec(call, 0..(n * 4)),
+        )
+    })
+}
 
 /// Builds a PTG from a task count and a set of forward edge pairs.
 fn build_graph(n: usize, edges: &[(usize, usize)], times_seed: u64) -> (Ptg, Vec<f64>) {
@@ -45,6 +146,40 @@ fn dag_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn builder_agrees_with_the_nested_model((n, forward, calls) in calls_strategy()) {
+        let mut b = PtgBuilder::new();
+        for i in 0..n {
+            b.add_task(format!("t{i}"), 1e9, 0.1);
+        }
+        let mut model = NestedModel::new(n);
+        for (a, c, dedup) in calls {
+            let (a, c) = if forward { (a.min(c), a.max(c)) } else { (a, c) };
+            let (from, to) = (TaskId(a), TaskId(c));
+            let want = model.add_edge(from, to);
+            if dedup {
+                let want = match want {
+                    Ok(()) => Ok(true),
+                    Err(PtgError::DuplicateEdge(..)) => Ok(false),
+                    Err(e) => Err(e),
+                };
+                prop_assert_eq!(b.add_edge_dedup(from, to), want);
+            } else {
+                prop_assert_eq!(b.add_edge(from, to), want);
+            }
+        }
+        match model.topo() {
+            Ok(topo) => {
+                let g = b.build().expect("the model found no cycle");
+                model.check(&g, &topo);
+                let back: Ptg = serde_json::from_str(&serde_json::to_string(&g).unwrap())
+                    .expect("a built graph loads");
+                model.check(&back, &topo);
+            }
+            Err(cycle) => prop_assert_eq!(b.build().unwrap_err(), cycle),
+        }
+    }
 
     #[test]
     fn topo_order_is_always_valid((n, edges) in dag_strategy(), seed in 1u64..1000) {

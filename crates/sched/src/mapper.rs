@@ -248,7 +248,7 @@ impl EvalScratch {
 impl ListScheduler {
     /// Resets `scratch`'s task-side buffers for an evaluation of `alloc` on
     /// `g`; no allocation once the buffers have reached steady-state
-    /// capacity. In-degrees are one memcpy from the graph's CSR view. The
+    /// capacity. In-degrees are one memcpy from the graph's. The
     /// queues are left alone: the grouped core seeds its own, and callers
     /// of the per-processor core seed theirs.
     // lint:hot-path
@@ -266,7 +266,7 @@ impl ListScheduler {
         matrix.fill_times(alloc.as_slice(), &mut scratch.times);
         bottom_levels_into(g, &scratch.times, &mut scratch.bl);
         scratch.in_deg.clear();
-        scratch.in_deg.extend_from_slice(g.csr().in_degrees());
+        scratch.in_deg.extend_from_slice(g.in_degrees());
         scratch.data_ready.clear();
         scratch.data_ready.resize(g.task_count(), 0.0);
     }
@@ -291,8 +291,8 @@ impl ListScheduler {
     /// placements there while the makespan-only reference passes a no-op.
     ///
     /// This core deliberately stays on the pre-refactor data structures —
-    /// comparator-driven `BinaryHeap`s and the graph's pointer adjacency —
-    /// so the bit-identity property tests pit two independent
+    /// comparator-driven `BinaryHeap`s of typed ready tasks and processor
+    /// slots — so the bit-identity property tests pit two independent
     /// implementations against each other.
     #[inline]
     pub(crate) fn schedule_core<F>(
@@ -377,9 +377,9 @@ impl ListScheduler {
     /// `sched.group_pops` / `sched.group_pushes` (processor-group heap
     /// traffic), `sched.rejections` (evaluations stopped by the cutoff).
     ///
-    /// The loop state is pure struct-of-arrays: task ids are raw `u32`
-    /// indices into the scratch's parallel `Vec<f64>`/`Vec<u32>` columns,
-    /// adjacency comes from the graph's CSR arenas, and both heaps are
+    /// The loop state is pure struct-of-arrays: task ids index the
+    /// scratch's parallel `Vec<f64>`/`Vec<u32>` columns, adjacency comes
+    /// from the graph's flat arenas, and both heaps are
     /// hand-rolled flat arrays of packed `u128` keys whose integer order
     /// equals the old comparator order (see [`crate::soa_heap`] for the
     /// layouts and the argument why pop order — and therefore every result
@@ -399,10 +399,9 @@ impl ListScheduler {
         let mut tasks_placed = 0u64;
         let mut group_pops = 0u64;
         let mut group_pushes = 0u64;
-        // The whole loop runs on flat state: raw `u32` ids into parallel
-        // slices, CSR adjacency, packed-`u128` heaps. Splitting the scratch
-        // borrow up front keeps every access a direct slice index.
-        let csr = g.csr();
+        // The whole loop runs on flat state: parallel slices, the graph's
+        // flat adjacency, packed-`u128` heaps. Splitting the scratch borrow
+        // up front keeps every access a direct slice index.
         let widths = alloc.as_slice();
         let EvalScratch {
             times,
@@ -418,15 +417,16 @@ impl ListScheduler {
         let in_deg = in_deg.as_mut_slice();
         let data_ready = data_ready.as_mut_slice();
         ready.clear();
-        for &v in csr.sources() {
-            ready.push(ready_entry(bl[v as usize], v));
+        for &v in g.sources() {
+            ready.push(ready_entry(bl[v.index()], v));
         }
         groups.clear();
         groups.push(group_entry(0.0, 0, p_max));
         let mut next_seq = 1u32;
 
         while let Some(entry) = ready.pop() {
-            let v = ready_task(entry) as usize;
+            let task = ready_task(entry);
+            let v = task.index();
             let s = widths[v];
             let mut need = s;
             let mut run = 0u128;
@@ -490,8 +490,8 @@ impl ListScheduler {
                 group_pushes += 1;
                 tasks_placed += 1;
             }
-            for &w in csr.successors(v as u32) {
-                let wi = w as usize;
+            for &w in g.successors(task) {
+                let wi = w.index();
                 data_ready[wi] = data_ready[wi].max(finish);
                 in_deg[wi] -= 1;
                 if in_deg[wi] == 0 {
@@ -636,7 +636,7 @@ impl ListScheduler {
 
     /// The straightforward per-processor evaluation, retained as the
     /// correctness oracle for the grouped SoA fitness core: comparator-driven
-    /// `BinaryHeap`s, pointer adjacency, one heap entry per processor —
+    /// `BinaryHeap`s, one heap entry per processor —
     /// the pre-refactor implementation, algorithm for algorithm. Produces
     /// bit-identical results to [`Self::makespan_bounded`].
     // lint:hot-path

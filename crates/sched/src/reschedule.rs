@@ -187,7 +187,6 @@ impl Rescheduler {
             }
         }
 
-        let csr = g.csr();
         let mut placements = Vec::new();
         SHARED_SCRATCH.with_borrow_mut(|scratch| {
             // Priority: bottom levels over the remainder, with settled
@@ -202,10 +201,9 @@ impl Rescheduler {
                 }));
             bottom_levels_into(g, &scratch.times, &mut scratch.bl);
 
-            // Data readiness and in-degrees over the remainder only. The
-            // CSR arenas visit predecessors in builder order, exactly as
-            // the pointer adjacency does — the `f64::max` folds stay
-            // bit-identical.
+            // Data readiness and in-degrees over the remainder only,
+            // visiting predecessors in builder order as every other fold
+            // over the graph does.
             scratch.data_ready.clear();
             scratch.data_ready.resize(n, state.now);
             scratch.in_deg.clear();
@@ -214,8 +212,8 @@ impl Rescheduler {
                 if settled_finish[v.index()].is_some() {
                     continue;
                 }
-                for &p in csr.predecessors(v.0) {
-                    match settled_finish[p as usize] {
+                for &p in g.predecessors(v) {
+                    match settled_finish[p.index()] {
                         Some(f) => {
                             scratch.data_ready[v.index()] = scratch.data_ready[v.index()].max(f)
                         }

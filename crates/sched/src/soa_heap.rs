@@ -34,6 +34,8 @@
 //! split always leaves `need < count`, so plain `u128` subtraction edits the
 //! count without borrowing into `seq`.
 
+use ptg::TaskId;
+
 /// Sign bit of an `f64`'s bit pattern.
 const SIGN: u64 = 1 << 63;
 
@@ -58,15 +60,15 @@ pub(crate) fn key_f64(k: u64) -> f64 {
 /// smaller task id.
 // lint:hot-path
 #[inline]
-pub(crate) fn ready_entry(bl: f64, task: u32) -> u128 {
-    ((f64_key(bl) as u128) << 64) | (!task) as u128
+pub(crate) fn ready_entry(bl: f64, task: TaskId) -> u128 {
+    ((f64_key(bl) as u128) << 64) | (!task.0) as u128
 }
 
 /// The task id of a packed ready entry.
 // lint:hot-path
 #[inline]
-pub(crate) fn ready_task(entry: u128) -> u32 {
-    !(entry as u32)
+pub(crate) fn ready_task(entry: u128) -> TaskId {
+    TaskId(!(entry as u32))
 }
 
 /// Packs an availability run: pops by increasing free time, ties by
@@ -243,14 +245,15 @@ mod tests {
     #[test]
     fn ready_entry_orders_like_the_ready_task_comparator() {
         // Larger bottom level first; equal levels resolve to the smaller id.
-        let hi = ready_entry(5.0, 7);
-        let lo = ready_entry(3.0, 2);
+        let hi = ready_entry(5.0, TaskId(7));
+        let lo = ready_entry(3.0, TaskId(2));
         assert!(hi > lo);
-        let tie_small = ready_entry(5.0, 3);
-        let tie_big = ready_entry(5.0, 9);
+        let tie_small = ready_entry(5.0, TaskId(3));
+        let tie_big = ready_entry(5.0, TaskId(9));
         assert!(tie_small > tie_big, "smaller id must pop first on ties");
-        assert_eq!(ready_task(ready_entry(5.0, 3)), 3);
-        assert_eq!(ready_task(ready_entry(0.0, u32::MAX - 1)), u32::MAX - 1);
+        assert_eq!(ready_task(ready_entry(5.0, TaskId(3))), TaskId(3));
+        let last = TaskId(u32::MAX - 1);
+        assert_eq!(ready_task(ready_entry(0.0, last)), last);
     }
 
     #[test]

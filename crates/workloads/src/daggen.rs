@@ -84,48 +84,74 @@ pub fn random_ptg<R: Rng + ?Sized>(params: &DaggenParams, costs: &CostConfig, rn
     params.check();
     let sizes = level_sizes(params, rng);
     let mut b = PtgBuilder::with_capacity(params.n);
-    let mut levels: Vec<Vec<TaskId>> = Vec::with_capacity(sizes.len());
+    // Tasks are added level by level, so level `l` holds the ids
+    // `start[l]..start[l + 1]`.
+    let mut start = Vec::with_capacity(sizes.len() + 1);
+    start.push(0);
 
     for (l, &size) in sizes.iter().enumerate() {
         // Layered corpora share the cost shape inside a level.
         let layer_pattern = CostPattern::ALL[rng.gen_range(0..CostPattern::ALL.len())];
         let layer_d = rng.gen_range(costs.d_min..=costs.d_max);
-        let level: Vec<TaskId> = (0..size)
-            .map(|i| {
-                let c = if params.is_layered() {
-                    let jitter = rng.gen_range(0.9..=1.1);
-                    let d = (layer_d * jitter).clamp(costs.d_min, costs.d_max);
-                    costs.sample_with(rng, layer_pattern, d)
-                } else {
-                    costs.sample(rng)
-                };
-                b.add_task(format!("t{l}_{i}"), c.flop, c.alpha)
-            })
-            .collect();
-        levels.push(level);
+        for i in 0..size {
+            let c = if params.is_layered() {
+                let jitter = rng.gen_range(0.9..=1.1);
+                let d = (layer_d * jitter).clamp(costs.d_min, costs.d_max);
+                costs.sample_with(rng, layer_pattern, d)
+            } else {
+                costs.sample(rng)
+            };
+            b.add_task(task_name(l, i), c.flop, c.alpha);
+        }
+        start.push(b.task_count());
     }
 
-    for l in 1..levels.len() {
+    for l in 1..sizes.len() {
         let lowest_parent_level = l.saturating_sub(1 + params.jump);
-        for i in 0..levels[l].len() {
-            let child = levels[l][i];
+        let direct = start[l - 1]..start[l];
+        for child in start[l]..start[l + 1] {
+            let child = TaskId::from_index(child);
             // Guaranteed parent on the adjacent level pins the precedence
             // level of `child` to `l`.
-            let direct = &levels[l - 1];
-            let anchor = direct[rng.gen_range(0..direct.len())];
+            let anchor = TaskId::from_index(direct.start + rng.gen_range(0..direct.len()));
             b.add_edge(anchor, child).expect("first edge to child");
             // Additional parents: each candidate in the allowed span joins
             // with probability `density`.
-            for parent_level in &levels[lowest_parent_level..l] {
-                for &cand in parent_level {
-                    if cand != anchor && rng.gen_bool(params.density) {
-                        let _ = b.add_edge_dedup(cand, child);
-                    }
+            for cand in start[lowest_parent_level]..start[l] {
+                let cand = TaskId::from_index(cand);
+                if cand != anchor && rng.gen_bool(params.density) {
+                    let _ = b.add_edge_dedup(cand, child);
                 }
             }
         }
     }
     b.build().expect("level-ordered edges are acyclic")
+}
+
+/// The name `t{l}_{i}` of task `i` on level `l`, written digit by digit:
+/// on the flat builder, `format!` was the largest cost left in DAGGEN.
+fn task_name(l: usize, i: usize) -> String {
+    let mut name = String::with_capacity(12);
+    name.push('t');
+    push_decimal(&mut name, l);
+    name.push('_');
+    push_decimal(&mut name, i);
+    name
+}
+
+/// Appends the decimal digits of `x` to `s`.
+fn push_decimal(s: &mut String, mut x: usize) {
+    let mut digits = [0u8; 20];
+    let mut k = digits.len();
+    loop {
+        k -= 1;
+        digits[k] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    s.extend(digits[k..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]
@@ -258,6 +284,13 @@ mod tests {
                 max / min < 16.0,
                 "level {l} cost spread too wide: {min} .. {max}"
             );
+        }
+    }
+
+    #[test]
+    fn task_names_match_their_format_spelling() {
+        for (l, i) in [(0, 0), (3, 9), (10, 99), (100, 1000), (7, usize::MAX)] {
+            assert_eq!(task_name(l, i), format!("t{l}_{i}"));
         }
     }
 

@@ -8,9 +8,11 @@
 //!
 //! Grid: every 6th item of one DAGGEN stream grid cycle (`0..144`, seed
 //! 2011) × Chti/Grelon × Model 1/2 — 96 cases, one line per case and facet:
-//! `item platform model facet hex`. Values are folded with FNV-1a over
-//! their IEEE-754 bits (`to_bits`), never through std hashers, so the file
-//! is stable across toolchains. One short online run adds two more lines.
+//! `item platform model facet hex`. Each item's graph gets one more line,
+//! `item - - graph hex`, ahead of its cases. Values are folded with FNV-1a
+//! over their IEEE-754 bits (`to_bits`), never through std hashers, so the
+//! file is stable across toolchains. One short online run adds two more
+//! lines.
 //!
 //! Regenerate only when results are meant to move, and say why in
 //! CHANGES.md:
@@ -83,6 +85,32 @@ fn placements(s: &Schedule) -> Fnv {
         for &q in &p.processors {
             h.word(u64::from(q));
         }
+    }
+    h
+}
+
+/// The graph itself: task names, costs, both adjacency lists in their
+/// order and the topological order. Lists are length-prefixed, so no two
+/// graphs fold the same word sequence.
+fn graph(g: &ptg::Ptg) -> Fnv {
+    let mut h = Fnv::new();
+    for t in g.tasks() {
+        h.word(t.name.len() as u64);
+        for b in t.name.bytes() {
+            h.word(u64::from(b));
+        }
+        h.float(t.flop).float(t.alpha);
+    }
+    for v in g.task_ids() {
+        for list in [g.successors(v), g.predecessors(v)] {
+            h.word(list.len() as u64);
+            for &w in list {
+                h.word(u64::from(w.0));
+            }
+        }
+    }
+    for &v in g.topo_order() {
+        h.word(u64::from(v.0));
     }
     h
 }
@@ -185,6 +213,7 @@ fn fingerprints() -> Vec<String> {
     let mut lines = Vec::new();
     for i in (0..144).step_by(6) {
         let g = workloads::stream::item(2011, i, &costs).ptg;
+        lines.push(format!("{i} - - graph {}", graph(&g).hex()));
         for cluster in [platform::chti(), platform::grelon()] {
             for (model, tag) in [
                 (PaperModel::Model1, "model1"),
