@@ -29,7 +29,7 @@ fn bench_allocators(c: &mut Criterion) {
             cluster.processors,
         );
         for (name, alloc) in [
-            ("CPA", &Cpa::default() as &dyn Allocator),
+            ("CPA", &Cpa as &dyn Allocator),
             ("HCPA", &Hcpa),
             ("MCPA", &Mcpa),
             ("DeltaCritical", &DeltaCritical::default()),

@@ -28,7 +28,7 @@ use workloads::CostConfig;
 /// What one call of a row reports for one `(PTG, seed)` pair.
 #[derive(Debug, Clone, Copy)]
 struct Outcome {
-    /// Makespan of the row's schedule [s].
+    /// Makespan of the row's schedule in seconds.
     makespan: f64,
     /// Fitness evaluations spent (0 for one-shot heuristics).
     evaluations: usize,
@@ -88,7 +88,7 @@ impl Study {
 pub struct RowResult {
     /// Row label.
     pub label: String,
-    /// Mean makespan [s].
+    /// Mean makespan in seconds.
     pub makespan: f64,
     /// Per-run makespan ratio to the baseline row, mean ± 95 % CI
     /// (< 1: this row schedules shorter).

@@ -38,7 +38,7 @@
 //!    empty result slot serially (`pool.serial_fallbacks`).
 //! 2. **Worker respawn** — a panic that escapes ring 1 (e.g. a wedged
 //!    claim) unwinds the worker's whole incarnation; the outer loop in
-//!    [`worker_loop`] catches it, counts `pool.respawns` and starts a
+//!    `worker_loop` catches it, counts `pool.respawns` and starts a
 //!    fresh incarnation — new scratch, same OS thread — so the pool
 //!    returns to full strength without touching the thread scope.
 //! 3. **Batch deadline** — the dispatcher waits on the batch with a
@@ -49,7 +49,7 @@
 //!
 //! Lock poisoning is recovered rather than propagated: every mutex here
 //! protects state that is consistent at all times (a `bool`, a channel
-//! receiver), so clearing the poison is correct — see [`lock_recover`].
+//! receiver), so clearing the poison is correct — see `lock_recover`.
 
 use exec_model::TimeMatrix;
 use obs::{NoopRecorder, Recorder};
@@ -338,8 +338,13 @@ fn worker_loop<R: Recorder>(g: &Ptg, matrix: &TimeMatrix, core: &PoolCore, rec: 
 /// per-worker busy-time distribution), and its batch count into
 /// `pool.worker_batches`. An incarnation that dies mid-batch loses its
 /// unflushed telemetry — an accepted imprecision of the failure path.
+///
+/// The whole incarnation is one `pool.worker` trace span, so every worker
+/// thread has its own flight-recorder lane before the pool joins, even one
+/// that never wins a batch item.
 // lint:panic-root
 fn worker_incarnation<R: Recorder>(g: &Ptg, matrix: &TimeMatrix, core: &PoolCore, rec: &R) {
+    let _incarnation = rec.trace_span("pool.worker");
     let mut scratch = EvalScratch::with_capacity(g.task_count(), matrix.p_max());
     let mut busy = 0.0f64;
     let mut batches = 0u64;

@@ -7,18 +7,23 @@
 //! [`ENTRY_POINTS`] evaluates the chain at an infinite and at the tight
 //! cutoff, and must reproduce the per-processor oracle
 //! `ListScheduler::makespan_bounded_reference` bit for bit, accept and
-//! reject alike. Adding or retiring an evaluation path is one table row.
+//! reject alike. Every path in [`PLACEMENT_PATHS`] places the chain's
+//! tasks at an infinite cutoff: the paths must agree on the bits of every
+//! start and finish, and their makespan is the oracle's. Adding or retiring
+//! an evaluation path is one table row.
 
 use emts::mutation::mutation_count;
 use emts::parallel::sabotage;
 use emts::{EvalPool, FitnessEngine, MutationOperator};
 use exec_model::{Amdahl, SyntheticModel, TimeMatrix};
-use obs::NoopRecorder;
+use obs::{NoopRecorder, StatsRecorder};
 use proptest::prelude::*;
 use ptg::{Ptg, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sched::{Allocation, EvalScratch, ListScheduler};
+use sched::{
+    Allocation, BoundedEval, EvalScratch, ListScheduler, Mapper, Rescheduler, ResumeState,
+};
 use workloads::{daggen::random_ptg, CostConfig, DaggenParams};
 
 /// Mutants per chain, after the random root.
@@ -91,9 +96,10 @@ fn oracle(g: &Ptg, m: &TimeMatrix, allocs: &[Allocation], cutoff: f64) -> Vec<Op
 /// An entry point's fitness of every chain member at `cutoff`.
 type EntryPoint = fn(&Case, f64) -> Vec<Option<f64>>;
 
-const ENTRY_POINTS: [(&str, EntryPoint); 10] = [
+const ENTRY_POINTS: [(&str, EntryPoint); 11] = [
     ("makespan_bounded", fresh),
     ("makespan_bounded_with", reused_scratch),
+    ("evaluate_bounded_obs, live stats", instrumented),
     ("run_batch, 0 workers", |c, cutoff| {
         pooled(c, cutoff, 0, usize::MAX)
     }),
@@ -126,6 +132,34 @@ fn reused_scratch(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
         .collect()
 }
 
+/// The grouped core under a live recorder, one per evaluation: a completed
+/// evaluation places every task once, and a rejection is counted.
+fn instrumented(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    c.chain
+        .iter()
+        .map(|a| {
+            let stats = StatsRecorder::new();
+            let mut scratch = EvalScratch::new();
+            let eval =
+                ListScheduler.evaluate_bounded_obs(&c.g, &c.m, a, cutoff, &mut scratch, &stats);
+            match eval {
+                BoundedEval::Complete { makespan, .. } => {
+                    assert_eq!(
+                        stats.counter("sched.tasks_placed"),
+                        c.g.task_count() as u64,
+                        "a completed evaluation places every task exactly once"
+                    );
+                    Some(makespan)
+                }
+                BoundedEval::Rejected => {
+                    assert!(stats.counter("sched.rejections") >= 1);
+                    None
+                }
+            }
+        })
+        .collect()
+}
+
 /// The chain through `run_batch`, `batch` allocations at a time.
 fn pooled(c: &Case, cutoff: f64, workers: usize, batch: usize) -> Vec<Option<f64>> {
     EvalPool::with_workers(&c.g, &c.m, workers, &NoopRecorder, |pool| {
@@ -138,8 +172,8 @@ fn pooled(c: &Case, cutoff: f64, workers: usize, batch: usize) -> Vec<Option<f64
 }
 
 /// The 2-worker pool with the caller kept out of the drain, so the
-/// workers evaluate every item (the hook is process-global; this file
-/// holds one test, so nothing else runs meanwhile).
+/// workers evaluate every item (the hook is process-global; the other
+/// test in this file builds no pool, so no other drain sees it).
 fn workers_only(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
     sabotage::arm_caller_abstains();
     let got = pooled(c, cutoff, 2, usize::MAX);
@@ -189,8 +223,47 @@ fn offspring(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
     })
 }
 
+/// A path that places every task of the graph: the bits of each task's
+/// start and finish, in task order.
+type PlacementPath = fn(&Case, &Allocation) -> Vec<(TaskId, u64, u64)>;
+
+const PLACEMENT_PATHS: [(&str, PlacementPath); 2] = [
+    ("ListScheduler::map", mapped),
+    ("fresh Rescheduler replan", replanned),
+];
+
+fn mapped(c: &Case, a: &Allocation) -> Vec<(TaskId, u64, u64)> {
+    let schedule = ListScheduler.map(&c.g, &c.m, a);
+    c.g.task_ids()
+        .map(|v| {
+            let pl = schedule.placement(v);
+            (v, pl.start.to_bits(), pl.finish.to_bits())
+        })
+        .collect()
+}
+
+/// A replan from time 0 on the whole live platform, which shares only the
+/// graph's adjacency with the mapper's core.
+fn replanned(c: &Case, a: &Allocation) -> Vec<(TaskId, u64, u64)> {
+    let state = ResumeState::fresh(c.g.task_count(), c.m.p_max() as usize, 0.0);
+    let mut replan = Rescheduler
+        .reschedule(&c.g, &c.m, a, &state)
+        .expect("live platform");
+    replan.sort_by_key(|pl| pl.task);
+    replan
+        .iter()
+        .map(|pl| (pl.task, pl.start.to_bits(), pl.finish.to_bits()))
+        .collect()
+}
+
 fn bits(v: &[Option<f64>]) -> Vec<Option<u64>> {
     v.iter().map(|f| f.map(f64::to_bits)).collect()
+}
+
+/// (seed, task count, platform size, model, cutoff factor around the
+/// chain's median makespan).
+fn scenario() -> impl Strategy<Value = (u64, usize, u32, u8, f64)> {
+    (0u64..1 << 40, 6usize..48, 3u32..72, 1u8..=2, 0.5f64..1.5)
 }
 
 proptest! {
@@ -198,7 +271,7 @@ proptest! {
 
     #[test]
     fn every_entry_point_matches_the_oracle(
-        (seed, n, p, model, cutoff_factor) in (0u64..1 << 40, 8usize..40, 4u32..64, 1u8..=2, 0.5f64..1.5)
+        (seed, n, p, model, cutoff_factor) in scenario()
     ) {
         let model2 = model == 2;
         let c = case(seed, n, p, model2, cutoff_factor);
@@ -213,6 +286,28 @@ proptest! {
                     cutoff,
                     model2
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_placement_path_matches_the_oracle(
+        (seed, n, p, model, cutoff_factor) in scenario()
+    ) {
+        let model2 = model == 2;
+        let c = case(seed, n, p, model2, cutoff_factor);
+        let makespans = oracle(&c.g, &c.m, &c.chain, f64::INFINITY);
+        for (a, want) in c.chain.iter().zip(makespans) {
+            let want = want.expect("an infinite cutoff never rejects");
+            let first = PLACEMENT_PATHS[0].1(&c, a);
+            for (name, path) in PLACEMENT_PATHS {
+                let placed = path(&c, a);
+                let makespan = placed
+                    .iter()
+                    .map(|&(_, _, finish)| f64::from_bits(finish))
+                    .fold(0.0, f64::max);
+                prop_assert_eq!(makespan.to_bits(), want.to_bits(), "{} (model2 = {})", name, model2);
+                prop_assert_eq!(&placed, &first, "{} (model2 = {})", name, model2);
             }
         }
     }

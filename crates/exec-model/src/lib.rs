@@ -17,13 +17,9 @@
 //! * [`Tabulated`] — measured timings per processor count,
 //! * [`Monotonized`] — wrapper enforcing the "monotonous penalty assumption"
 //!   by taking the running minimum over smaller allocations,
-//! * [`SparseTabulated`] — linear interpolation between sparse measured
-//!   widths (real measurement campaigns sample a few processor counts),
 //! * [`RedistributionCost`] — folds scatter/gather overhead into any base
 //!   model (the paper's §III prescription for communication costs),
-//! * [`PerTaskModel`] — dispatches different models per task kernel,
-//! * [`fit`] — least-squares recovery of Amdahl parameters from
-//!   measurements (closing the loop the paper's §II-B points at).
+//! * [`PerTaskModel`] — dispatches different models per task kernel.
 //!
 //! [`TimeMatrix`] pre-evaluates a model for every `(task, p)` pair of a PTG,
 //! which is the hot lookup inside allocation heuristics and the EA's fitness
@@ -32,8 +28,6 @@
 pub mod amdahl;
 pub mod comm;
 pub mod downey;
-pub mod fit;
-pub mod interp;
 pub mod matrix;
 pub mod per_task;
 pub mod synthetic;
@@ -43,8 +37,6 @@ pub mod wrappers;
 pub use amdahl::Amdahl;
 pub use comm::RedistributionCost;
 pub use downey::Downey;
-pub use fit::{fit_amdahl, AmdahlFit};
-pub use interp::SparseTabulated;
 pub use matrix::TimeMatrix;
 pub use per_task::PerTaskModel;
 pub use synthetic::{NonMonotonicPenalty, SyntheticModel};

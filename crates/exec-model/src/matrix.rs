@@ -112,7 +112,7 @@ mod tests {
     use crate::wrappers::Scaled;
     use crate::{
         Amdahl, Downey, Monotonized, NonMonotonicPenalty, PerTaskModel, RedistributionCost,
-        SparseTabulated, SyntheticModel, Tabulated,
+        SyntheticModel, Tabulated,
     };
     use ptg::{PtgBuilder, Task};
 
@@ -176,8 +176,6 @@ mod tests {
         };
         let reference = Task::new("ref", 1e9, 0.1);
         let sampled = Tabulated::sample(&SyntheticModel::default(), &reference, 1e9, 24);
-        let sparse =
-            SparseTabulated::from_measurements(&[(1, 10.0), (4, 3.0), (16, 1.2), (64, 0.9)]);
         let per_task = PerTaskModel::new(
             vec![
                 Box::new(Amdahl),
@@ -195,7 +193,6 @@ mod tests {
         );
         assert_every_call_path("downey", Downey::new(8.0, 0.5));
         assert_every_call_path("tabulated", sampled);
-        assert_every_call_path("sparse tabulated", sparse);
         assert_every_call_path("per-task", per_task);
         assert_every_call_path(
             "redistribution",

@@ -43,8 +43,7 @@ use ptg::topo::topo_positions;
 use ptg::{Ptg, TaskId};
 use sched::Allocation;
 
-/// Configuration of the shared CPA loop: which tasks may grow, and whether
-/// a step that gains nothing stops it.
+/// Configuration of the shared CPA loop: which tasks may grow.
 #[derive(Debug, Clone, Default)]
 pub struct CpaLoop {
     /// Per-task allocation caps, indexed by task id: task `v` grows only
@@ -54,10 +53,6 @@ pub struct CpaLoop {
     /// MCPA's level bound: a task grows only while the total allocation of
     /// its precedence level is below `P`.
     pub level_bound: bool,
-    /// If true, the loop also stops when the best achievable gain is zero or
-    /// negative (useful under non-monotonic models; the classic algorithms
-    /// do not check this because monotonic models always gain).
-    pub stop_on_no_gain: bool,
 }
 
 /// The gain CPA attributes to growing task `v` by one processor: the drop in
@@ -246,12 +241,9 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
             }
             cur = heavy[v];
         }
-        let Some((v, gain)) = best else {
+        let Some((v, _)) = best else {
             break; // nothing on the critical path may grow
         };
-        if cfg.stop_on_no_gain && gain <= 0.0 {
-            break;
-        }
         let task = TaskId::from_index(v);
         let s = alloc.of(task) + 1;
         alloc.set(task, s);
@@ -299,12 +291,9 @@ pub fn run_cpa_loop_reference(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Al
             .filter(|&v| may_grow(&alloc, v))
             .map(|v| (v, cpa_gain(matrix, v, alloc.of(v))))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains are finite"));
-        let Some((v, gain)) = best else {
+        let Some((v, _)) = best else {
             break; // nothing on the critical path may grow
         };
-        if cfg.stop_on_no_gain && gain <= 0.0 {
-            break;
-        }
         let s = alloc.of(v) + 1;
         alloc.set(v, s);
         times[v.index()] = matrix.time(v, s);
@@ -367,33 +356,14 @@ mod tests {
         // alpha = 0.9: T(2) = 1.1·0.95·seq ≈ 1.045·seq, per-proc 0.5225 vs 1.0
         // → positive; T(3) = 1.3·(0.9+0.1/3) = 1.213·seq, per-proc 0.404 —
         // positive again. Per-processor time is dominated by the 1/s factor,
-        // so CPA gains stay positive; the negative-gain guard matters for
-        // models like tabulated measurements with super-linear slowdowns.
+        // so CPA gains stay positive; negative gains need models like
+        // tabulated measurements with super-linear slowdowns.
         // Assert the mathematical possibility with a crafted table instead.
         use exec_model::Tabulated;
         let tab = Tabulated::from_speedups(vec![1.0, 0.4]); // p=2 is 2.5× slower
         let m3 = TimeMatrix::compute(&g2, &tab, 1e9, 2);
         assert!(cpa_gain(&m3, TaskId(0), 1) < 0.0);
         let _ = (g, m, m2);
-    }
-
-    #[test]
-    fn stop_on_no_gain_freezes_allocation_under_hostile_model() {
-        use exec_model::Tabulated;
-        let mut b = PtgBuilder::new();
-        let a = b.add_task("a", 8e9, 0.0);
-        let c = b.add_task("c", 8e9, 0.0);
-        b.add_edge(a, c).unwrap();
-        let g = b.build().unwrap();
-        // Any growth slows tasks down drastically.
-        let tab = Tabulated::from_speedups(vec![1.0, 0.1, 0.1, 0.1]);
-        let m = TimeMatrix::compute(&g, &tab, 1e9, 4);
-        let cfg = CpaLoop {
-            stop_on_no_gain: true,
-            ..CpaLoop::default()
-        };
-        let alloc = run_cpa_loop(&g, &m, &cfg);
-        assert_eq!(alloc.as_slice(), &[1, 1]);
     }
 
     #[test]

@@ -19,22 +19,11 @@ use sched::Allocation;
 
 /// The CPA allocation procedure.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Cpa {
-    /// Stop growing when the best gain is non-positive (off by default to
-    /// match the original algorithm, which assumes a monotonic model).
-    pub stop_on_no_gain: bool,
-}
+pub struct Cpa;
 
 impl Allocator for Cpa {
     fn allocate(&self, g: &Ptg, matrix: &TimeMatrix) -> Allocation {
-        run_cpa_loop(
-            g,
-            matrix,
-            &CpaLoop {
-                stop_on_no_gain: self.stop_on_no_gain,
-                ..CpaLoop::default()
-            },
-        )
+        run_cpa_loop(g, matrix, &CpaLoop::default())
     }
 
     fn name(&self) -> &'static str {
@@ -71,7 +60,7 @@ mod tests {
         b.add_edge(a, c).unwrap();
         let g = b.build().unwrap();
         let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 16);
-        let (_, ms_cpa) = allocate_and_map(&Cpa::default(), &g, &m);
+        let (_, ms_cpa) = allocate_and_map(&Cpa, &g, &m);
         let (_, ms_one) = allocate_and_map(&AllOne, &g, &m);
         assert!(ms_cpa < ms_one, "CPA {ms_cpa} vs all-ones {ms_one}");
     }
@@ -80,7 +69,7 @@ mod tests {
     fn cpa_allocations_are_valid() {
         let g = fork_join();
         let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 20);
-        let alloc = Cpa::default().allocate(&g, &m);
+        let alloc = Cpa.allocate(&g, &m);
         assert!(alloc.is_valid_for(&g, 20));
     }
 
@@ -88,7 +77,7 @@ mod tests {
     fn cpa_widens_critical_tasks_more_than_trivial_ones() {
         let g = fork_join();
         let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 20);
-        let alloc = Cpa::default().allocate(&g, &m);
+        let alloc = Cpa.allocate(&g, &m);
         // The heavy workers dominate the critical path; the 1 GFLOP
         // src/sink should stay narrow relative to them.
         let worker_total: u32 = (2..6).map(|i| alloc.of(TaskId(i))).sum();
@@ -99,16 +88,13 @@ mod tests {
     fn single_processor_platform_keeps_all_ones() {
         let g = fork_join();
         let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 1);
-        assert_eq!(Cpa::default().allocate(&g, &m), Allocation::ones(6));
+        assert_eq!(Cpa.allocate(&g, &m), Allocation::ones(6));
     }
 
     #[test]
     fn cpa_is_deterministic() {
         let g = fork_join();
         let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 20);
-        assert_eq!(
-            Cpa::default().allocate(&g, &m),
-            Cpa::default().allocate(&g, &m)
-        );
+        assert_eq!(Cpa.allocate(&g, &m), Cpa.allocate(&g, &m));
     }
 }

@@ -56,7 +56,7 @@ mod tests {
         let g = sample();
         for p in [4u32, 20, 120] {
             let m = TimeMatrix::compute(&g, &Amdahl, 3.1e9, p);
-            assert_eq!(Hcpa.allocate(&g, &m), Cpa::default().allocate(&g, &m));
+            assert_eq!(Hcpa.allocate(&g, &m), Cpa.allocate(&g, &m));
         }
     }
 

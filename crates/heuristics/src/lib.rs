@@ -24,7 +24,6 @@
 pub mod bicpa;
 pub mod common;
 pub mod cpa;
-pub mod cpr;
 pub mod delta;
 pub mod hcpa;
 pub mod mcpa;
@@ -33,7 +32,6 @@ pub mod trivial;
 
 pub use bicpa::BiCpa;
 pub use cpa::Cpa;
-pub use cpr::Cpr;
 pub use delta::DeltaCritical;
 pub use hcpa::Hcpa;
 pub use mcpa::Mcpa;

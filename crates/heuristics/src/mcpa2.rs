@@ -48,7 +48,6 @@ impl Mcpa2 {
         CpaLoop {
             caps: Some(caps),
             level_bound: true,
-            stop_on_no_gain: false,
         }
     }
 }

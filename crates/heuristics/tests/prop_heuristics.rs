@@ -79,7 +79,6 @@ proptest! {
         ] {
             let rules = [
                 ("CPA", CpaLoop::default()),
-                ("CPA stop_on_no_gain", CpaLoop { stop_on_no_gain: true, ..CpaLoop::default() }),
                 ("MCPA", Mcpa::cpa_loop()),
                 ("MCPA2", Mcpa2::cpa_loop(&g, procs)),
                 ("BiCPA cap", CpaLoop { caps: Some(vec![cap; g.task_count()]), ..CpaLoop::default() }),
@@ -105,7 +104,7 @@ proptest! {
         let g = random_ptg(&params, &CostConfig::default(), &mut rng);
         let m = TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, procs);
         for a in [
-            &Cpa::default() as &dyn Allocator,
+            &Cpa as &dyn Allocator,
             &Hcpa,
             &Mcpa,
             &Mcpa2,
@@ -169,7 +168,7 @@ proptest! {
         let mut prev_total = 0u32;
         for procs in [4u32, 8, 16, 32] {
             let m = TimeMatrix::compute(&g, &Amdahl, 3.1e9, procs);
-            let alloc = Cpa::default().allocate(&g, &m);
+            let alloc = Cpa.allocate(&g, &m);
             let total: u32 = alloc.as_slice().iter().sum();
             prop_assert!(total + 2 >= prev_total,
                 "P={}: total {} shrank well below {}", procs, total, prev_total);

@@ -141,7 +141,8 @@ pub struct Rule {
 macro_rules! rules {
     ($($name:ident = ($id:literal, $sev:ident, $cat:ident, $summary:literal);)*) => {
         $(
-            #[doc = $summary]
+            // A code span keeps brackets in a summary text, not links.
+            #[doc = concat!("`", $summary, "`")]
             pub const $name: Rule = Rule {
                 id: $id,
                 severity: Severity::$sev,

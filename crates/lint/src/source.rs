@@ -307,7 +307,7 @@ pub struct FnFact {
     /// Name matches the user-input parse-path convention
     /// (`from_str`/`parse*`/`read_*`/`load_*`).
     pub parse_path: bool,
-    /// References a deterministic-artifact type (see [`SINK_TYPES`]) in its
+    /// References a deterministic-artifact type (see `SINK_TYPES`) in its
     /// signature or body, or is a method of one.
     pub sink: bool,
     /// Every call made in the body, in source order.

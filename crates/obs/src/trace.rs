@@ -145,7 +145,7 @@ const LANE_CACHE_MAX: usize = 16;
 ///
 /// See the [module docs](self) for the design. Every [`Recorder`] probe
 /// maps to one ring push on the calling thread's lane; `span_enter` /
-/// `span_exit` are lane-local here (unlike [`StatsRecorder`]'s
+/// `span_exit` are lane-local here (unlike [`StatsRecorder`](crate::StatsRecorder)'s
 /// main-thread-only span stack), so worker threads get real span
 /// timelines.
 pub struct FlightRecorder {

@@ -123,20 +123,6 @@ fn heaviest(candidates: &[TaskId], bl: &[f64]) -> Option<TaskId> {
     Some(best)
 }
 
-/// Tasks whose bottom level is within `delta` of the global maximum:
-/// `{v | bl(v) ≥ delta · max_i bl(i)}` — the Δ-critical set (Suter).
-pub fn delta_critical(g: &Ptg, times: &[f64], delta: f64) -> Vec<TaskId> {
-    assert!(
-        (0.0..=1.0).contains(&delta),
-        "delta must lie in [0, 1], got {delta}"
-    );
-    let bl = bottom_levels(g, times);
-    let max = bl.iter().copied().fold(0.0f64, f64::max);
-    g.task_ids()
-        .filter(|v| bl[v.index()] >= delta * max)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,27 +184,6 @@ mod tests {
         }
         // off-path task 2: 3 + 3 = 6 < 9
         assert!(tl[2] + bl[2] < cp);
-    }
-
-    #[test]
-    fn delta_one_selects_only_the_critical_entry() {
-        let (g, t) = weighted_diamond();
-        assert_eq!(delta_critical(&g, &t, 1.0), vec![TaskId(0)]);
-    }
-
-    #[test]
-    fn delta_zero_selects_everything() {
-        let (g, t) = weighted_diamond();
-        assert_eq!(delta_critical(&g, &t, 0.0).len(), g.task_count());
-    }
-
-    #[test]
-    fn delta_middle_is_monotone() {
-        let (g, t) = weighted_diamond();
-        let d9 = delta_critical(&g, &t, 0.9).len();
-        let d5 = delta_critical(&g, &t, 0.5).len();
-        let d1 = delta_critical(&g, &t, 0.1).len();
-        assert!(d9 <= d5 && d5 <= d1);
     }
 
     #[test]

@@ -4,9 +4,6 @@
 //!   generators (and real workflow exports) often carry redundant edges;
 //!   reducing them shrinks the mapper's working set without changing any
 //!   schedule's feasibility.
-//! * [`merge_series`] — collapse chains of unit-fan nodes into single
-//!   tasks, a standard preprocessing step that preserves makespans when the
-//!   merged tasks share an allocation.
 //! * [`compose_serial`] / [`compose_parallel`] — combine PTGs the way
 //!   workflow engines do (run A then B; run A beside B).
 
@@ -79,64 +76,6 @@ pub fn compose_serial(first: &Ptg, second: &Ptg) -> Ptg {
         }
     }
     b.build().expect("serial composition of DAGs is a DAG")
-}
-
-/// Collapses maximal series chains into single tasks.
-///
-/// A *series pair* is an edge `a → b` where `a` has exactly one successor
-/// and `b` exactly one predecessor: the two tasks always run back to back,
-/// so replacing them with one task of cost `flop_a + flop_b` and
-/// work-weighted serial fraction
-/// `α = (α_a·flop_a + α_b·flop_b) / (flop_a + flop_b)` preserves the
-/// combined Amdahl execution time at every shared processor count exactly
-/// (the formula is linear in `(flop, α·flop)`).
-///
-/// Returns the contracted graph plus, for each new task, the original task
-/// ids it absorbed (in execution order).
-pub fn merge_series(g: &Ptg) -> (Ptg, Vec<Vec<TaskId>>) {
-    // Walk in topological order; start a new group at every task whose
-    // predecessor situation breaks a chain.
-    let mut group_of = vec![usize::MAX; g.task_count()];
-    let mut groups: Vec<Vec<TaskId>> = Vec::new();
-    for &v in g.topo_order() {
-        let mergeable_into_pred = g.in_degree(v) == 1 && {
-            let p = g.predecessors(v)[0];
-            g.out_degree(p) == 1
-        };
-        if mergeable_into_pred {
-            let p = g.predecessors(v)[0];
-            let gi = group_of[p.index()];
-            group_of[v.index()] = gi;
-            groups[gi].push(v);
-        } else {
-            group_of[v.index()] = groups.len();
-            groups.push(vec![v]);
-        }
-    }
-
-    let mut b = PtgBuilder::with_capacity(groups.len());
-    for members in &groups {
-        let flop: f64 = members.iter().map(|&v| g.task(v).flop).sum();
-        let alpha_work: f64 = members
-            .iter()
-            .map(|&v| g.task(v).alpha * g.task(v).flop)
-            .sum();
-        let name = members
-            .iter()
-            .map(|&v| g.task(v).name.as_str())
-            .collect::<Vec<_>>()
-            .join("+");
-        b.add_task(name, flop, alpha_work / flop);
-    }
-    for (a, c) in g.edges() {
-        let (ga, gc) = (group_of[a.index()], group_of[c.index()]);
-        if ga != gc {
-            let _ = b
-                .add_edge_dedup(TaskId::from_index(ga), TaskId::from_index(gc))
-                .expect("group edges follow topological order");
-        }
-    }
-    (b.build().expect("contraction of a DAG is a DAG"), groups)
 }
 
 /// Parallel composition: the two graphs side by side, no new edges.
@@ -249,91 +188,6 @@ mod tests {
         assert_eq!(p.sources().len(), 2);
         assert_eq!(p.sinks().len(), 2);
         assert!(!crate::analysis::reaches(&p, TaskId(0), TaskId(3)));
-    }
-
-    #[test]
-    fn merge_series_collapses_a_pure_chain_to_one_task() {
-        let mut b = PtgBuilder::new();
-        let ids: Vec<TaskId> = (0..4)
-            .map(|i| b.add_task(format!("t{i}"), 2.0 * (i + 1) as f64, 0.1 * i as f64))
-            .collect();
-        for w in ids.windows(2) {
-            b.add_edge(w[0], w[1]).unwrap();
-        }
-        let g = b.build().unwrap();
-        let (merged, groups) = merge_series(&g);
-        assert_eq!(merged.task_count(), 1);
-        assert_eq!(merged.edge_count(), 0);
-        assert_eq!(groups[0], ids);
-        // flop sums: 2+4+6+8 = 20; alpha is work-weighted:
-        // (0·2 + 0.1·4 + 0.2·6 + 0.3·8)/20 = 0.2
-        let t = merged.task(TaskId(0));
-        assert!((t.flop - 20.0).abs() < 1e-12);
-        assert!((t.alpha - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_series_preserves_amdahl_times_at_shared_widths() {
-        // t(chain, p) must equal t(merged, p) for every p under Amdahl:
-        // sum over members of (α_i + (1−α_i)/p)·flop_i/s
-        let mut b = PtgBuilder::new();
-        let a = b.add_task("a", 6e9, 0.3);
-        let c = b.add_task("c", 2e9, 0.05);
-        b.add_edge(a, c).unwrap();
-        let g = b.build().unwrap();
-        let (merged, _) = merge_series(&g);
-        let speed = 1e9;
-        for p in [1u32, 2, 5, 16] {
-            let direct: f64 = g
-                .task_ids()
-                .map(|v| {
-                    let t = g.task(v);
-                    (t.alpha + (1.0 - t.alpha) / p as f64) * t.flop / speed
-                })
-                .sum();
-            let m = merged.task(TaskId(0));
-            let combined = (m.alpha + (1.0 - m.alpha) / p as f64) * m.flop / speed;
-            assert!((direct - combined).abs() < 1e-9, "p = {p}");
-        }
-    }
-
-    #[test]
-    fn merge_series_keeps_branching_structure() {
-        // diamond with a 2-chain on one branch: only the chain merges.
-        let mut b = PtgBuilder::new();
-        let s = b.add_task("s", 1.0, 0.0);
-        let x1 = b.add_task("x1", 1.0, 0.0);
-        let x2 = b.add_task("x2", 1.0, 0.0);
-        let y = b.add_task("y", 1.0, 0.0);
-        let t = b.add_task("t", 1.0, 0.0);
-        b.add_edge(s, x1).unwrap();
-        b.add_edge(x1, x2).unwrap();
-        b.add_edge(x2, t).unwrap();
-        b.add_edge(s, y).unwrap();
-        b.add_edge(y, t).unwrap();
-        let g = b.build().unwrap();
-        let (merged, groups) = merge_series(&g);
-        // s, y, t stay; x1+x2 merge → 4 tasks.
-        assert_eq!(merged.task_count(), 4);
-        assert!(groups.iter().any(|grp| grp == &vec![x1, x2]));
-        assert_eq!(merged.sources().len(), 1);
-        assert_eq!(merged.sinks().len(), 1);
-    }
-
-    #[test]
-    fn merge_series_on_a_diamond_is_identity_shaped() {
-        let mut b = PtgBuilder::new();
-        for i in 0..4 {
-            b.add_task(format!("t{i}"), 1.0, 0.0);
-        }
-        b.add_edge(TaskId(0), TaskId(1)).unwrap();
-        b.add_edge(TaskId(0), TaskId(2)).unwrap();
-        b.add_edge(TaskId(1), TaskId(3)).unwrap();
-        b.add_edge(TaskId(2), TaskId(3)).unwrap();
-        let g = b.build().unwrap();
-        let (merged, _) = merge_series(&g);
-        assert_eq!(merged.task_count(), 4);
-        assert_eq!(merged.edge_count(), 4);
     }
 
     #[test]

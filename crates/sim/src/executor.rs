@@ -81,10 +81,6 @@ impl SimReport {
     }
 }
 
-/// Tolerance for "at the same instant" comparisons, relative to the times
-/// involved.
-const REL_TOL: f64 = 1e-9;
-
 /// Replays `schedule` for `g` and returns the execution report.
 pub fn execute(g: &Ptg, schedule: &Schedule) -> Result<SimReport, ExecutionError> {
     execute_obs(g, schedule, &NoopRecorder)
@@ -179,7 +175,6 @@ pub fn execute_obs<R: Recorder>(
         }
     }
     debug_assert!(finished.iter().all(|&f| f));
-    let _ = REL_TOL;
     let report = SimReport {
         makespan,
         tasks_executed: executed,

@@ -15,11 +15,8 @@
 //! * [`runner`] — the end-to-end pipeline: platform + PTG + algorithm name
 //!   + model → allocation, schedule, simulation report,
 //! * [`trace`] — the replay's event log as data (occupancy profiles,
-//!   human-readable timelines),
-//! * [`corpus_io`] — freezing generated corpora to disk for auditable
-//!   experiment runs.
+//!   human-readable timelines).
 
-pub mod corpus_io;
 pub mod event;
 pub mod executor;
 pub mod faults;
@@ -35,4 +32,4 @@ pub use faults::{
     FaultyReport, KindStat,
 };
 pub use online::{run_online, OnlineConfig, OnlineError, OnlineReport};
-pub use runner::{run_with_faults, run_with_faults_workers, Algorithm, RunReport};
+pub use runner::{run_with_faults_workers, Algorithm, RunReport};

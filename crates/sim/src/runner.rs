@@ -73,25 +73,15 @@ impl Algorithm {
     /// Computes the allocation for `g`. EMTS variants derive their RNG from
     /// `seed`; heuristics are deterministic and ignore it.
     pub fn allocate(self, g: &Ptg, matrix: &TimeMatrix, seed: u64) -> Allocation {
-        self.allocate_obs(g, matrix, seed, &NoopRecorder).0
+        self.allocate_obs_workers(g, matrix, seed, None, &NoopRecorder)
+            .0
     }
 
-    /// [`Algorithm::allocate`] with telemetry. EMTS variants thread the
-    /// recorder through the evolutionary loop and also return their
-    /// convergence trace; heuristics return `None`.
-    pub fn allocate_obs<R: Recorder>(
-        self,
-        g: &Ptg,
-        matrix: &TimeMatrix,
-        seed: u64,
-        rec: &R,
-    ) -> (Allocation, Option<ConvergenceTrace>) {
-        self.allocate_obs_workers(g, matrix, seed, None, rec)
-    }
-
-    /// [`Algorithm::allocate_obs`] with an explicit EMTS worker count.
-    /// `Some(w)` pins the evaluation pool to `w` worker threads (so a
-    /// flight-recorder export shows one lane per worker even on a
+    /// [`Algorithm::allocate`] with telemetry and an explicit EMTS worker
+    /// count. EMTS variants thread the recorder through the evolutionary
+    /// loop and also return their convergence trace; heuristics return
+    /// `None`. `Some(w)` pins the evaluation pool to `w` worker threads (so
+    /// a flight-recorder export shows one lane per worker even on a
     /// single-core machine); `None` keeps the machine-derived default.
     /// Heuristics ignore the knob. Results are bit-identical either way.
     pub fn allocate_obs_workers<R: Recorder>(
@@ -111,7 +101,7 @@ impl Algorithm {
             (r.best, Some(r.trace))
         };
         match self {
-            Algorithm::Cpa => (Cpa::default().allocate(g, matrix), None),
+            Algorithm::Cpa => (Cpa.allocate(g, matrix), None),
             Algorithm::Hcpa => (Hcpa.allocate(g, matrix), None),
             Algorithm::Mcpa => (Mcpa.allocate(g, matrix), None),
             Algorithm::Mcpa2 => (Mcpa2.allocate(g, matrix), None),
@@ -192,6 +182,26 @@ pub fn run_obs_workers<M: ExecutionTimeModel + ?Sized, R: Recorder>(
     workers: Option<usize>,
     rec: &R,
 ) -> (RunReport, Schedule, Option<ConvergenceTrace>) {
+    let (report, schedule, trace, _) = pipeline(algorithm, g, cluster, model, seed, workers, rec);
+    (report, schedule, trace)
+}
+
+/// [`run_obs_workers`], also returning the time matrix and allocation it
+/// built, so the fault trials reuse them.
+fn pipeline<M: ExecutionTimeModel + ?Sized, R: Recorder>(
+    algorithm: Algorithm,
+    g: &Ptg,
+    cluster: &Cluster,
+    model: &M,
+    seed: u64,
+    workers: Option<usize>,
+    rec: &R,
+) -> (
+    RunReport,
+    Schedule,
+    Option<ConvergenceTrace>,
+    (TimeMatrix, Allocation),
+) {
     let matrix = rec.time("matrix", || {
         TimeMatrix::compute(g, model, cluster.speed_flops(), cluster.processors)
     });
@@ -235,31 +245,16 @@ pub fn run_obs_workers<M: ExecutionTimeModel + ?Sized, R: Recorder>(
         },
         schedule,
         trace,
+        (matrix, alloc),
     )
 }
 
-/// [`run_obs`] followed by `trials` seeded fault-injection replays of the
-/// produced schedule; the degradation distribution lands in
+/// [`run_obs_workers`] followed by `trials` seeded fault-injection replays
+/// of the produced schedule; the degradation distribution lands in
 /// `report.faults`. Deterministic for a fixed `(algorithm, seed, spec)`.
 /// Fails with [`RescheduleError::NoSurvivors`] when a trial kills the
 /// whole platform (a `kill_all` spec).
-#[allow(clippy::too_many_arguments)] // mirrors run_obs + the fault knobs
-pub fn run_with_faults<M: ExecutionTimeModel + ?Sized, R: Recorder>(
-    algorithm: Algorithm,
-    g: &Ptg,
-    cluster: &Cluster,
-    model: &M,
-    seed: u64,
-    spec: &FaultSpec,
-    trials: usize,
-    rec: &R,
-) -> Result<(RunReport, Schedule, Option<ConvergenceTrace>), RescheduleError> {
-    run_with_faults_workers(algorithm, g, cluster, model, seed, spec, trials, None, rec)
-}
-
-/// [`run_with_faults`] with an explicit EMTS worker count (see
-/// [`Algorithm::allocate_obs_workers`]); `None` keeps the default.
-#[allow(clippy::too_many_arguments)] // mirrors run_with_faults + workers
+#[allow(clippy::too_many_arguments)] // mirrors run_obs_workers + the fault knobs
 pub fn run_with_faults_workers<M: ExecutionTimeModel + ?Sized, R: Recorder>(
     algorithm: Algorithm,
     g: &Ptg,
@@ -271,10 +266,8 @@ pub fn run_with_faults_workers<M: ExecutionTimeModel + ?Sized, R: Recorder>(
     workers: Option<usize>,
     rec: &R,
 ) -> Result<(RunReport, Schedule, Option<ConvergenceTrace>), RescheduleError> {
-    let (mut report, schedule, trace) =
-        run_obs_workers(algorithm, g, cluster, model, seed, workers, rec);
-    let matrix = TimeMatrix::compute(g, model, cluster.speed_flops(), cluster.processors);
-    let alloc = Allocation::from_vec(report.allocation.clone());
+    let (mut report, schedule, trace, (matrix, alloc)) =
+        pipeline(algorithm, g, cluster, model, seed, workers, rec);
     let summary = rec.time("faults", || {
         crate::faults::fault_trials_obs(g, &matrix, &schedule, &alloc, spec, trials, rec)
     })?;
@@ -406,7 +399,7 @@ mod tests {
         let cluster = chti();
         let model = SyntheticModel::default();
         let spec = crate::faults::FaultSpec::parse("seed=5,perturb=0.3,crash=0.1").unwrap();
-        let (a, _, _) = run_with_faults(
+        let (a, _, _) = run_with_faults_workers(
             Algorithm::Mcpa,
             &g,
             &cluster,
@@ -414,6 +407,7 @@ mod tests {
             1,
             &spec,
             8,
+            None,
             &obs::NoopRecorder,
         )
         .unwrap();
@@ -421,7 +415,7 @@ mod tests {
         assert_eq!(fa.trials, 8);
         assert!(fa.mean_degradation >= 1.0);
         assert!(fa.worst_degradation >= fa.p95_degradation);
-        let (b, _, _) = run_with_faults(
+        let (b, _, _) = run_with_faults_workers(
             Algorithm::Mcpa,
             &g,
             &cluster,
@@ -429,6 +423,7 @@ mod tests {
             1,
             &spec,
             8,
+            None,
             &obs::NoopRecorder,
         )
         .unwrap();

@@ -17,10 +17,9 @@ use crate::fft::fft_ptg;
 use crate::strassen::strassen_ptg;
 use ptg::Ptg;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The four PTG classes of the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PtgClass {
     /// FFT task graphs.
     Fft,

@@ -18,6 +18,11 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (default members, warnings are errors): no intra-doc link points at nothing"
+# Default members only: the vendored dependencies carry doc warnings of
+# their own.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
+
 echo "== cargo test (workspace)"
 cargo test -q --offline --workspace
 

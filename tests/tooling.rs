@@ -1,5 +1,5 @@
-//! Tooling-level integration: corpus persistence, traces, Gantt rendering
-//! and lower bounds working together over real generated workloads.
+//! Tooling-level integration: traces, Gantt rendering and lower bounds
+//! working together over real generated workloads.
 
 use exec_model::{SyntheticModel, TimeMatrix};
 use rand::SeedableRng;
@@ -7,7 +7,6 @@ use rand_chacha::ChaCha8Rng;
 use sched::bounds::{gap_factor, lower_bounds};
 use sched::gantt::{ascii_gantt, svg_gantt, SvgOptions};
 use sched::{ListScheduler, Mapper};
-use sim::corpus_io::{load_corpus, save_corpus};
 use sim::runner::{run, Algorithm};
 use sim::trace::{occupancy_profile, trace_schedule};
 use workloads::{Corpus, CostConfig, PtgClass};
@@ -18,32 +17,6 @@ fn corpus() -> Corpus {
         &CostConfig::default(),
         &mut ChaCha8Rng::seed_from_u64(77),
     )
-}
-
-#[test]
-fn persisted_corpus_reproduces_schedules_exactly() {
-    let dir = std::env::temp_dir().join(format!("emts_it_corpus_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let corpus = corpus();
-    save_corpus(&dir, &corpus).unwrap();
-    let loaded = load_corpus(&dir).unwrap();
-    let cluster = platform::chti();
-    let model = SyntheticModel::default();
-    for (a, b) in corpus.entries.iter().zip(&loaded.entries).take(10) {
-        let (ra, _) = run(Algorithm::Mcpa, &a.ptg, &cluster, &model, 1);
-        let (rb, _) = run(Algorithm::Mcpa, &b.ptg, &cluster, &model, 1);
-        // Costs survive text round-tripping to ~1e-9 relative precision;
-        // identical schedules follow for a deterministic algorithm.
-        assert!(
-            (ra.makespan - rb.makespan).abs() <= 1e-6 * ra.makespan,
-            "{}: {} vs {}",
-            a.name,
-            ra.makespan,
-            rb.makespan
-        );
-        assert_eq!(ra.allocation, rb.allocation, "{}", a.name);
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
