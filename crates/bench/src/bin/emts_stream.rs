@@ -17,14 +17,13 @@
 //! the makespan-only mapping (`map_seconds`); freeing what a layer built
 //! counts to that layer. Only bookkeeping (fingerprint fold, counters,
 //! checkpoints) falls outside them, so they sum to `elapsed_seconds`
-//! within a few per cent. The separate mapper probe
-//! isolates the fitness core itself (ns per evaluation and per heap pop on
-//! the paper's hard case).
+//! within a few per cent. The fitness core on its own is `emts-ledger`'s
+//! `mapper_probe`.
 //!
 //! ```text
 //! emts-stream [--count N] [--seed S] [--shards M]
 //!             [--checkpoint FILE] [--checkpoint-every N] [--stop-after N]
-//!             [--out FILE] [--report FILE] [--no-probe] [--quiet]
+//!             [--out FILE] [--report FILE] [--quiet]
 //! ```
 //!
 //! `--report` writes a schema-versioned [`obs::RunReport`]: the run is
@@ -37,13 +36,13 @@
 use exec_model::{Amdahl, TimeMatrix};
 use obs::{Recorder, StatsRecorder};
 use platform::grelon;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use sched::{Allocation, EvalScratch, ListScheduler};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
 use workloads::stream::{shard_len, PtgStream, StreamCheckpoint};
-use workloads::{CostConfig, DaggenParams};
+use workloads::CostConfig;
 
 struct Args {
     count: u64,
@@ -54,7 +53,6 @@ struct Args {
     stop_after: Option<u64>,
     out: Option<PathBuf>,
     report: Option<PathBuf>,
-    probe: bool,
     quiet: bool,
 }
 
@@ -69,7 +67,6 @@ impl Default for Args {
             stop_after: None,
             out: None,
             report: None,
-            probe: true,
             quiet: false,
         }
     }
@@ -77,7 +74,7 @@ impl Default for Args {
 
 const USAGE: &str = "usage: emts-stream [--count <items>] [--seed <u64>] [--shards <m>] \
      [--checkpoint <file>] [--checkpoint-every <items>] [--stop-after <items>] \
-     [--out <file>] [--report <file>] [--no-probe] [--quiet]";
+     [--out <file>] [--report <file>] [--quiet]";
 
 impl Args {
     fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
@@ -113,80 +110,12 @@ impl Args {
                 "--report" => {
                     out.report = Some(PathBuf::from(iter.next().ok_or("--report needs a file")?));
                 }
-                "--no-probe" => out.probe = false,
                 "--quiet" | "-q" => out.quiet = true,
                 "--help" | "-h" => return Err(USAGE.into()),
                 other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
             }
         }
         Ok(out)
-    }
-}
-
-/// Isolated fitness-core measurement on the paper's hard case (irregular
-/// n=100 on Grelon): exact heap-pop count from one instrumented
-/// evaluation, then best-of-5 timed batches of plain evaluations.
-#[derive(Serialize)]
-struct MapperProbe {
-    workload: String,
-    pops_per_eval: u64,
-    ns_per_eval: f64,
-    mapper_ns_per_pop: f64,
-}
-
-fn mapper_probe(seed: u64) -> MapperProbe {
-    let costs = CostConfig::default();
-    let params = DaggenParams {
-        n: 100,
-        width: 0.5,
-        regularity: 0.2,
-        density: 0.2,
-        jump: 2,
-    };
-    let cluster = grelon();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let g = workloads::daggen::random_ptg(&params, &costs, &mut rng);
-    let matrix = TimeMatrix::compute(&g, &Amdahl, cluster.speed_flops(), cluster.processors);
-    let widths: Vec<u32> = (0..g.task_count())
-        .map(|_| rng.gen_range(1..=cluster.processors))
-        .collect();
-    let alloc = Allocation::from_vec(widths);
-    let mut scratch = EvalScratch::with_capacity(g.task_count(), cluster.processors);
-
-    // Pop count: ready-queue pops (one per task) plus availability-run
-    // heap pops, from one recorded evaluation.
-    let stats = StatsRecorder::new();
-    let _ = ListScheduler.evaluate_bounded_obs(
-        &g,
-        &matrix,
-        &alloc,
-        f64::INFINITY,
-        &mut scratch,
-        &stats,
-    );
-    let pops = stats.counter("sched.tasks_placed") + stats.counter("sched.group_pops");
-
-    // Timing: five batches of 200 plain evaluations, keep the fastest.
-    const BATCH: u32 = 200;
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        for _ in 0..BATCH {
-            let m = ListScheduler
-                .makespan_bounded_with(&g, &matrix, &alloc, f64::INFINITY, &mut scratch)
-                .expect("infinite cutoff never rejects");
-            std::hint::black_box(m);
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / BATCH as f64);
-    }
-    MapperProbe {
-        workload: format!(
-            "irregular n=100 on {} (P={})",
-            cluster.name, cluster.processors
-        ),
-        pops_per_eval: pops,
-        ns_per_eval: best,
-        mapper_ns_per_pop: best / pops as f64,
     }
 }
 
@@ -228,10 +157,6 @@ struct StreamResult {
     allocate_seconds: f64,
     map_seconds: f64,
     throughput_ptgs_per_sec: f64,
-    /// `null` unless the run completed with probing enabled (the vendored
-    /// serde derive has no field-skipping, so an absent probe serializes
-    /// as JSON null).
-    mapper_probe: Option<MapperProbe>,
 }
 
 fn load_checkpoint(args: &Args) -> Result<StreamCheckpoint, String> {
@@ -383,7 +308,6 @@ fn main() {
         } else {
             0.0
         },
-        mapper_probe: (args.probe && completed).then(|| mapper_probe(args.seed)),
     };
 
     if let Some(path) = &args.report {

@@ -16,15 +16,7 @@ const LAYERS: [&str; 4] = [
 fn layer_times_sum_to_the_elapsed_time() {
     let out = std::env::temp_dir().join(format!("emts-stream-layers-{}.json", std::process::id()));
     let status = Command::new(env!("CARGO_BIN_EXE_emts-stream"))
-        .args([
-            "--count",
-            "2000",
-            "--seed",
-            "2011",
-            "--no-probe",
-            "--quiet",
-            "--out",
-        ])
+        .args(["--count", "2000", "--seed", "2011", "--quiet", "--out"])
         .arg(&out)
         .status()
         .expect("emts-stream runs");

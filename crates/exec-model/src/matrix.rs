@@ -109,7 +109,6 @@ impl TimeMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wrappers::Scaled;
     use crate::{
         Amdahl, Downey, Monotonized, NonMonotonicPenalty, PerTaskModel, RedistributionCost,
         SyntheticModel, Tabulated,
@@ -199,7 +198,6 @@ mod tests {
             RedistributionCost::typical(SyntheticModel::default()),
         );
         assert_every_call_path("monotonized", Monotonized::new(SyntheticModel::default()));
-        assert_every_call_path("scaled", Scaled::new(SyntheticModel::default(), 1.7));
     }
 
     /// Fills every entry with 2.0 but answers 1.0 per entry, so a matrix

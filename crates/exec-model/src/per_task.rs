@@ -36,11 +36,6 @@ impl PerTaskModel {
         }
     }
 
-    /// Number of registered models.
-    pub fn model_count(&self) -> usize {
-        self.models.len()
-    }
-
     /// The model index task `t` dispatches to (clamped into range).
     pub fn index_for(&self, t: &Task) -> usize {
         (self.selector)(t).min(self.models.len() - 1)

@@ -57,38 +57,6 @@ impl<M: ExecutionTimeModel> ExecutionTimeModel for Monotonized<M> {
     }
 }
 
-/// Scales all times of a base model by a constant factor — models running the
-/// same PTG on faster or slower processors of the *same count*, and gives
-/// tests a second trivially-distinct model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Scaled<M> {
-    /// The wrapped model.
-    pub base: M,
-    /// Multiplicative factor applied to every time (> 0).
-    pub factor: f64,
-}
-
-impl<M: ExecutionTimeModel> Scaled<M> {
-    /// Wraps `base` with a positive scale factor.
-    pub fn new(base: M, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "factor must be positive"
-        );
-        Scaled { base, factor }
-    }
-}
-
-impl<M: ExecutionTimeModel> ExecutionTimeModel for Scaled<M> {
-    fn time(&self, task: &Task, p: u32, speed_flops: f64) -> f64 {
-        self.base.time(task, p, speed_flops) * self.factor
-    }
-
-    fn name(&self) -> &'static str {
-        "scaled"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,18 +102,5 @@ mod tests {
         assert_eq!(m.best_p(&t, 5, 1e9), 4);
         // p = 6 (even non-square, ×1.1): 1.1/6 < 1/4, so 6 wins.
         assert_eq!(m.best_p(&t, 6, 1e9), 6);
-    }
-
-    #[test]
-    fn scaled_multiplies_times() {
-        let s = Scaled::new(Amdahl, 2.5);
-        let t = Task::new("x", 1e9, 0.0);
-        assert!((s.time(&t, 2, 1e9) - 2.5 * Amdahl.time(&t, 2, 1e9)).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn scaled_rejects_zero_factor() {
-        let _ = Scaled::new(Amdahl, 0.0);
     }
 }

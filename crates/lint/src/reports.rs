@@ -6,9 +6,9 @@
 //! * **`bench-unknown-direction`** (`BENCH_*.json`) — every numeric leaf
 //!   must resolve to a regress direction through the canonical token
 //!   tables in [`obs::regress`], or be an identity/config value. A
-//!   Neutral, non-identity leaf can never gate in
-//!   `scripts/bench_smoke.sh`'s inflation check, so committing one
-//!   silently exempts that metric from regression protection.
+//!   Neutral, non-identity leaf never gates `emts-report regress`, nor
+//!   `scripts/ci.sh`'s inflation check of it, so committing one silently
+//!   exempts that metric from regression protection.
 //! * **`report-span-balance`** (`*_report.json`) — a `RunReport`'s nested
 //!   phase spans must be internally consistent: the direct children of a
 //!   span cannot account for more time than the span itself, and no root

@@ -152,8 +152,8 @@ impl<R: Recorder> Drop for TraceSpan<'_, R> {
 ///
 /// This is the default recorder of every instrumented entry point, so
 /// pre-existing call sites pay for telemetry exactly what they paid before
-/// it existed (asserted by the `fitness/engine` no-op overhead check in
-/// `crates/bench/benches/emts_generation.rs`).
+/// it existed (asserted by the release perf guard
+/// `crates/bench/tests/perf_guard.rs` on the serial evaluation pool).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopRecorder;
 

@@ -22,7 +22,7 @@
 //! Like every [`Recorder`], the flight recorder is a compile-time choice:
 //! code instrumented against [`NoopRecorder`](crate::NoopRecorder) still
 //! const-folds every probe away, and the recording overhead on the mapper
-//! hot loop is bench-gated (see `crates/emts/tests/perf_guard.rs`).
+//! hot loop is gated by `crates/bench/tests/perf_guard.rs`.
 
 use crate::recorder::Recorder;
 use serde::Value;

@@ -70,11 +70,6 @@ impl Allocation {
         &self.alloc
     }
 
-    /// Consumes into the raw vector.
-    pub fn into_vec(self) -> Vec<u32> {
-        self.alloc
-    }
-
     /// Clamps every entry into `[1, p_max]` — used after mutation and when
     /// transferring an allocation to a smaller platform.
     pub fn clamp(&mut self, p_max: u32) {

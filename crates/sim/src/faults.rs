@@ -27,7 +27,6 @@
 //! evaluated. The property tests in `tests/prop_faults.rs` hold this
 //! guarantee against random DAGGEN graphs.
 
-use crate::event::EventKind;
 use exec_model::TimeMatrix;
 use obs::{NoopRecorder, Recorder};
 use ptg::{Ptg, TaskId};
@@ -1283,16 +1282,6 @@ impl ChurnStream {
     /// out a total outage and giving up with `NoSurvivors`.
     pub fn capacity_pending(&self) -> bool {
         !self.repairs.is_empty() || self.next_join.is_some()
-    }
-}
-
-/// Maps a [`FaultEventKind`] onto the baseline ordering ranks (finish
-/// before start at equal times) — used by tests comparing traces.
-pub fn baseline_kind(kind: FaultEventKind) -> Option<EventKind> {
-    match kind {
-        FaultEventKind::Start => Some(EventKind::Start),
-        FaultEventKind::Finish => Some(EventKind::Finish),
-        _ => None,
     }
 }
 

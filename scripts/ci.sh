@@ -71,8 +71,8 @@ case $CORPUS_RC in
     *) echo "emts-lint exited with unexpected status $CORPUS_RC on data/bad" >&2; exit 1 ;;
 esac
 
-echo "== perf guards (release): flight-recorder budget, SoA core vs oracle, CPA loop vs reference"
-cargo test --release -q --offline -p emts --test perf_guard -- --ignored
+echo "== perf guards (release): recorder overhead budgets, SoA core vs oracle, CPA loop vs reference"
+cargo test --release -q --offline -p bench --test perf_guard -- --ignored
 
 echo "== benchmark unit tests (release), including a 2%-scale bit-for-bit smoke of every workload"
 cargo test -q --offline --release --manifest-path examples/benchmark/Cargo.toml
@@ -81,9 +81,10 @@ echo "== perf-regression observatory: regress gate must pass clean and catch inf
 cargo build -q --offline --release -p obs --bin emts-report
 EMTS_REPORT=target/release/emts-report
 REGRESS_DIR=$(mktemp -d)
-# Every committed baseline compared against itself must pass (exit 0)...
+# Every committed baseline compared against itself must pass (exit 0); a
+# missing one means its writer (emts-stream or emts-ledger) lost it...
 for BASE in BENCH_fitness.json BENCH_throughput.json BENCH_obs.json BENCH_online.json; do
-    [ -f "$BASE" ] || continue
+    [ -f "$BASE" ] || { echo "regress gate: committed baseline $BASE is missing" >&2; exit 1; }
     $EMTS_REPORT regress "$BASE" "$BASE" > /dev/null \
         || { echo "regress gate: $BASE self-comparison reported a regression" >&2; exit 1; }
 done
@@ -108,7 +109,7 @@ STREAM_DIR=$(mktemp -d)
 # Uninterrupted single-shard run vs a 4-way sharded run stopped after 300
 # items mid-checkpoint-interval and resumed from its checkpoint: the
 # order-independent fingerprints must agree exactly.
-$STREAM --count 1000 --seed 2011 --no-probe --quiet --out "$STREAM_DIR/full.json"
+$STREAM --count 1000 --seed 2011 --quiet --out "$STREAM_DIR/full.json"
 # The uninterrupted run must also reproduce the committed fingerprint: a
 # change that moved every item would still pass the comparison below.
 STREAM_FP_1K=f430e1329dd5a752
@@ -130,10 +131,10 @@ awk -F': ' '
         }
     }' "$STREAM_DIR/full.json"
 $STREAM --count 1000 --seed 2011 --shards 4 --checkpoint "$STREAM_DIR/cp.json" \
-    --checkpoint-every 128 --stop-after 300 --no-probe --quiet \
+    --checkpoint-every 128 --stop-after 300 --quiet \
     --out "$STREAM_DIR/partial.json"
 $STREAM --count 1000 --seed 2011 --shards 4 --checkpoint "$STREAM_DIR/cp.json" \
-    --no-probe --quiet --out "$STREAM_DIR/resumed.json"
+    --quiet --out "$STREAM_DIR/resumed.json"
 grep -q '"completed": false' "$STREAM_DIR/partial.json" \
     || { echo "stream smoke: --stop-after did not interrupt the run" >&2; exit 1; }
 grep -q '"completed": true' "$STREAM_DIR/resumed.json" \
