@@ -104,7 +104,7 @@ impl Default for HardCase {
 /// Runs every side once untimed, then `rounds` rounds of every side, round
 /// `r` starting at side `r % sides.len()`. Each side times itself and
 /// returns seconds. Returns `seconds[side][round]`.
-fn interleaved<F: FnMut() -> f64>(rounds: usize, sides: &mut [F]) -> Vec<Vec<f64>> {
+pub fn interleaved<F: FnMut() -> f64>(rounds: usize, sides: &mut [F]) -> Vec<Vec<f64>> {
     for side in sides.iter_mut() {
         side();
     }
@@ -128,7 +128,7 @@ fn median(xs: &[f64]) -> f64 {
 }
 
 /// The median over rounds of `a`'s time over `b`'s in the same round.
-fn paired_ratio(a: &[f64], b: &[f64]) -> f64 {
+pub fn paired_ratio(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "paired sides ran different rounds");
     median(&a.iter().zip(b).map(|(x, y)| x / y).collect::<Vec<_>>())
 }
@@ -377,23 +377,24 @@ fn mapper_probe(case: &HardCase, ns_per_eval: f64) -> MapperProbe {
     }
 }
 
-/// Memo-cache statistics of one EMTS10 run; `survival_pruned` counts the
-/// evaluations stopped at the survival cutoff.
+/// Memo-cache statistics of one EMTS10 run; `pruned` counts the
+/// offspring the survival screen dropped ([`EmtsResult::pruned`]).
 #[derive(Serialize, Deserialize)]
 struct RunCache {
-    hits: usize,
-    misses: usize,
+    hits: u64,
+    misses: u64,
     hit_rate: f64,
-    survival_pruned: usize,
+    pruned: usize,
 }
 
 impl RunCache {
     fn of(r: &EmtsResult) -> Self {
+        let c = r.trace.counters();
         RunCache {
-            hits: r.trace.cache_hits,
-            misses: r.trace.cache_misses,
-            hit_rate: r.trace.cache_hit_rate(),
-            survival_pruned: r.pruned,
+            hits: c.hits,
+            misses: c.misses,
+            hit_rate: c.hit_rate(),
+            pruned: r.pruned,
         }
     }
 }
@@ -418,7 +419,7 @@ fn emts10_runs(case: &HardCase) -> (BTreeMap<String, RunCache>, obs::RunReport) 
     let small = random_ptg(&daggen(20), &CostConfig::default(), &mut case.rng.clone());
     let rs = emts.run(&small, &model2(&small, &chti()), 42);
     assert!(
-        rs.trace.cache_hits > 0,
+        rs.trace.counters().hits > 0,
         "memo hits and dedupe must fire on the small run"
     );
     let caches = [("grelon_n100", &r), ("chti_n20", &rs)];

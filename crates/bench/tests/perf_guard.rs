@@ -16,9 +16,11 @@
 //! `#[ignore]` because wall clock in a debug build is meaningless —
 //! `scripts/ci.sh` runs them with `cargo test --release -- --ignored`.
 //! They take turns: run side by side, as the test harness would, each
-//! would also time the others.
+//! would also time the others. Every guard times its sides one way, with
+//! `bench::ledger`'s interleaved rounds (the first side rotating) and the
+//! median of the per-round ratios.
 
-use bench::ledger::{recorder_overhead, HardCase};
+use bench::ledger::{interleaved, paired_ratio, recorder_overhead, HardCase};
 use exec_model::{SyntheticModel, TimeMatrix};
 use heuristics::common::{run_cpa_loop_reference, CpaLoop};
 use heuristics::{Allocator, Hcpa, Mcpa};
@@ -26,6 +28,7 @@ use platform::grelon;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sched::{Allocation, EvalScratch, ListScheduler};
+use std::hint::black_box;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use workloads::{daggen::random_ptg, CostConfig, DaggenParams};
@@ -111,44 +114,25 @@ fn soa_core_is_faster_than_the_reference_oracle() {
             .collect(),
     );
     let mut scratch = EvalScratch::new();
-
-    // Interleaved min-of-k: alternate the two cores so frequency scaling
-    // and cache warmth hit both equally; compare the best round of each.
-    let mut best_soa = f64::INFINITY;
-    let mut best_oracle = f64::INFINITY;
-    let mut check = 0u64;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        for _ in 0..EVALS {
-            let m = ListScheduler
-                .makespan_bounded_with(&g, &matrix, &alloc, f64::INFINITY, &mut scratch)
-                .expect("infinite cutoff never rejects");
-            check ^= m.to_bits();
-        }
-        best_soa = best_soa.min(t.elapsed().as_secs_f64());
-
-        let t = Instant::now();
-        for _ in 0..EVALS {
-            let m = ListScheduler
-                .makespan_bounded_reference(&g, &matrix, &alloc, f64::INFINITY)
-                .expect("infinite cutoff never rejects");
-            check ^= m.to_bits();
-        }
-        best_oracle = best_oracle.min(t.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(check);
-
-    let soa_ns = best_soa * 1e9 / EVALS as f64;
-    let oracle_ns = best_oracle * 1e9 / EVALS as f64;
+    let inf = f64::INFINITY;
+    let mut soa = || ListScheduler.makespan_bounded_with(&g, &matrix, &alloc, inf, &mut scratch);
+    let oracle = || ListScheduler.makespan_bounded_reference(&g, &matrix, &alloc, inf);
+    let t = interleaved::<&mut dyn FnMut() -> f64>(
+        ROUNDS,
+        &mut [
+            &mut || secs(|| (0..EVALS).for_each(|_| consume(soa()))),
+            &mut || secs(|| (0..EVALS).for_each(|_| consume(oracle()))),
+        ],
+    );
+    let speedup = paired_ratio(&t[1], &t[0]);
     println!(
-        "PERF_GUARD soa_ns_per_eval={soa_ns:.1} oracle_ns_per_eval={oracle_ns:.1} \
-         speedup={:.2}",
-        oracle_ns / soa_ns
+        "PERF_GUARD soa_ns_per_eval={:.1} oracle_ns_per_eval={:.1} speedup={speedup:.2}",
+        fastest(&t[0]) * 1e9 / EVALS as f64,
+        fastest(&t[1]) * 1e9 / EVALS as f64
     );
     assert!(
-        best_soa * REQUIRED_SPEEDUP <= best_oracle,
-        "SoA core regressed: {soa_ns:.1} ns/eval vs oracle {oracle_ns:.1} ns/eval \
-         (need ≥{REQUIRED_SPEEDUP}×)"
+        speedup >= REQUIRED_SPEEDUP,
+        "SoA core regressed: {speedup:.2}× over the oracle (need ≥{REQUIRED_SPEEDUP}×)"
     );
 }
 
@@ -156,7 +140,7 @@ fn soa_core_is_faster_than_the_reference_oracle() {
 #[ignore = "wall-clock guard; run in release via scripts/ci.sh"]
 fn cpa_loop_is_faster_than_the_reference() {
     let _turn = exclusive();
-    const ROUNDS: usize = 5;
+    const ROUNDS: usize = 9;
     // One sweep per step that also yields each task's heaviest successor
     // measures 3.2–5.7× over the two-pass loop (two sets of 20
     // back-to-back release runs on a 2-vCPU host, medians 4.25× and
@@ -196,33 +180,38 @@ fn cpa_loop_is_faster_than_the_reference() {
         assert_eq!(fast(g, m), reference(g, m));
     }
 
-    // Interleaved min-of-k, same discipline as the SoA guard.
-    let mut best_fast = f64::INFINITY;
-    let mut best_reference = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        for (g, m) in &inputs {
-            std::hint::black_box(fast(g, m));
-        }
-        best_fast = best_fast.min(t.elapsed().as_secs_f64());
-
-        let t = Instant::now();
-        for (g, m) in &inputs {
-            std::hint::black_box(reference(g, m));
-        }
-        best_reference = best_reference.min(t.elapsed().as_secs_f64());
-    }
-
-    let fast_ms = best_fast * 1e3 / inputs.len() as f64;
-    let reference_ms = best_reference * 1e3 / inputs.len() as f64;
+    let t = interleaved::<&mut dyn FnMut() -> f64>(
+        ROUNDS,
+        &mut [
+            &mut || secs(|| inputs.iter().for_each(|(g, m)| consume(fast(g, m)))),
+            &mut || secs(|| inputs.iter().for_each(|(g, m)| consume(reference(g, m)))),
+        ],
+    );
+    let speedup = paired_ratio(&t[1], &t[0]);
     println!(
-        "PERF_GUARD cpa_loop_ms_per_item={fast_ms:.3} reference_ms_per_item={reference_ms:.3} \
-         speedup={:.2}",
-        reference_ms / fast_ms
+        "PERF_GUARD cpa_loop_ms_per_item={:.3} reference_ms_per_item={:.3} speedup={speedup:.2}",
+        fastest(&t[0]) * 1e3 / inputs.len() as f64,
+        fastest(&t[1]) * 1e3 / inputs.len() as f64
     );
     assert!(
-        best_fast * REQUIRED_SPEEDUP <= best_reference,
-        "CPA loop regressed: {fast_ms:.3} ms/item vs reference {reference_ms:.3} ms/item \
-         (need ≥{REQUIRED_SPEEDUP}×)"
+        speedup >= REQUIRED_SPEEDUP,
+        "CPA loop regressed: {speedup:.2}× over the reference (need ≥{REQUIRED_SPEEDUP}×)"
     );
+}
+
+/// Seconds `f` takes.
+fn secs(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+/// Keeps a timed result alive, so the optimizer cannot skip its work.
+fn consume<T>(result: T) {
+    black_box(result);
+}
+
+/// The fastest round of one side, for the printed per-call times.
+fn fastest(side: &[f64]) -> f64 {
+    side.iter().copied().fold(f64::INFINITY, f64::min)
 }

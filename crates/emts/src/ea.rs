@@ -32,11 +32,9 @@ pub struct EmtsResult {
     /// alone achieve); plus-selection guarantees
     /// `best_makespan ≤ seed_makespan`.
     pub seed_makespan: f64,
-    /// Which seed/origin the best individual descended from at the moment
-    /// of final selection (`"mutant"` once mutated).
-    pub best_origin: &'static str,
-    /// Per-generation fitness trace (first entry is the seed population),
-    /// including the fitness engine's memo-cache counters.
+    /// Per-generation fitness trace (first entry is the seed population);
+    /// each row holds what the fitness engine did that generation, and
+    /// [`ConvergenceTrace::counters`] sums them.
     pub trace: ConvergenceTrace,
     /// Total fitness evaluations performed (seeds + offspring).
     pub evaluations: usize,
@@ -44,7 +42,7 @@ pub struct EmtsResult {
     pub wall_time: Duration,
     /// Generations actually executed (< configured when a
     /// [`Emts::run_deadline`] deadline cuts the run short).
-    pub generations_run: usize,
+    pub generations: usize,
     /// Offspring whose mapping was aborted early by the rejection strategy
     /// (always 0 when `rejection` is off).
     pub rejected: usize,
@@ -121,9 +119,10 @@ impl Emts {
 
     /// [`Self::run`] with telemetry: the whole run is wrapped in an `ea`
     /// span with per-generation `seed` / `mutate` / `evaluate` / `select`
-    /// child spans, the engine's memo counters and the pool's latency
-    /// histograms flow into `rec`, and the outcome is summarized into the
-    /// `emts.*` counters and gauges. Results are bit-identical to
+    /// child spans, the pool's latency histograms flow into `rec`, and the
+    /// finished [`EmtsResult`] is published once: its counts as `emts.*`
+    /// counters, its makespans as gauges and its trace's engine totals as
+    /// `emts.cache.*` and `pool.*` counters. Results are bit-identical to
     /// [`Self::run`] — telemetry never touches the RNG or the search.
     pub fn run_recorded<R: Recorder>(
         &self,
@@ -206,28 +205,26 @@ impl Emts {
             .iter()
             .map(|i| i.fitness)
             .fold(f64::INFINITY, f64::min);
-        let mut trace = ConvergenceTrace::with_capacity(cfg.generations + 1);
-        trace.push(GenerationStats::from_fitness(
-            GenerationStats::SEED,
+        let mut rows = Vec::with_capacity(cfg.generations + 1);
+        rows.push(GenerationStats::from_fitness(
+            None,
             &population.iter().map(|i| i.fitness).collect::<Vec<_>>(),
             0,
         ));
 
-        let mut generations_run = 0;
+        let mut generations = 0;
         let mut rejected = 0usize;
         let mut pruned = 0usize;
+        // The engine's counts at the end of the previous generation; each
+        // row records the difference.
+        let mut counted = engine.counters();
         for u in 0..cfg.generations {
             // lint:allow(src-timing) -- anytime-mode deadline, checked at generation boundaries
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
             engine.begin_generation();
-            // Timeline marker plus counter snapshots: the per-generation
-            // series in the trace records each counter's delta over this
-            // generation, not the running total.
             rec.event("ea.generation", u as u64);
-            let gen_hits = engine.cache_hits();
-            let gen_misses = engine.cache_misses();
             let m = mutation_count(u, cfg.generations, cfg.fm, v);
             // Mutation consumes the RNG on this thread only, so parallel
             // fitness evaluation cannot change the search trajectory.
@@ -268,6 +265,9 @@ impl Emts {
             let fitness: Vec<Option<f64>> =
                 rec.time("evaluate", || engine.evaluate(&offspring_allocs, cutoff));
             evaluations += offspring_allocs.len();
+            // Selection starts by turning the evaluated offspring into
+            // individuals, so its span covers that work too.
+            let _select_span = rec.span("select");
             let offspring: Vec<Individual> = offspring_allocs
                 .into_iter()
                 .zip(fitness)
@@ -283,7 +283,6 @@ impl Emts {
                     }
                 })
                 .collect();
-            let _select_span = rec.span("select");
             population = if cfg.comma_selection {
                 // (µ, λ): parents die; requires λ ≥ µ to sustain the
                 // population.
@@ -295,22 +294,19 @@ impl Emts {
                 pool.extend(offspring);
                 select_best(pool, cfg.mu)
             };
-            generations_run = u + 1;
-            let mut stats = GenerationStats::from_fitness(
-                u,
-                &population.iter().map(|i| i.fitness).collect::<Vec<_>>(),
-                m,
-            );
-            stats.cache_hits = engine.cache_hits() - gen_hits;
-            stats.cache_misses = engine.cache_misses() - gen_misses;
-            trace.push(stats);
+            generations = u + 1;
+            let now = engine.counters();
+            rows.push(GenerationStats {
+                counters: now - counted,
+                ..GenerationStats::from_fitness(
+                    Some(u),
+                    &population.iter().map(|i| i.fitness).collect::<Vec<_>>(),
+                    m,
+                )
+            });
+            counted = now;
         }
 
-        trace.cache_hits = engine.cache_hits();
-        trace.cache_misses = engine.cache_misses();
-        trace.worker_panics = engine.worker_panics();
-        trace.pool_respawns = engine.pool_respawns();
-        trace.serial_fallbacks = engine.serial_fallbacks();
         let best = population
             .into_iter()
             .min_by(|a, b| {
@@ -319,31 +315,26 @@ impl Emts {
                     .expect("fitness values are finite")
             })
             .expect("population is never empty");
-        if R::ENABLED {
-            // The engine emits hit/miss deltas as they happen; a run whose
-            // offspring all miss (or a zero-generation run) must still
-            // surface both counters, so touch them with zero deltas.
-            rec.add("emts.cache.hits", 0);
-            rec.add("emts.cache.misses", 0);
-            rec.add("emts.evaluations", evaluations as u64);
-            rec.add("emts.rejected", rejected as u64);
-            rec.add("emts.pruned", pruned as u64);
-            rec.add("emts.generations", generations_run as u64);
-            rec.gauge("emts.best_makespan", best.fitness);
-            rec.gauge("emts.seed_makespan", seed_makespan);
-        }
-        EmtsResult {
+        let result = EmtsResult {
             best_makespan: best.fitness,
             seed_makespan,
-            best_origin: best.origin,
             best: best.alloc,
-            trace,
+            trace: ConvergenceTrace { generations: rows },
             evaluations,
             wall_time: start.elapsed(),
-            generations_run,
+            generations,
             rejected,
             pruned,
+        };
+        if R::ENABLED {
+            obs::publish!(rec, "emts.", result,
+                add[evaluations, rejected, pruned, generations],
+                gauge[best_makespan, seed_makespan]);
+            let counters = result.trace.counters();
+            obs::publish!(rec, "emts.cache.", counters, add[hits, misses]);
+            obs::publish!(rec, "pool.", counters, add[worker_panics, respawns, serial_fallbacks]);
         }
+        result
     }
 }
 
@@ -418,7 +409,10 @@ mod tests {
         // Same final makespan is possible, identical full traces are not
         // (λ·U = 125 random mutations each).
         assert!(
-            a.trace.iter().zip(&b.trace).any(|(x, y)| x.mean != y.mean),
+            a.trace
+                .iter()
+                .zip(&b.trace.generations)
+                .any(|(x, y)| x.mean != y.mean),
             "traces identical across seeds"
         );
     }
@@ -429,7 +423,7 @@ mod tests {
         let result = Emts::new(EmtsConfig::emts5()).run(&g, &m, 4);
         // 5 seeds + 5 generations × 25 offspring
         assert_eq!(result.evaluations, 5 + 5 * 25);
-        assert_eq!(result.generations_run, 5);
+        assert_eq!(result.generations, 5);
         assert_eq!(result.trace.len(), 6);
     }
 
@@ -439,8 +433,9 @@ mod tests {
         let r = Emts::new(EmtsConfig::emts5()).run(&g, &m, 2);
         // Seeds are evaluated during population init; the engine sees the
         // λ offspring of each of the 5 generations.
-        assert_eq!(r.trace.cache_hits + r.trace.cache_misses, 5 * 25);
-        assert!((0.0..=1.0).contains(&r.trace.cache_hit_rate()));
+        let c = r.trace.counters();
+        assert_eq!(c.hits + c.misses, 5 * 25);
+        assert!((0.0..=1.0).contains(&c.hit_rate()));
     }
 
     #[test]
@@ -494,7 +489,7 @@ mod tests {
             &[],
             &obs::NoopRecorder,
         );
-        assert_eq!(result.generations_run, 0);
+        assert_eq!(result.generations, 0);
         assert_eq!(result.evaluations, 5);
         assert_eq!(result.best_makespan, result.seed_makespan);
     }

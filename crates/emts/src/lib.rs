@@ -55,4 +55,4 @@ pub use ea::{Emts, EmtsResult};
 pub use individual::Individual;
 pub use mutation::MutationOperator;
 pub use parallel::{EvalPool, FitnessEngine, PoolError};
-pub use trace::{ConvergenceTrace, GenerationStats};
+pub use trace::{ConvergenceTrace, FitnessCounters, GenerationStats};

@@ -51,6 +51,7 @@
 //! protects state that is consistent at all times (a `bool`, a channel
 //! receiver), so clearing the poison is correct — see `lock_recover`.
 
+use crate::trace::FitnessCounters;
 use exec_model::TimeMatrix;
 use obs::{NoopRecorder, Recorder};
 use ptg::{Ptg, TaskId};
@@ -264,9 +265,6 @@ fn drain_batch<R: Recorder>(
                 Ok(outcome) => Some(outcome),
                 Err(_) => {
                     core.panics.fetch_add(1, Ordering::Relaxed);
-                    if R::ENABLED {
-                        rec.add("pool.worker_panics", 1);
-                    }
                     *scratch = EvalScratch::with_capacity(g.task_count(), matrix.p_max());
                     None
                 }
@@ -320,9 +318,6 @@ fn worker_loop<R: Recorder>(g: &Ptg, matrix: &TimeMatrix, core: &PoolCore, rec: 
             Ok(()) => break,
             Err(_) => {
                 core.respawns.fetch_add(1, Ordering::Relaxed);
-                if R::ENABLED {
-                    rec.add("pool.respawns", 1);
-                }
             }
         }
     }
@@ -534,21 +529,19 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         self.core.map_or(0, |c| c.live.load(Ordering::Acquire))
     }
 
-    /// Evaluations that panicked inside a worker and were contained
-    /// (ring 1): the affected items were re-evaluated on the caller.
-    pub fn worker_panics(&self) -> u64 {
-        self.core.map_or(0, |c| c.panics.load(Ordering::Relaxed))
-    }
-
-    /// Worker incarnations restarted after an uncontained panic (ring 2).
-    pub fn respawns(&self) -> u64 {
-        self.core.map_or(0, |c| c.respawns.load(Ordering::Relaxed))
-    }
-
-    /// Batch items the caller re-evaluated serially because the pool
-    /// failed to produce them (panicked evaluations, stalled claims).
-    pub fn serial_fallbacks(&self) -> u64 {
-        self.serial_fallbacks
+    /// The pool's failure counts so far: evaluations that panicked in a
+    /// worker and were contained (ring 1), worker incarnations restarted
+    /// after an uncontained panic (ring 2), and batch items the caller
+    /// re-evaluated because the pool failed to produce them. Memo fields
+    /// are zero; [`FitnessEngine::counters`] fills them.
+    pub fn counters(&self) -> FitnessCounters {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        FitnessCounters {
+            worker_panics: self.core.map_or(0, |c| load(&c.panics)),
+            respawns: self.core.map_or(0, |c| load(&c.respawns)),
+            serial_fallbacks: self.serial_fallbacks,
+            ..FitnessCounters::default()
+        }
     }
 
     /// The most recent degradation the dispatcher recovered from, if any.
@@ -586,7 +579,6 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
             _ => {
                 if REC::ENABLED {
                     self.rec.add("pool.batches", 1);
-                    self.rec.add("pool.evals", n as u64);
                 }
                 return allocs
                     .iter()
@@ -667,24 +659,16 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         // contained panic (batch completed, slot empty) or to a stall.
         // The mapper is deterministic, so a refilled item is bit-identical
         // to what a healthy worker would have produced.
-        let mut fallbacks = 0u64;
         for (i, slot) in batch.results.iter().enumerate() {
             if slot.get().is_some() {
                 continue;
             }
             let _ = slot.set(self.eval_inline(&batch.allocs[i], cutoff));
-            fallbacks += 1;
-        }
-        if fallbacks > 0 {
-            self.serial_fallbacks += fallbacks;
-            if REC::ENABLED {
-                self.rec.add("pool.serial_fallbacks", fallbacks);
-            }
+            self.serial_fallbacks += 1;
         }
         if let Some(t) = drain_start {
             self.rec.phase_add("pool/drain", t.elapsed().as_secs_f64());
             self.rec.add("pool.batches", 1);
-            self.rec.add("pool.evals", n as u64);
             // Timeline marker: every slot of the batch is filled.
             self.rec.event("pool.batch.complete", n as u64);
         }
@@ -788,13 +772,14 @@ pub struct FitnessEngine<'p, 'env, R: Recorder = NoopRecorder> {
     gen_rejected: Vec<(u64, usize)>,
     gen_rejected_genes: Vec<u32>,
     cache_entries: usize,
-    hits: usize,
-    misses: usize,
+    hits: u64,
+    misses: u64,
 }
 
 impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
-    /// Wraps `pool` with an empty cache. Telemetry (the `emts.cache.*`
-    /// counters) flows into the pool's recorder.
+    /// Wraps `pool` with an empty cache. The engine counts its hits and
+    /// misses in [`Self::counters`]; only the pool's latency and batch
+    /// telemetry flows into the pool's recorder as it happens.
     pub fn new(pool: &'p mut EvalPool<'env, R>) -> Self {
         FitnessEngine {
             pool,
@@ -862,13 +847,8 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
             }
         }
         let misses = miss_indices.len();
-        self.hits += allocs.len() - misses;
-        self.misses += misses;
-        if R::ENABLED {
-            let rec = self.pool.recorder();
-            rec.add("emts.cache.hits", (allocs.len() - misses) as u64);
-            rec.add("emts.cache.misses", misses as u64);
-        }
+        self.hits += (allocs.len() - misses) as u64;
+        self.misses += misses as u64;
         if misses > 0 {
             let batch: Vec<Allocation> = miss_indices.iter().map(|&i| allocs[i].clone()).collect();
             let outcomes = self.pool.run_batch(batch, cutoff);
@@ -929,9 +909,6 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
         });
         if let Some(fitness) = replay {
             self.hits += 1;
-            if R::ENABLED {
-                rec.add("emts.cache.hits", 1);
-            }
             return fitness;
         }
         self.misses += 1;
@@ -944,7 +921,6 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
         let outcome = self.pool.eval_inline(child, cutoff);
         if let Some(t) = eval_start {
             rec.latency("pool.eval_seconds", t.elapsed().as_secs_f64());
-            rec.add("emts.cache.misses", 1);
         }
         let fitness = self.absorb(h, child, outcome);
         if fitness.is_none() {
@@ -955,15 +931,25 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
         fitness
     }
 
+    /// The engine's counts so far: memo hits and misses and the pool's
+    /// failure counts.
+    pub fn counters(&self) -> FitnessCounters {
+        FitnessCounters {
+            hits: self.hits,
+            misses: self.misses,
+            ..self.pool.counters()
+        }
+    }
+
     /// Evaluations answered from the cache (including in-batch
     /// duplicates).
     pub fn cache_hits(&self) -> usize {
-        self.hits
+        self.hits as usize
     }
 
     /// Evaluations that ran the mapper.
     pub fn cache_misses(&self) -> usize {
-        self.misses
+        self.misses as usize
     }
 
     /// Distinct completed allocations currently cached.
@@ -971,21 +957,16 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
         self.cache_entries
     }
 
-    /// Pool health: worker evaluations that panicked and were contained.
-    pub fn worker_panics(&self) -> u64 {
-        self.pool.worker_panics()
-    }
-
     /// Pool health: worker incarnations respawned after an uncontained
     /// panic.
     pub fn pool_respawns(&self) -> u64 {
-        self.pool.respawns()
+        self.pool.counters().respawns
     }
 
     /// Pool health: batch items re-evaluated serially on the caller after
     /// the pool failed to produce them.
     pub fn serial_fallbacks(&self) -> u64 {
-        self.pool.serial_fallbacks()
+        self.pool.counters().serial_fallbacks
     }
 
     /// True when a worker-backed pool has no live worker. Workers restart
@@ -1237,21 +1218,21 @@ mod tests {
             for round in 0..200 {
                 let got = fitness(pool.run_batch(allocs.clone(), f64::INFINITY));
                 assert_eq!(expected, got, "round {round}");
-                if pool.worker_panics() > 0 {
+                if pool.counters().worker_panics > 0 {
                     break;
                 }
             }
             assert!(
-                pool.worker_panics() > 0,
+                pool.counters().worker_panics > 0,
                 "workers never claimed an item in 200 batches"
             );
             assert_eq!(
-                pool.worker_panics(),
-                pool.serial_fallbacks(),
+                pool.counters().worker_panics,
+                pool.counters().serial_fallbacks,
                 "every panicked item must be refilled by the caller"
             );
             assert_eq!(pool.live_workers(), 2, "contained panics kill no worker");
-            assert_eq!(pool.respawns(), 0);
+            assert_eq!(pool.counters().respawns, 0);
         });
         sabotage::disarm();
     }
@@ -1266,13 +1247,17 @@ mod tests {
             for round in 0..200 {
                 let got = fitness(pool.run_batch(allocs.clone(), f64::INFINITY));
                 assert_eq!(expected, got, "round {round}");
-                if pool.respawns() > 0 {
+                if pool.counters().respawns > 0 {
                     break;
                 }
             }
-            assert_eq!(pool.respawns(), 1, "the dead incarnation must respawn");
+            assert_eq!(
+                pool.counters().respawns,
+                1,
+                "the dead incarnation must respawn"
+            );
             assert!(
-                pool.serial_fallbacks() >= 1,
+                pool.counters().serial_fallbacks >= 1,
                 "the orphaned claim must be refilled by the caller"
             );
             assert!(

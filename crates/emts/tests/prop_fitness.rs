@@ -101,10 +101,10 @@ const ENTRY_POINTS: [(&str, EntryPoint); 11] = [
     ("makespan_bounded_with", reused_scratch),
     ("evaluate_bounded_obs, live stats", instrumented),
     ("run_batch, 0 workers", |c, cutoff| {
-        pooled(c, cutoff, 0, usize::MAX)
+        pooled(c, cutoff, 0, c.chain.len())
     }),
     ("run_batch, 2 workers", |c, cutoff| {
-        pooled(c, cutoff, 2, usize::MAX)
+        pooled(c, cutoff, 2, c.chain.len())
     }),
     ("run_batch, 2 workers only", workers_only),
     // Batches too small to dispatch run inline even when workers exist.
@@ -152,7 +152,7 @@ fn instrumented(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
                     Some(makespan)
                 }
                 BoundedEval::Rejected => {
-                    assert!(stats.counter("sched.rejections") >= 1);
+                    assert!(stats.counter("sched.cutoff_stops") >= 1);
                     None
                 }
             }
@@ -176,7 +176,7 @@ fn pooled(c: &Case, cutoff: f64, workers: usize, batch: usize) -> Vec<Option<f64
 /// test in this file builds no pool, so no other drain sees it).
 fn workers_only(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
     sabotage::arm_caller_abstains();
-    let got = pooled(c, cutoff, 2, usize::MAX);
+    let got = pooled(c, cutoff, 2, c.chain.len());
     sabotage::disarm();
     got
 }

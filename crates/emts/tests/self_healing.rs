@@ -69,15 +69,16 @@ fn worker_panics_mid_run_leave_the_ea_result_intact() {
         serial.best_makespan.to_bits(),
         "sabotaged run diverged from the serial path"
     );
-    assert_eq!(faulty.generations_run, serial.generations_run);
-    assert!(faulty.trace.worker_panics > 0);
+    assert_eq!(faulty.generations, serial.generations);
+    let c = faulty.trace.counters();
+    assert!(c.worker_panics > 0);
     assert_eq!(
-        faulty.trace.worker_panics, faulty.trace.serial_fallbacks,
+        c.worker_panics, c.serial_fallbacks,
         "every panicked item must be refilled exactly once"
     );
-    // The counters surface in the observability report too.
-    assert!(report.counters["pool.worker_panics"] > 0);
-    assert!(report.counters["pool.serial_fallbacks"] > 0);
+    // The report publishes the same record under its field names.
+    assert_eq!(report.counters["pool.worker_panics"], c.worker_panics);
+    assert_eq!(report.counters["pool.serial_fallbacks"], c.serial_fallbacks);
 }
 
 #[test]
@@ -100,9 +101,10 @@ fn worker_death_mid_run_stalls_heals_and_preserves_the_result() {
         serial.best_makespan.to_bits(),
         "run with a mid-run worker death diverged from the serial path"
     );
-    assert_eq!(healed.trace.pool_respawns, 1);
+    let counters = healed.trace.counters();
+    assert_eq!(counters.respawns, 1);
     assert!(
-        healed.trace.serial_fallbacks >= 1,
+        counters.serial_fallbacks >= 1,
         "the orphaned claim must be refilled by the caller"
     );
 }
@@ -121,7 +123,7 @@ fn forced_worker_counts_are_bit_identical_to_serial() {
             serial.best_makespan.to_bits(),
             "workers={workers}"
         );
-        assert_eq!(r.trace.worker_panics, 0);
-        assert_eq!(r.trace.pool_respawns, 0);
+        assert_eq!(r.trace.counters().worker_panics, 0);
+        assert_eq!(r.trace.counters().respawns, 0);
     }
 }

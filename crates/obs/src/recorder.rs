@@ -47,16 +47,14 @@ pub trait Recorder: Sync {
     fn latency(&self, name: &'static str, seconds: f64);
 
     /// Records a point-in-time marker carrying an opaque payload
-    /// (batch sizes, decision horizons, sampled heap-pop indices, …).
+    /// (batch sizes, sampled heap-pop indices, …).
     ///
-    /// Event-stream sinks (the flight recorder) keep each occurrence on
-    /// the timeline; aggregating sinks default to counting occurrences
-    /// under `name`, and the no-op recorder erases the probe entirely.
+    /// Events mark the timeline; they are not counters. Event-stream
+    /// sinks (the flight recorder) keep each occurrence, and every other
+    /// sink ignores it by default, so a fact an event marks is counted
+    /// only where its own record publishes it.
     fn event(&self, name: &'static str, value: u64) {
-        if Self::ENABLED {
-            self.add(name, 1);
-        }
-        let _ = value;
+        let _ = (name, value);
     }
 
     /// Opens a *trace* span: like [`Recorder::span_enter`] but scoped to
@@ -99,6 +97,34 @@ pub trait Recorder: Sync {
         let _guard = self.span(name);
         f()
     }
+}
+
+/// Publishes fields of a run's typed record to a [`Recorder`], each under
+/// `prefix` followed by its field path, so a metric's name is built from
+/// the field it reads and cannot drift from it. Fields listed in `add`
+/// become counters, fields in `gauge` become gauges; nested fields are
+/// written as paths (`kinds.crash.events`). Names stay `&'static str`.
+///
+/// ```
+/// struct Kind { events: usize }
+/// struct Totals { makespan: f64, crash: Kind }
+/// let totals = Totals { makespan: 1.5, crash: Kind { events: 2 } };
+/// let rec = obs::StatsRecorder::new();
+/// obs::publish!(&rec, "run.", totals, add[crash.events], gauge[makespan]);
+/// assert_eq!(rec.counter("run.crash.events"), 2);
+/// assert_eq!(rec.report("doc").gauges["run.makespan"], 1.5);
+/// ```
+#[macro_export]
+macro_rules! publish {
+    (@name $prefix:literal, $head:ident $(. $rest:ident)*) => {
+        concat!($prefix, stringify!($head) $(, ".", stringify!($rest))*)
+    };
+    ($rec:expr, $prefix:literal, $record:expr,
+     add[$($($c:ident).+),* $(,)?] $(, gauge[$($($g:ident).+),* $(,)?])?) => {{
+        let (rec, record) = ($rec, &$record);
+        $($crate::Recorder::add(rec, $crate::publish!(@name $prefix, $($c).+), record.$($c).+ as u64);)*
+        $($($crate::Recorder::gauge(rec, $crate::publish!(@name $prefix, $($g).+), record.$($g).+ as f64);)*)?
+    }};
 }
 
 /// RAII span guard returned by [`Recorder::span`].
@@ -177,15 +203,6 @@ impl Recorder for NoopRecorder {
 
     #[inline(always)]
     fn latency(&self, _name: &'static str, _seconds: f64) {}
-
-    #[inline(always)]
-    fn event(&self, _name: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    fn trace_enter(&self, _name: &'static str) {}
-
-    #[inline(always)]
-    fn trace_exit(&self, _name: &'static str) {}
 }
 
 #[cfg(test)]

@@ -238,17 +238,7 @@ fn walk(prefix: &str, baseline: &Value, fresh: &Value, tolerance: f64, out: &mut
                 let path = join(prefix, key);
                 match f.iter().find(|(k, _)| k == key) {
                     Some((_, fv)) => walk(&path, bv, fv, tolerance, out),
-                    None => {
-                        if let Some(bnum) = numeric(bv) {
-                            out.push(Delta {
-                                direction: direction_of(&path),
-                                path,
-                                baseline: bnum,
-                                fresh: f64::NAN,
-                                kind: DeltaKind::MissingInFresh,
-                            });
-                        }
-                    }
+                    None => collect_missing(&path, bv, out),
                 }
             }
             for (key, fv) in f {
@@ -513,6 +503,20 @@ mod tests {
         assert!(!has_regression(&deltas));
         assert_eq!(deltas.len(), 1);
         assert_eq!(deltas[0].kind, DeltaKind::MissingInFresh);
+    }
+
+    #[test]
+    fn a_dropped_sub_object_notes_every_numeric_leaf() {
+        let base = parse(r#"{"probe": {"ns": 3592.0, "pops": {"per_eval": 12, "label": "x"}}}"#);
+        let deltas = compare(&base, &parse("{}"), 0.4);
+        assert!(!has_regression(&deltas));
+        let paths: Vec<(&str, DeltaKind)> =
+            deltas.iter().map(|d| (d.path.as_str(), d.kind)).collect();
+        let missing = DeltaKind::MissingInFresh;
+        assert_eq!(
+            paths,
+            [("probe.ns", missing), ("probe.pops.per_eval", missing)]
+        );
     }
 
     #[test]

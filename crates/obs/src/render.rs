@@ -127,10 +127,10 @@ pub fn render_report(r: &RunReport) -> String {
 }
 
 /// Renders the per-fault-kind breakdown as its own table, when the run
-/// recorded any `faults.kind.<kind>.*` metrics (fault-injection runs).
+/// recorded any `faults.kinds.<kind>.*` metrics (fault-injection runs).
 /// Empty string otherwise, so `render_report` can append unconditionally.
 fn render_fault_kinds(r: &RunReport) -> String {
-    const PREFIX: &str = "faults.kind.";
+    const PREFIX: &str = "faults.kinds.";
     let mut kinds: Vec<&str> = r
         .counters
         .keys()
@@ -269,10 +269,10 @@ pub fn render_diff(a: &RunReport, b: &RunReport) -> String {
 /// The convergence trace is opaque to `obs` (it is produced by `emts`,
 /// which sits above this crate), so the renderer is *schema-free*: it
 /// takes the `generations` array from the convergence object and prints
-/// one column per numeric field, in the order the producer wrote them.
-/// The sentinel generation `usize::MAX` (the seed population) renders as
-/// `seed`. Trailing whole-run fields of the convergence object (cache
-/// totals, delta counters) are listed after the table.
+/// one column per numeric field, in the order the producer wrote them; a
+/// nested record (the per-generation fitness counters) contributes its
+/// numeric fields under their own names. A `null` generation (the seed
+/// population) renders as `seed`.
 pub fn render_timeline(r: &RunReport) -> String {
     let mut out = String::new();
     let Some(conv) = &r.convergence else {
@@ -283,78 +283,61 @@ pub fn render_timeline(r: &RunReport) -> String {
         let _ = writeln!(out, "convergence trace has no generations array");
         return out;
     };
-    if gens.is_empty() {
+    let Some(first) = gens.first() else {
         let _ = writeln!(out, "convergence trace is empty");
         return out;
-    }
+    };
     let _ = writeln!(
         out,
         "per-generation series — {} ({} rows)",
         r.source,
         gens.len()
     );
-    // Columns: numeric fields of the first row, producer order.
-    let columns: Vec<&str> = match &gens[0] {
-        Value::Object(fields) => fields
-            .iter()
-            .filter(|(_, v)| matches!(v, Value::Int(_) | Value::Float(_)))
-            .map(|(k, _)| k.as_str())
-            .collect(),
-        _ => Vec::new(),
-    };
-    if columns.is_empty() {
-        let _ = writeln!(out, "generations carry no numeric fields");
-        return out;
-    }
-    const SEED_SENTINEL: i128 = usize::MAX as i128;
-    let cell = |row: &Value, col: &str| -> String {
-        match row.get(col) {
-            Some(Value::Int(i)) if col == "generation" && *i == SEED_SENTINEL => "seed".into(),
-            Some(Value::Int(i)) => format!("{i}"),
-            Some(Value::Float(f)) => format!("{f:.4}"),
-            _ => "–".into(),
+    // A row's leaves: its own fields, and one level of nested records.
+    let leaves = |row: &Value| -> Vec<(String, Value)> {
+        let mut out = Vec::new();
+        for (k, v) in row.as_object().unwrap_or_default() {
+            match v {
+                Value::Object(inner) => out.extend(inner.iter().cloned()),
+                _ => out.push((k.clone(), v.clone())),
+            }
         }
+        out
     };
+    // Columns: numeric (or null) leaves of the first row, producer order.
+    let columns: Vec<String> = leaves(first)
+        .into_iter()
+        .filter(|(_, v)| matches!(v, Value::Int(_) | Value::Float(_) | Value::Null))
+        .map(|(k, _)| k)
+        .collect();
+    let rows: Vec<Vec<String>> = gens
+        .iter()
+        .map(|row| {
+            let leaves = leaves(row);
+            columns
+                .iter()
+                .map(
+                    |col| match leaves.iter().find(|(k, _)| k == col).map(|(_, v)| v) {
+                        Some(Value::Null) if col == "generation" => "seed".into(),
+                        Some(Value::Int(i)) => format!("{i}"),
+                        Some(Value::Float(f)) => format!("{f:.4}"),
+                        _ => "–".into(),
+                    },
+                )
+                .collect()
+        })
+        .collect();
     let mut widths: Vec<usize> = columns.iter().map(|c| c.len()).collect();
-    for row in gens {
-        for (i, col) in columns.iter().enumerate() {
-            widths[i] = widths[i].max(cell(row, col).len());
+    for row in &rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
         }
     }
-    for (i, col) in columns.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{:>width$}",
-            if i > 0 { "  " } else { "" },
-            col,
-            width = widths[i]
-        );
-    }
-    let _ = writeln!(out);
-    for row in gens {
-        for (i, col) in columns.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{:>width$}",
-                if i > 0 { "  " } else { "" },
-                cell(row, col),
-                width = widths[i]
-            );
+    for line in std::iter::once(&columns).chain(&rows) {
+        for (i, (cell, &width)) in line.iter().zip(&widths).enumerate() {
+            let _ = write!(out, "{}{cell:>width$}", if i > 0 { "  " } else { "" });
         }
         let _ = writeln!(out);
-    }
-    if let Some(fields) = conv.as_object() {
-        let totals: Vec<String> = fields
-            .iter()
-            .filter_map(|(k, v)| match v {
-                Value::Int(i) if k != "generations" => Some(format!("{k}={i}")),
-                Value::Float(f) if k != "generations" => Some(format!("{k}={f}")),
-                _ => None,
-            })
-            .collect();
-        if !totals.is_empty() {
-            let _ = writeln!(out, "run totals: {}", totals.join(" "));
-        }
     }
     out
 }
@@ -466,12 +449,12 @@ mod tests {
     #[test]
     fn fault_kind_breakdown_renders_as_its_own_section() {
         let mut r = report("faulted", 1.0, 60);
-        r.counters.insert("faults.kind.crash.events".into(), 12);
+        r.counters.insert("faults.kinds.crash.events".into(), 12);
         r.counters
-            .insert("faults.kind.crash.trials_affected".into(), 5);
-        r.counters.insert("faults.kind.straggler.events".into(), 3);
+            .insert("faults.kinds.crash.trials_affected".into(), 5);
+        r.counters.insert("faults.kinds.straggler.events".into(), 3);
         r.gauges
-            .insert("faults.kind.crash.mean_degradation".into(), 1.25);
+            .insert("faults.kinds.crash.mean_degradation".into(), 1.25);
         let text = render_report(&r);
         for needle in [
             "fault kinds:",
@@ -521,22 +504,25 @@ mod tests {
     }
 
     #[test]
-    fn timeline_renders_generation_rows_and_seed_sentinel() {
+    fn timeline_renders_the_null_generation_as_seed_and_nested_counters_as_columns() {
         let mut r = RunReport::new("timeline-test");
         r.convergence = Some(
-            serde_json::parse(&format!(
-                r#"{{"generations": [
-                     {{"generation": {}, "best": 12.5, "mean": 14.0}},
-                     {{"generation": 0, "best": 11.0, "mean": 12.0}}],
-                    "cache_hits": 3, "cache_misses": 7}}"#,
-                usize::MAX
-            ))
+            serde_json::parse(
+                r#"{"generations": [
+                     {"generation": null, "best": 12.5, "counters": {"hits": 0, "misses": 0}},
+                     {"generation": 0, "best": 11.0, "counters": {"hits": 3, "misses": 7}}]}"#,
+            )
             .expect("test JSON parses"),
         );
         let text = render_timeline(&r);
-        assert!(text.contains("seed"), "{text}");
-        assert!(text.contains("11.0000"), "{text}");
-        assert!(text.contains("cache_hits=3"), "{text}");
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(lines[0], ["generation", "best", "hits", "misses"], "{text}");
+        assert_eq!(lines[1], ["seed", "12.5000", "0", "0"], "{text}");
+        assert_eq!(lines[2], ["0", "11.0000", "3", "7"], "{text}");
     }
 
     #[test]

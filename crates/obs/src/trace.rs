@@ -624,7 +624,10 @@ mod tests {
         let tee = TeeRecorder(&stats, &flight);
         tee.add("c", 2);
         tee.time("span", || ());
+        tee.event("marker", 7);
         assert_eq!(stats.counter("c"), 2);
-        assert_eq!(flight.total_events(), 3); // counter + enter + exit
+        // Events mark the timeline only: no counter of their name.
+        assert!(!stats.report("tee").counters.contains_key("marker"));
+        assert_eq!(flight.total_events(), 4); // counter + enter + exit + instant
     }
 }

@@ -375,7 +375,7 @@ impl ListScheduler {
     /// the uninstrumented code (asserted by the bench's no-op overhead
     /// check). Counter names: `sched.tasks_placed` (ready-queue pops),
     /// `sched.group_pops` / `sched.group_pushes` (processor-group heap
-    /// traffic), `sched.rejections` (evaluations stopped by the cutoff).
+    /// traffic), `sched.cutoff_stops` (evaluations stopped by the cutoff).
     ///
     /// The loop state is pure struct-of-arrays: task ids index the
     /// scratch's parallel `Vec<f64>`/`Vec<u32>` columns, adjacency comes
@@ -439,9 +439,9 @@ impl ListScheduler {
                 if R::ENABLED {
                     group_pops += 1;
                     // Sampled heap-pop probe: every `POP_SAMPLE`-th pop
-                    // lands on the event timeline (flight recorder) or
-                    // bumps a counter (stats). Power-of-two mask, and the
-                    // whole branch folds away under the no-op recorder.
+                    // lands on the event timeline (flight recorder).
+                    // Power-of-two mask, and the whole branch folds away
+                    // under the no-op recorder.
                     // 4096 keeps the flight-recorder overhead on a full
                     // n=100 evaluation (a few thousand pops) near one
                     // sampled event — the ≤5% tracing budget leaves no
@@ -471,7 +471,7 @@ impl ListScheduler {
                     rec.add("sched.tasks_placed", tasks_placed);
                     rec.add("sched.group_pops", group_pops);
                     rec.add("sched.group_pushes", group_pushes);
-                    rec.add("sched.rejections", 1);
+                    rec.add("sched.cutoff_stops", 1);
                 }
                 return BoundedEval::Rejected;
             }
@@ -1088,7 +1088,7 @@ mod tests {
         assert_eq!(rec.counter("sched.tasks_placed"), g.task_count() as u64);
         assert!(rec.counter("sched.group_pops") >= g.task_count() as u64);
         assert!(rec.counter("sched.group_pushes") >= g.task_count() as u64);
-        assert_eq!(rec.counter("sched.rejections"), 0);
+        assert_eq!(rec.counter("sched.cutoff_stops"), 0);
 
         // A cutoff below the real makespan must be counted as a rejection.
         let BoundedEval::Complete { makespan, .. } = recorded else {
@@ -1097,7 +1097,7 @@ mod tests {
         let outcome =
             ListScheduler.evaluate_bounded_obs(&g, &m, &alloc, makespan * 0.5, &mut scratch, &rec);
         assert_eq!(outcome, BoundedEval::Rejected);
-        assert_eq!(rec.counter("sched.rejections"), 1);
+        assert_eq!(rec.counter("sched.cutoff_stops"), 1);
     }
 
     #[test]

@@ -1104,44 +1104,8 @@ pub enum ChurnEventKind {
     FailAll,
 }
 
-// The vendored serde derive handles unit-variant enums only, so the
-// data-carrying event kind serializes by hand as a single-key tagged
-// object: `{"fail": 3}`, `{"fail_all": null}`, ...
-impl Serialize for ChurnEventKind {
-    fn to_value(&self) -> serde::Value {
-        let (tag, payload) = match self {
-            ChurnEventKind::Fail(q) => ("fail", serde::Value::Int(*q as i128)),
-            ChurnEventKind::Recover(q) => ("recover", serde::Value::Int(*q as i128)),
-            ChurnEventKind::Join(k) => ("join", serde::Value::Int(*k as i128)),
-            ChurnEventKind::FailAll => ("fail_all", serde::Value::Null),
-        };
-        serde::Value::Object(vec![(tag.to_string(), payload)])
-    }
-}
-
-impl Deserialize for ChurnEventKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .filter(|o| o.len() == 1)
-            .ok_or_else(|| serde::DeError::expected("tagged object", "ChurnEventKind"))?;
-        let (tag, payload) = &obj[0];
-        let node = || u32::from_value(payload).map_err(|e| serde::DeError::custom(e.to_string()));
-        match tag.as_str() {
-            "fail" => Ok(ChurnEventKind::Fail(node()?)),
-            "recover" => Ok(ChurnEventKind::Recover(node()?)),
-            "join" => Ok(ChurnEventKind::Join(node()?)),
-            "fail_all" => Ok(ChurnEventKind::FailAll),
-            other => Err(serde::DeError::expected(
-                "fail|recover|join|fail_all",
-                &format!("ChurnEventKind tag `{other}`"),
-            )),
-        }
-    }
-}
-
 /// A timestamped churn event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnEvent {
     /// Simulated time of the membership change.
     pub time: f64,

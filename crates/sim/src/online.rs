@@ -57,7 +57,7 @@ use ptg::{Ptg, PtgBuilder, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sched::{Allocation, ListScheduler, Mapper, Placement, Rescheduler, ResumeState, RunningTask};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::time::{Duration, Instant};
 use workloads::stream::{item, item_seed};
@@ -153,7 +153,7 @@ impl fmt::Display for OnlineError {
 impl std::error::Error for OnlineError {}
 
 /// Per-job outcome row of the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobOutcome {
     /// Stream index of the job.
     pub job: u64,
@@ -180,7 +180,7 @@ pub struct JobOutcome {
 }
 
 /// One decision epoch that actually replanned.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EpochOutcome {
     /// Epoch index (time = `epoch × period`).
     pub epoch: usize,
@@ -257,69 +257,8 @@ impl Serialize for OnlineEventKind {
     }
 }
 
-impl Deserialize for OnlineEventKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .filter(|o| o.len() == 1)
-            .ok_or_else(|| serde::DeError::expected("tagged object", "OnlineEventKind"))?;
-        let (tag, payload) = &obj[0];
-        let err = |e: serde::DeError| serde::DeError::custom(format!("OnlineEventKind: {e}"));
-        let arr = |n: usize| -> Result<Vec<u64>, serde::DeError> {
-            let xs: Vec<u64> = Vec::from_value(payload).map_err(err)?;
-            if xs.len() != n {
-                return Err(serde::DeError::expected(
-                    &format!("{n}-element array"),
-                    "OnlineEventKind",
-                ));
-            }
-            Ok(xs)
-        };
-        match tag.as_str() {
-            "arrive" => Ok(OnlineEventKind::Arrive(
-                u64::from_value(payload).map_err(err)?,
-            )),
-            "admit" => Ok(OnlineEventKind::Admit(
-                u64::from_value(payload).map_err(err)?,
-            )),
-            "done" => Ok(OnlineEventKind::Done(
-                u64::from_value(payload).map_err(err)?,
-            )),
-            "kill" => {
-                let xs = arr(2)?;
-                Ok(OnlineEventKind::Kill(xs[0], xs[1] as u32))
-            }
-            "fail" => Ok(OnlineEventKind::Fail(
-                u32::from_value(payload).map_err(err)?,
-            )),
-            "recover" => Ok(OnlineEventKind::Recover(
-                u32::from_value(payload).map_err(err)?,
-            )),
-            "join" => Ok(OnlineEventKind::Join(
-                u32::from_value(payload).map_err(err)?,
-            )),
-            "fail_all" => Ok(OnlineEventKind::FailAll),
-            "plan" => {
-                let xs = arr(3)?;
-                Ok(OnlineEventKind::Plan(
-                    xs[0] as usize,
-                    xs[1] as u8,
-                    xs[2] as usize,
-                ))
-            }
-            "reactive" => Ok(OnlineEventKind::Reactive(
-                u64::from_value(payload).map_err(err)? as usize,
-            )),
-            other => Err(serde::DeError::expected(
-                "an online event tag",
-                &format!("OnlineEventKind tag `{other}`"),
-            )),
-        }
-    }
-}
-
 /// A timestamped [`OnlineEventKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OnlineEvent {
     /// Simulated time.
     pub time: f64,
@@ -328,7 +267,7 @@ pub struct OnlineEvent {
 }
 
 /// Aggregates over the whole run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct OnlineTotals {
     /// Jobs in the stream.
     pub jobs: u64,
@@ -378,7 +317,7 @@ pub struct OnlineTotals {
 }
 
 /// Everything [`run_online`] produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OnlineReport {
     /// `"rolling"` (EMTS ring 0 available) or `"reactive"` (ring 2 only).
     pub mode: String,
@@ -507,7 +446,6 @@ struct Online<'a, R: Recorder> {
     alive_seconds: f64,
     /// Executed processor-seconds (killed attempts included).
     busy_seconds: f64,
-    makespan: f64,
     events: Vec<OnlineEvent>,
     epochs: Vec<EpochOutcome>,
     totals: OnlineTotals,
@@ -581,7 +519,7 @@ impl<'a, R: Recorder> Online<'a, R> {
         self.busy_seconds += busy_acc;
         for (slot, completion) in done_jobs {
             let index = self.jobs[slot].index;
-            self.makespan = self.makespan.max(completion);
+            self.totals.makespan = self.totals.makespan.max(completion);
             self.totals.completed += 1;
             self.events.push(OnlineEvent {
                 time: completion,
@@ -598,7 +536,6 @@ impl<'a, R: Recorder> Online<'a, R> {
                 self.alive[q as usize] = false;
                 self.totals.node_failures += 1;
                 self.push_event(OnlineEventKind::Fail(q));
-                self.rec.add("online.churn.failures", 1);
                 vec![q]
             }
             ChurnEventKind::FailAll => {
@@ -610,14 +547,12 @@ impl<'a, R: Recorder> Online<'a, R> {
                 }
                 self.totals.node_failures += all.len();
                 self.push_event(OnlineEventKind::FailAll);
-                self.rec.add("online.churn.failures", all.len() as u64);
                 all
             }
             ChurnEventKind::Recover(q) => {
                 self.alive[q as usize] = true;
                 self.totals.node_recoveries += 1;
                 self.push_event(OnlineEventKind::Recover(q));
-                self.rec.add("online.churn.recoveries", 1);
                 self.dirty = true;
                 return Ok(());
             }
@@ -627,7 +562,6 @@ impl<'a, R: Recorder> Online<'a, R> {
                 self.alive[q as usize] = true;
                 self.totals.node_joins += 1;
                 self.push_event(OnlineEventKind::Join(q));
-                self.rec.add("online.churn.joins", 1);
                 self.dirty = true;
                 return Ok(());
             }
@@ -657,7 +591,6 @@ impl<'a, R: Recorder> Online<'a, R> {
         }
         self.busy_seconds += busy_acc;
         self.totals.tasks_killed += kills.len() as u64;
-        self.rec.add("online.tasks_killed", kills.len() as u64);
         for (job, task) in kills {
             self.push_event(OnlineEventKind::Kill(job, task));
         }
@@ -680,7 +613,6 @@ impl<'a, R: Recorder> Online<'a, R> {
         if !active.is_empty() {
             self.plan_ring2(&active);
             self.totals.reactive_replans += 1;
-            self.rec.add("online.reactive_replans", 1);
             self.push_event(OnlineEventKind::Reactive(active.len()));
         }
         Ok(())
@@ -757,7 +689,6 @@ impl<'a, R: Recorder> Online<'a, R> {
                 completion: None,
             });
             self.push_event(OnlineEventKind::Admit(index));
-            self.rec.add("online.jobs_admitted", 1);
             admitted += 1;
             self.dirty = true;
         }
@@ -887,13 +818,11 @@ impl<'a, R: Recorder> Online<'a, R> {
         let admitted = self.admit();
         if !self.dirty {
             self.totals.idle_epochs += 1;
-            self.rec.add("online.epochs.idle", 1);
             return Ok(());
         }
         if self.survivors() == 0 {
             // Total outage with capacity pending: stay dirty, wait.
             self.totals.idle_epochs += 1;
-            self.rec.add("online.epochs.idle", 1);
             return Ok(());
         }
         let active = self.active_slots();
@@ -967,22 +896,11 @@ impl<'a, R: Recorder> Online<'a, R> {
             1 => self.totals.ring1_epochs += 1,
             _ => self.totals.ring2_epochs += 1,
         }
-        self.rec.add("online.epochs.decision", 1);
-        self.rec.add(
-            match ring {
-                0 => "online.ring0",
-                1 => "online.ring1",
-                _ => "online.ring2",
-            },
-            1,
-        );
         if degraded {
             self.totals.watchdog_degraded += 1;
-            self.rec.add("online.watchdog_degraded", 1);
         }
         if overran {
             self.totals.deadline_overruns += 1;
-            self.rec.add("online.overruns", 1);
         }
         self.push_event(OnlineEventKind::Plan(epoch_index, ring, active.len()));
         self.epochs.push(EpochOutcome {
@@ -1001,7 +919,10 @@ impl<'a, R: Recorder> Online<'a, R> {
 
 /// Runs the online control loop to completion. See the module docs for
 /// the regime; the result is deterministic in simulated time for a fixed
-/// `(cluster, model, cfg)`.
+/// `(cluster, model, cfg)`. Under a recorder, decisions are timed as
+/// `online.decide` spans and the finished [`OnlineTotals`] are published
+/// once, each field as `online.<field>` (counts as counters, the rest as
+/// gauges).
 pub fn run_online<R: Recorder>(
     cluster: &Cluster,
     model: &dyn ExecutionTimeModel,
@@ -1044,31 +965,11 @@ pub fn run_online<R: Recorder>(
         dirty: false,
         alive_seconds: 0.0,
         busy_seconds: 0.0,
-        makespan: 0.0,
         events: Vec::new(),
         epochs: Vec::new(),
         totals: OnlineTotals {
             jobs: cfg.jobs,
-            completed: 0,
-            makespan: 0.0,
-            queue_wait_mean: 0.0,
-            stretch_mean: 0.0,
-            stretch_p95: 0.0,
-            utilization: 0.0,
-            slo_attainment: 0.0,
-            decision_epochs: 0,
-            idle_epochs: 0,
-            ring0_epochs: 0,
-            ring1_epochs: 0,
-            ring2_epochs: 0,
-            watchdog_degraded: 0,
-            deadline_overruns: 0,
-            reactive_replans: 0,
-            tasks_killed: 0,
-            node_failures: 0,
-            node_recoveries: 0,
-            node_joins: 0,
-            decision_wall_seconds: 0.0,
+            ..OnlineTotals::default()
         },
     };
 
@@ -1117,7 +1018,6 @@ pub fn run_online<R: Recorder>(
         .get(((stretches.len() as f64 * 0.95).ceil() as usize).saturating_sub(1))
         .copied()
         .unwrap_or(0.0);
-    sim.totals.makespan = sim.makespan;
     sim.totals.queue_wait_mean = outcomes.iter().map(|o| o.queue_wait).sum::<f64>() / n;
     sim.totals.stretch_mean = outcomes.iter().map(|o| o.stretch).sum::<f64>() / n;
     sim.totals.stretch_p95 = p95;
@@ -1128,13 +1028,12 @@ pub fn run_online<R: Recorder>(
     };
     sim.totals.slo_attainment = outcomes.iter().filter(|o| o.slo_met).count() as f64 / n;
 
-    rec.add("online.jobs_completed", sim.totals.completed);
-    rec.gauge("online.queue_wait.mean", sim.totals.queue_wait_mean);
-    rec.gauge("online.stretch.mean", sim.totals.stretch_mean);
-    rec.gauge("online.stretch.p95", sim.totals.stretch_p95);
-    rec.gauge("online.utilization", sim.totals.utilization);
-    rec.gauge("online.slo_attainment", sim.totals.slo_attainment);
-    rec.gauge("online.makespan", sim.totals.makespan);
+    obs::publish!(rec, "online.", sim.totals,
+        add[jobs, completed, decision_epochs, idle_epochs, ring0_epochs, ring1_epochs,
+            ring2_epochs, watchdog_degraded, deadline_overruns, reactive_replans, tasks_killed,
+            node_failures, node_recoveries, node_joins],
+        gauge[makespan, queue_wait_mean, stretch_mean, stretch_p95, utilization,
+              slo_attainment, decision_wall_seconds]);
 
     Ok(OnlineReport {
         mode: if cfg.emts.is_some() {

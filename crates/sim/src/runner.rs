@@ -251,8 +251,9 @@ fn pipeline<M: ExecutionTimeModel + ?Sized, R: Recorder>(
 
 /// [`run_obs_workers`] followed by `trials` seeded fault-injection replays
 /// of the produced schedule; the degradation distribution lands in
-/// `report.faults`. Deterministic for a fixed `(algorithm, seed, spec)`.
-/// Fails with [`RescheduleError::NoSurvivors`] when a trial kills the
+/// `report.faults`, and a recorder gets it once, each field under
+/// `faults.<field path>` (`faults.kinds.crash.events`). Deterministic for
+/// a fixed `(algorithm, seed, spec)`. Fails with [`RescheduleError::NoSurvivors`] when a trial kills the
 /// whole platform (a `kill_all` spec).
 #[allow(clippy::too_many_arguments)] // mirrors run_obs_workers + the fault knobs
 pub fn run_with_faults_workers<M: ExecutionTimeModel + ?Sized, R: Recorder>(
@@ -272,57 +273,15 @@ pub fn run_with_faults_workers<M: ExecutionTimeModel + ?Sized, R: Recorder>(
         crate::faults::fault_trials_obs(g, &matrix, &schedule, &alloc, spec, trials, rec)
     })?;
     if R::ENABLED {
-        rec.add("faults.trials", summary.trials as u64);
-        rec.add("faults.retries", summary.retries as u64);
-        rec.add("faults.tasks_killed", summary.tasks_killed as u64);
-        rec.add(
-            "faults.processor_failures",
-            summary.processor_failures as u64,
-        );
-        rec.add("faults.reschedules", summary.reschedules as u64);
-        rec.gauge("faults.mean_degradation", summary.mean_degradation);
-        rec.gauge("faults.p95_degradation", summary.p95_degradation);
-        rec.gauge("faults.worst_degradation", summary.worst_degradation);
-        type KindNames = (&'static str, &'static str, &'static str);
-        let kind_rows: [(KindNames, crate::faults::KindStat); 4] = [
-            (
-                (
-                    "faults.kind.crash.trials_affected",
-                    "faults.kind.crash.events",
-                    "faults.kind.crash.mean_degradation",
-                ),
-                summary.kinds.crash,
-            ),
-            (
-                (
-                    "faults.kind.straggler.trials_affected",
-                    "faults.kind.straggler.events",
-                    "faults.kind.straggler.mean_degradation",
-                ),
-                summary.kinds.straggler,
-            ),
-            (
-                (
-                    "faults.kind.perturb.trials_affected",
-                    "faults.kind.perturb.events",
-                    "faults.kind.perturb.mean_degradation",
-                ),
-                summary.kinds.perturb,
-            ),
-            (
-                (
-                    "faults.kind.node_failure.trials_affected",
-                    "faults.kind.node_failure.events",
-                    "faults.kind.node_failure.mean_degradation",
-                ),
-                summary.kinds.node_failure,
-            ),
-        ];
-        for ((trials_name, events_name, mean_name), stat) in kind_rows {
-            rec.add(trials_name, stat.trials_affected as u64);
-            rec.add(events_name, stat.events as u64);
-            rec.gauge(mean_name, stat.mean_degradation);
-        }
+        obs::publish!(rec, "faults.", summary,
+            add[trials, retries, tasks_killed, processor_failures, reschedules,
+                kinds.crash.trials_affected, kinds.crash.events,
+                kinds.straggler.trials_affected, kinds.straggler.events,
+                kinds.perturb.trials_affected, kinds.perturb.events,
+                kinds.node_failure.trials_affected, kinds.node_failure.events],
+            gauge[mean_degradation, p95_degradation, worst_degradation,
+                  kinds.crash.mean_degradation, kinds.straggler.mean_degradation,
+                  kinds.perturb.mean_degradation, kinds.node_failure.mean_degradation]);
     }
     report.faults = Some(summary);
     Ok((report, schedule, trace))

@@ -130,16 +130,18 @@ fn case(g: &ptg::Ptg, matrix: &TimeMatrix, seed: u64) -> Vec<(&'static str, Stri
     .run(g, matrix, seed);
     out.push(("emts5.best", Fnv::new().alloc(&emts.best).hex()));
     out.push(("emts5.makespan", Fnv::new().float(emts.best_makespan).hex()));
+    // The committed words: `u64::MAX` marks the seed row, and 0 stands for
+    // a retired, always-zero `rejected` column.
     let mut trace = Fnv::new();
-    for (generation, best, mean, worst, rejected, mutated) in
+    for (generation, best, mean, worst, mutated) in
         emts.trace.iter().map(GenerationStats::fitness_key)
     {
         trace
-            .word(generation as u64)
+            .word(generation.map_or(u64::MAX, |u| u as u64))
             .word(best)
             .word(mean)
             .word(worst)
-            .word(rejected as u64)
+            .word(0)
             .word(mutated as u64);
     }
     out.push(("emts5.trace", trace.hex()));

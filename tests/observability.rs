@@ -2,15 +2,28 @@
 //! schema-versioned [`obs::RunReport`] whose phase spans account for the
 //! evolutionary loop's wall time, and the report tooling must round-trip
 //! and diff it.
+//!
+//! Every test here times or records a run, so they take turns: run side by
+//! side, as the test harness would, each would preempt the others' timed
+//! loops.
 
-use emts::{Emts, EmtsConfig};
+use emts::{Emts, EmtsConfig, FitnessCounters};
 use exec_model::{SyntheticModel, TimeMatrix};
 use obs::{FlightRecorder, RunReport, StatsRecorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sim::runner::{run_obs, Algorithm};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use workloads::daggen::{random_ptg, DaggenParams};
 use workloads::CostConfig;
+
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// Holds the host for one test. A test that failed its assert poisons
+/// nothing the next one reads.
+fn exclusive() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn graph(seed: u64) -> ptg::Ptg {
     let params = DaggenParams {
@@ -27,11 +40,16 @@ fn graph(seed: u64) -> ptg::Ptg {
     )
 }
 
-fn recorded_run(seed: u64) -> RunReport {
+/// `graph(7)` and its Model 2 time matrix on `cluster`.
+fn case(cluster: platform::Cluster) -> (ptg::Ptg, TimeMatrix) {
     let g = graph(7);
-    let cluster = platform::grelon();
     let model = SyntheticModel::default();
     let matrix = TimeMatrix::compute(&g, &model, cluster.speed_flops(), cluster.processors);
+    (g, matrix)
+}
+
+fn recorded_run(seed: u64) -> RunReport {
+    let (g, matrix) = case(platform::grelon());
     let rec = StatsRecorder::new();
     let result = Emts::new(EmtsConfig::emts10()).run_recorded(&g, &matrix, seed, &rec);
     let mut report = rec.report("test");
@@ -43,6 +61,7 @@ fn recorded_run(seed: u64) -> RunReport {
 
 #[test]
 fn ea_phase_spans_sum_to_the_ea_wall_time() {
+    let _turn = exclusive();
     let report = recorded_run(1);
     let ea = report.phases.get("ea").expect("ea span recorded");
     assert_eq!(ea.count, 1);
@@ -68,6 +87,7 @@ fn ea_phase_spans_sum_to_the_ea_wall_time() {
 
 #[test]
 fn hot_path_counters_and_histograms_are_populated() {
+    let _turn = exclusive();
     let report = recorded_run(1);
     let hits = report.counters["emts.cache.hits"];
     let misses = report.counters["emts.cache.misses"];
@@ -97,6 +117,7 @@ fn hot_path_counters_and_histograms_are_populated() {
 
 #[test]
 fn reports_round_trip_and_diff() {
+    let _turn = exclusive();
     let a = recorded_run(1);
     let b = recorded_run(2);
     let back = RunReport::from_json(&a.to_json()).expect("round trip");
@@ -118,11 +139,9 @@ fn reports_round_trip_and_diff() {
 
 #[test]
 fn flight_recorder_traces_one_lane_per_pool_worker() {
+    let _turn = exclusive();
     const WORKERS: usize = 3;
-    let g = graph(7);
-    let cluster = platform::grelon();
-    let model = SyntheticModel::default();
-    let matrix = TimeMatrix::compute(&g, &model, cluster.speed_flops(), cluster.processors);
+    let (g, matrix) = case(platform::grelon());
     let flight = FlightRecorder::new();
     let result = Emts::new(EmtsConfig::emts10()).run_with_workers(&g, &matrix, 5, WORKERS, &flight);
     assert!(result.best_makespan.is_finite());
@@ -173,6 +192,7 @@ fn flight_recorder_traces_one_lane_per_pool_worker() {
 
 #[test]
 fn full_pipeline_records_every_stage() {
+    let _turn = exclusive();
     let g = graph(3);
     let cluster = platform::chti();
     let model = SyntheticModel::default();
@@ -183,7 +203,9 @@ fn full_pipeline_records_every_stage() {
         assert!(report.phases.contains_key(phase), "missing span {phase}");
     }
     let trace = trace.expect("EMTS runs surface their convergence trace");
-    assert_eq!(trace.cache_hits as u64, report.counters["emts.cache.hits"]);
+    let counters = trace.counters();
+    assert_eq!(counters.hits, report.counters["emts.cache.hits"]);
+    assert_eq!(counters.misses, report.counters["emts.cache.misses"]);
     assert_eq!(report.gauges["run.makespan"], run_report.makespan);
     assert_eq!(
         report.counters["sim.events"],
@@ -194,4 +216,75 @@ fn full_pipeline_records_every_stage() {
     let (plain, _) = sim::runner::run(Algorithm::Emts5, &g, &cluster, &model, 5);
     assert_eq!(plain.makespan, run_report.makespan);
     assert_eq!(plain.allocation, run_report.allocation);
+}
+
+/// Each fact of a run has one counter name: a recorded EMTS10 run reports
+/// exactly the documented counters, so a duplicate name cannot come back
+/// unnoticed.
+#[test]
+fn a_recorded_emts10_run_reports_exactly_the_documented_counters() {
+    let _turn = exclusive();
+    let (g, matrix) = case(platform::grelon());
+    let rec = StatsRecorder::new();
+    let result = Emts::new(EmtsConfig::emts10()).run_with_workers(&g, &matrix, 1, 1, &rec);
+    let report = rec.report("counters");
+    // DESIGN.md §12's table: the first backticked name of each row.
+    let documented: Vec<&str> = include_str!("../DESIGN.md")
+        .split("### Counters of a recorded EMTS run")
+        .nth(1)
+        .expect("DESIGN.md §12 has the counter table")
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('`').nth(1))
+        .collect();
+    assert_eq!(report.counters.keys().collect::<Vec<_>>(), documented);
+    // Every count is published from the run's typed result.
+    let get = |name: &str| report.counters[name];
+    let published = FitnessCounters {
+        hits: get("emts.cache.hits"),
+        misses: get("emts.cache.misses"),
+        worker_panics: get("pool.worker_panics"),
+        respawns: get("pool.respawns"),
+        serial_fallbacks: get("pool.serial_fallbacks"),
+    };
+    assert_eq!(published, result.trace.counters());
+    let names = ["emts.evaluations", "emts.generations", "emts.pruned"];
+    let counts = [result.evaluations, result.generations, result.pruned];
+    for (name, count) in names.into_iter().zip(counts) {
+        assert_eq!(get(name), count as u64, "{name}");
+    }
+}
+
+/// `emts-report timeline` on a recorded run: the seed row reads `seed`,
+/// and every generation row carries that generation's memo hits and
+/// misses.
+#[test]
+fn the_timeline_shows_the_seed_row_and_per_generation_hits_and_misses() {
+    let _turn = exclusive();
+    let (g, matrix) = case(platform::chti());
+    let rec = StatsRecorder::new();
+    let result = Emts::new(EmtsConfig::emts5()).run_recorded(&g, &matrix, 3, &rec);
+    let mut report = rec.report("timeline");
+    report.convergence = Some(serde::Serialize::to_value(&result.trace));
+    let text = obs::render::render_timeline(&RunReport::from_json(&report.to_json()).unwrap());
+    let rows: Vec<Vec<&str>> = text
+        .lines()
+        .skip(1)
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let column = |name: &str| {
+        rows[0]
+            .iter()
+            .position(|c| *c == name)
+            .unwrap_or_else(|| panic!("no {name} column:\n{text}"))
+    };
+    let (hits, misses) = (column("hits"), column("misses"));
+    assert_eq!(rows.len(), result.trace.len() + 1, "{text}");
+    assert_eq!(rows[1][column("generation")], "seed", "{text}");
+    for (row, stats) in rows[1..].iter().zip(result.trace.iter()) {
+        assert_eq!(row[hits], stats.counters.hits.to_string(), "{text}");
+        assert_eq!(row[misses], stats.counters.misses.to_string(), "{text}");
+    }
+    assert!(result.trace.counters().misses > 0);
 }
