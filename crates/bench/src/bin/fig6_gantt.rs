@@ -6,12 +6,11 @@
 //! ASCII charts and writes SVG files plus utilization numbers.
 
 use bench::{output, Harness};
-use exec_model::{SyntheticModel, TimeMatrix};
+use exec_model::SyntheticModel;
 use platform::grelon;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sched::gantt::{ascii_gantt, svg_gantt, SvgOptions};
-use sched::metrics::compute_metrics;
 use sim::runner::{run_obs, Algorithm};
 use workloads::{daggen::random_ptg, CostConfig, DaggenParams};
 
@@ -29,20 +28,17 @@ fn main() {
     let g = random_ptg(&params, &CostConfig::default(), &mut rng);
     let cluster = grelon();
     let model = SyntheticModel::default();
-    let matrix = TimeMatrix::compute(&g, &model, cluster.speed_flops(), cluster.processors);
 
     h.say(format_args!(
         "Figure 6 — MCPA vs EMTS10 schedules, irregular n=100 on Grelon, Model 2\n"
     ));
     for alg in [Algorithm::Mcpa, Algorithm::Emts10] {
         let (report, schedule, _) = run_obs(alg, &g, &cluster, &model, args.seed, h.recorder());
-        let metrics = compute_metrics(&g, &matrix, &schedule);
         h.say(format_args!(
-            "== {} ==  makespan {:.2} s, utilization {:.1} %, peak busy procs {}",
+            "== {} ==  makespan {:.2} s, utilization {:.1} %",
             alg.name(),
             report.makespan,
-            100.0 * metrics.utilization,
-            report.sim.peak_busy_processors
+            100.0 * report.utilization
         ));
         h.say(ascii_gantt(&schedule, 100));
         let svg = svg_gantt(&g, &schedule, &SvgOptions::default());

@@ -4,11 +4,11 @@
 //! code they describe:
 //!
 //! * **`bench-unknown-direction`** (`BENCH_*.json`) — every numeric leaf
-//!   must resolve to a regress direction through the canonical token
-//!   tables in [`obs::regress`], or be an identity/config value. A
-//!   Neutral, non-identity leaf never gates `emts-report regress`, nor
-//!   `scripts/ci.sh`'s inflation check of it, so committing one silently
-//!   exempts that metric from regression protection.
+//!   outside an array must resolve to a regress direction through the
+//!   canonical token tables in [`obs::regress`], or be an identity/config
+//!   value. A Neutral, non-identity leaf never gates `emts-report
+//!   regress`, nor `scripts/ci.sh`'s inflation check of it, so committing
+//!   one silently exempts that metric from regression protection.
 //! * **`report-span-balance`** (`*_report.json`) — a `RunReport`'s nested
 //!   phase spans must be internally consistent: the direct children of a
 //!   span cannot account for more time than the span itself, and no root
@@ -39,8 +39,9 @@ const SPAN_EPSILON: f64 = 1e-6;
 // bench-unknown-direction
 // ---------------------------------------------------------------------------
 
-/// Lints a committed `BENCH_*.json`: flags numeric leaves whose dotted
-/// path has no known regress direction token and is not an identity.
+/// Lints a committed `BENCH_*.json`: flags numeric leaves outside arrays
+/// whose dotted path has no known regress direction token and is not an
+/// identity.
 pub fn lint_bench_json(file: &str, text: &str) -> Vec<Finding> {
     let value = match serde_json::parse(text) {
         Ok(v) => v,
@@ -70,13 +71,9 @@ fn walk_bench(file: &str, path: &str, value: &Value, out: &mut Vec<Finding>) {
                 walk_bench(file, &sub, v, out);
             }
         }
-        // Array elements share the parent key's direction (histogram
-        // bounds, per-bucket counts); the parent path decides for all.
-        Value::Array(items) => {
-            for v in items {
-                walk_bench(file, path, v, out);
-            }
-        }
+        // Array elements never gate `emts-report regress` (histogram
+        // bounds, per-bucket counts), so they need no direction.
+        Value::Array(_) => {}
         Value::Int(_) | Value::Float(_) => {
             if direction_of(path) == Direction::Neutral && !is_identity(path) {
                 out.push(Finding::new(
@@ -313,9 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_arrays_inherit_the_parent_key_direction() {
-        let text = r#"{ "latency_ns": [1.0, 2.0], "batch_sizes": [1, 25] }"#;
-        // latency_ns gates; batch sizes are identity configuration.
+    fn bench_array_elements_are_never_flagged() {
+        // Histogram bins never gate, whatever their key says.
+        let text = r#"{ "latency_ns": [1.0, 2.0], "mystery_blob": [1, 25] }"#;
         assert!(lint_bench_json("BENCH_x.json", text).is_empty());
     }
 

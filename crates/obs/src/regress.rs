@@ -257,11 +257,10 @@ fn walk(prefix: &str, baseline: &Value, fresh: &Value, tolerance: f64, out: &mut
                 }
             }
         }
-        (Value::Array(b), Value::Array(f)) => {
-            for (i, (bv, fv)) in b.iter().zip(f).enumerate() {
-                walk(&format!("{prefix}[{i}]"), bv, fv, tolerance, out);
-            }
-        }
+        // Array elements never gate: histogram bins and per-generation rows
+        // are distributions, not metrics (a bin path can even carry a unit
+        // token and read as higher-is-worse).
+        (Value::Array(_), _) => {}
         _ => {
             if let (Some(b), Some(f)) = (numeric(baseline), numeric(fresh)) {
                 let (direction, kind) = classify(prefix, b, f, tolerance);
@@ -282,7 +281,8 @@ fn walk(prefix: &str, baseline: &Value, fresh: &Value, tolerance: f64, out: &mut
     }
 }
 
-/// Records every numeric leaf under `v` as [`DeltaKind::MissingInFresh`].
+/// Records every numeric leaf under `v`, outside arrays, as
+/// [`DeltaKind::MissingInFresh`].
 fn collect_missing(prefix: &str, v: &Value, out: &mut Vec<Delta>) {
     match v {
         Value::Object(fields) => {
@@ -290,11 +290,7 @@ fn collect_missing(prefix: &str, v: &Value, out: &mut Vec<Delta>) {
                 collect_missing(&join(prefix, key), inner, out);
             }
         }
-        Value::Array(items) => {
-            for (i, inner) in items.iter().enumerate() {
-                collect_missing(&format!("{prefix}[{i}]"), inner, out);
-            }
-        }
+        Value::Array(_) => {}
         _ => {
             if let Some(b) = numeric(v) {
                 out.push(Delta {
@@ -309,7 +305,8 @@ fn collect_missing(prefix: &str, v: &Value, out: &mut Vec<Delta>) {
     }
 }
 
-/// Compares every numeric leaf of `fresh` against `baseline`.
+/// Compares every numeric leaf of `fresh` against `baseline`; leaves
+/// inside arrays are skipped.
 ///
 /// `tolerance` is the relative half-width of the pass band (`0.4` = a
 /// metric may move ±40% in its bad direction before it counts as a
@@ -517,6 +514,27 @@ mod tests {
             paths,
             [("probe.ns", missing), ("probe.pops.per_eval", missing)]
         );
+    }
+
+    #[test]
+    fn moved_bins_and_per_generation_counters_yield_no_delta() {
+        let base = parse(
+            r#"{"histograms": {"pool.eval_seconds": {"count": 30, "counts": [28, 2, 0]}},
+                "convergence": {"generations": [{"generation": 0, "evals": 100}]}}"#,
+        );
+        let moved = parse(
+            r#"{"histograms": {"pool.eval_seconds": {"count": 30, "counts": [0, 2, 28]}},
+                "convergence": {"generations": [{"generation": 0, "evals": 900}]}}"#,
+        );
+        let paths = |deltas: &[Delta]| -> Vec<(String, DeltaKind)> {
+            deltas.iter().map(|d| (d.path.clone(), d.kind)).collect()
+        };
+        let count = "histograms.pool.eval_seconds.count".to_string();
+        let deltas = compare(&base, &moved, 0.4);
+        assert_eq!(paths(&deltas), [(count.clone(), DeltaKind::Unchanged)]);
+        // Nor are array elements noted when their parent goes missing.
+        let deltas = compare(&base, &parse(r#"{"histograms": {}}"#), 0.4);
+        assert_eq!(paths(&deltas), [(count, DeltaKind::MissingInFresh)]);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct ScheduleMetrics {
 /// `matrix` must be the same time matrix the schedule was mapped with.
 pub fn compute_metrics(g: &Ptg, matrix: &TimeMatrix, schedule: &Schedule) -> ScheduleMetrics {
     let makespan = schedule.makespan();
-    let busy = schedule.busy_area();
-    let capacity = schedule.processors as f64 * makespan;
     let serial: f64 = g.task_ids().map(|v| matrix.time(v, 1)).sum();
     let times: Vec<f64> = schedule.placements.iter().map(|p| p.duration()).collect();
     let cp = critical_path_length(g, &times);
@@ -45,7 +43,7 @@ pub fn compute_metrics(g: &Ptg, matrix: &TimeMatrix, schedule: &Schedule) -> Sch
     }
     ScheduleMetrics {
         makespan,
-        utilization: if capacity > 0.0 { busy / capacity } else { 0.0 },
+        utilization: schedule.utilization(),
         speedup_vs_serial: if makespan > 0.0 {
             serial / makespan
         } else {

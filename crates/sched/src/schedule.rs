@@ -119,6 +119,17 @@ impl Schedule {
             .map(|p| p.duration() * p.width() as f64)
             .sum()
     }
+
+    /// Fraction of the `P × makespan` area that is busy, in `[0, 1]`; `0`
+    /// for an empty schedule.
+    pub fn utilization(&self) -> f64 {
+        let capacity = self.processors as f64 * self.makespan();
+        if capacity > 0.0 {
+            self.busy_area() / capacity
+        } else {
+            0.0
+        }
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +155,8 @@ mod tests {
     fn busy_area_weights_by_width() {
         let s = Schedule::new(4, vec![pl(0, 0.0, 2.0, &[0, 1]), pl(1, 2.0, 5.0, &[0])]);
         assert_eq!(s.busy_area(), 2.0 * 2.0 + 3.0);
+        assert_eq!(s.utilization(), 7.0 / 20.0);
+        assert_eq!(Schedule::new(4, Vec::new()).utilization(), 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `emts-sim` — the paper's simulator as a command-line tool.
 //!
 //! Reads a platform file and a PTG file, runs a scheduling algorithm under
-//! a chosen execution-time model, replays the schedule in the
-//! discrete-event executor, and prints the run report (and optionally a
-//! Gantt chart).
+//! a chosen execution-time model, checks the schedule with
+//! [`sched::validate_schedule`], and prints the run record (and optionally
+//! a Gantt chart).
 //!
 //! ```text
 //! usage: emts-sim --platform <file> --ptg <file>
@@ -333,7 +333,7 @@ fn run_recorded<R: Recorder>(
     model: &dyn exec_model::ExecutionTimeModel,
     rec: &R,
 ) -> (
-    sim::RunReport,
+    sim::RunRecord,
     sched::Schedule,
     Option<emts::ConvergenceTrace>,
 ) {
@@ -495,7 +495,7 @@ fn main() {
             report.model,
             report.tasks,
             report.makespan,
-            100.0 * report.sim.utilization()
+            100.0 * report.utilization
         );
         println!("allocation: {:?}", report.allocation);
         println!(
@@ -512,9 +512,9 @@ fn main() {
                 f.mean_degradation,
                 f.p95_degradation,
                 f.worst_degradation,
-                f.retries,
+                f.kinds.crash.events,
                 f.tasks_killed,
-                f.processor_failures,
+                f.kinds.node_failure.events,
                 f.reschedules
             );
         }

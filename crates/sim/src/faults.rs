@@ -412,8 +412,10 @@ pub struct FaultyReport {
 }
 
 impl FaultyReport {
-    /// `(time, task, is_start)` triples of the start/finish events —
-    /// directly comparable against [`crate::trace::trace_schedule`].
+    /// `(time, task, is_start)` triples of the start/finish events, in
+    /// replay order. Under [`FaultPlan::empty`] they are the schedule's
+    /// own placements, ordered by time, finishes before starts, then task
+    /// id.
     pub fn start_finish_trace(&self) -> Vec<(f64, TaskId, bool)> {
         self.events
             .iter()
@@ -427,9 +429,9 @@ impl FaultyReport {
 }
 
 /// A wake-up of the faulty replay loop. Min-ordered by time; at equal
-/// times finishes run first (matching [`crate::event::EventQueue`]), then
-/// crashes, then backoff expiries, then processor failures; final ties
-/// break by id for determinism.
+/// times finishes run first (so released processors are reusable at the
+/// same instant), then crashes, then backoff expiries, then processor
+/// failures; final ties break by id for determinism.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Wake {
     time: f64,
@@ -822,7 +824,7 @@ pub fn execute_with_faults(
 }
 
 /// Occurrence and impact of one fault kind across a trial batch.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct KindStat {
     /// Trials in which this kind fired at least once.
     pub trials_affected: usize,
@@ -838,7 +840,7 @@ pub struct KindStat {
 
 /// Per-fault-kind breakdown of a trial batch: which injection source
 /// fired, how often, and how bad the affected trials were.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct FaultKindBreakdown {
     /// Task-attempt crashes (retried after backoff).
     pub crash: KindStat,
@@ -851,7 +853,10 @@ pub struct FaultKindBreakdown {
 }
 
 /// Degradation distribution over N seeded fault trials of one schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Crashed attempts and processor failures are counted once, in
+/// [`FaultSummary::kinds`] (`kinds.crash.events`,
+/// `kinds.node_failure.events`).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultSummary {
     /// The spec string the trials were realized from.
     pub spec: String,
@@ -865,18 +870,11 @@ pub struct FaultSummary {
     pub p95_degradation: f64,
     /// Worst (largest) degradation ratio.
     pub worst_degradation: f64,
-    /// Total crashed attempts across all trials.
-    pub retries: usize,
     /// Total attempts killed by processor failures across all trials.
     pub tasks_killed: usize,
-    /// Total processor failures across all trials.
-    pub processor_failures: usize,
     /// Total rescheduler invocations across all trials.
     pub reschedules: usize,
-    /// Per-fault-kind breakdown (counts and mean degradation). Defaults
-    /// to all-zero when deserializing reports written before the field
-    /// existed.
-    #[serde(default)]
+    /// Per-fault-kind breakdown (counts and mean degradation).
     pub kinds: FaultKindBreakdown,
 }
 
@@ -914,9 +912,7 @@ pub fn fault_trials_obs<R: Recorder>(
     assert!(trials >= 1, "at least one trial");
     let baseline = schedule.makespan();
     let mut degradations = Vec::with_capacity(trials);
-    let mut retries = 0;
     let mut tasks_killed = 0;
-    let mut processor_failures = 0;
     let mut reschedules = 0;
     let mut kinds = FaultKindBreakdown::default();
     // (events this trial, degradation) accumulators per kind; folded into
@@ -946,9 +942,7 @@ pub fn fault_trials_obs<R: Recorder>(
         drop(trial_span);
         let degradation = report.makespan / baseline;
         degradations.push(degradation);
-        retries += report.retries;
         tasks_killed += report.tasks_killed;
-        processor_failures += report.processor_failures.len();
         reschedules += report.reschedules;
         let straggler_tasks = plan.stragglers.iter().filter(|&&s| s).count();
         let perturbed_tasks = plan.perturbed.iter().filter(|&&p| p).count();
@@ -989,9 +983,7 @@ pub fn fault_trials_obs<R: Recorder>(
         mean_degradation: mean,
         p95_degradation: degradations[p95_index.min(trials - 1)],
         worst_degradation: *degradations.last().expect("at least one trial"),
-        retries,
         tasks_killed,
-        processor_failures,
         reschedules,
         kinds,
     })
@@ -1252,7 +1244,6 @@ impl ChurnStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::trace_schedule;
     use exec_model::Amdahl;
     use ptg::PtgBuilder;
     use sched::{ListScheduler, Mapper};
@@ -1345,12 +1336,8 @@ mod tests {
         let (g, m, a, s) = mapped(vec![2, 1, 2, 4]);
         let plan = FaultPlan::empty(4, 4);
         let report = execute_with_faults(&g, &m, &s, &a, &plan).unwrap();
+        // The event trace itself is checked in `tests/prop_faults.rs`.
         assert_eq!(report.makespan, s.makespan(), "bit-identical makespan");
-        let baseline: Vec<(f64, TaskId, bool)> = trace_schedule(&g, &s)
-            .iter()
-            .map(|e| (e.time, e.task, e.is_start))
-            .collect();
-        assert_eq!(report.start_finish_trace(), baseline);
         assert_eq!(report.retries, 0);
         assert_eq!(report.reschedules, 0);
     }
@@ -1464,7 +1451,6 @@ mod tests {
         assert_eq!(summary.mean_degradation, 1.0);
         assert_eq!(summary.p95_degradation, 1.0);
         assert_eq!(summary.worst_degradation, 1.0);
-        assert_eq!(summary.retries, 0);
         assert_eq!(summary.kinds, FaultKindBreakdown::default());
     }
 
@@ -1502,7 +1488,10 @@ mod tests {
         let spec = FaultSpec::parse("seed=5,crash=1,retries=1,backoff=1").unwrap();
         let summary = fault_trials(&g, &m, &s, &a, &spec, 2).unwrap();
         assert_eq!(summary.kinds.crash.trials_affected, 2);
-        assert_eq!(summary.kinds.crash.events, summary.retries);
+        assert_eq!(
+            summary.kinds.crash.events, 8,
+            "one crash per task per trial"
+        );
         assert!(summary.kinds.crash.mean_degradation > 1.0);
         assert_eq!(summary.kinds.straggler, KindStat::default());
     }

@@ -220,7 +220,63 @@ fn fault_free_spec_reports_unit_degradation() {
     };
     assert_eq!(ratio("mean_degradation"), 1.0);
     assert_eq!(ratio("worst_degradation"), 1.0);
-    assert_eq!(ratio("retries"), 0.0);
+    let crashes = faults
+        .get("kinds")
+        .and_then(|k| k.get("crash"))
+        .and_then(|c| c.get("events"));
+    assert_eq!(crashes, Some(&serde::Value::Int(0)));
+}
+
+/// The keys of a JSON object, in order, space-separated.
+fn keys(v: &serde::Value) -> String {
+    let fields = v.as_object().expect("a JSON object");
+    let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    names.join(" ")
+}
+
+#[test]
+fn fault_run_json_carries_each_fact_once() {
+    // The record's fields, `utilization` among them; the fault summary
+    // counts crashes and processor failures only under `kinds`.
+    let platform = valid_platform();
+    let ptg = valid_ptg();
+    let out = emts_sim(&[
+        "--platform",
+        platform.to_str().unwrap(),
+        "--ptg",
+        ptg.to_str().unwrap(),
+        "--algorithm",
+        "mcpa",
+        "--faults",
+        "seed=7,perturb=0.2,crash=0.3,procfail=0.1",
+        "--json",
+    ]);
+    assert!(out.status.success(), "{}", first_stderr_line(&out));
+    let report = serde_json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    assert_eq!(
+        keys(&report),
+        "algorithm platform model tasks allocation makespan utilization \
+         allocation_seconds mapping_seconds faults"
+    );
+    match report.get("utilization") {
+        Some(serde::Value::Float(u)) => assert!(*u > 0.0 && *u <= 1.0, "utilization {u}"),
+        other => panic!("utilization: expected a float, got {other:?}"),
+    }
+    let faults = report.get("faults").expect("faults block");
+    assert_eq!(
+        keys(faults),
+        "spec trials fault_free_makespan mean_degradation p95_degradation \
+         worst_degradation tasks_killed reschedules kinds"
+    );
+    let kinds = faults.get("kinds").expect("kinds block");
+    assert_eq!(keys(kinds), "crash straggler perturb node_failure");
+    for (kind, stat) in kinds.as_object().unwrap() {
+        assert_eq!(
+            keys(stat),
+            "trials_affected events mean_degradation",
+            "{kind}"
+        );
+    }
 }
 
 #[test]

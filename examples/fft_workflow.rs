@@ -45,7 +45,7 @@ fn main() {
                 g.task_count().to_string(),
                 report.algorithm.clone(),
                 format!("{:.2}", report.makespan),
-                format!("{:.1} %", 100.0 * report.sim.utilization()),
+                format!("{:.1} %", 100.0 * report.utilization),
                 format!("{:.2}", report.allocation_seconds * 1e3),
             ]);
         }

@@ -13,7 +13,7 @@
 //! * [`heuristics`] — CPA / HCPA / MCPA / Δ-critical baselines,
 //! * [`emts`] — the evolutionary scheduler (the paper's contribution),
 //! * [`workloads`] — FFT / Strassen / DAGGEN generators and the corpus,
-//! * [`sim`] — discrete-event replay and the end-to-end runner,
+//! * [`sim`] — the end-to-end runner, fault replay and online loop,
 //! * [`stats`] — means, confidence intervals, histograms, tables.
 
 pub use emts;

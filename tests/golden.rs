@@ -157,9 +157,9 @@ fn case(g: &ptg::Ptg, matrix: &TimeMatrix, seed: u64) -> Vec<(&'static str, Stri
         .float(s.mean_degradation)
         .float(s.p95_degradation)
         .float(s.worst_degradation)
-        .word(s.retries as u64)
+        .word(s.kinds.crash.events as u64)
         .word(s.tasks_killed as u64)
-        .word(s.processor_failures as u64)
+        .word(s.kinds.node_failure.events as u64)
         .word(s.reschedules as u64);
     for k in [
         s.kinds.crash,

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sched::validate::all_violations;
 use sched::{ListScheduler, Mapper};
-use sim::executor::execute;
+use sim::faults::{execute_with_faults, FaultPlan};
 use workloads::daggen::{random_ptg, DaggenParams};
 use workloads::CostConfig;
 
@@ -138,12 +138,16 @@ proptest! {
             let schedule = ListScheduler.map(&g, &matrix, &alloc);
             let violations = all_violations(&g, &matrix, &alloc, &schedule);
             prop_assert!(violations.is_empty(), "{}: {:?}", allocator.name(), violations);
-            let replay = execute(&g, &schedule);
+            // The fault-free dynamic replay reproduces the mapper's
+            // makespan bit for bit.
+            let plan = FaultPlan::empty(g.task_count(), procs);
+            let replay = execute_with_faults(&g, &matrix, &schedule, &alloc, &plan);
             prop_assert!(replay.is_ok(), "{}: {:?}", allocator.name(), replay.err());
-            let report = replay.unwrap();
-            prop_assert!(
-                (report.makespan - schedule.makespan()).abs()
-                    <= 1e-9 * schedule.makespan().max(1.0)
+            prop_assert_eq!(
+                replay.unwrap().makespan.to_bits(),
+                schedule.makespan().to_bits(),
+                "{}",
+                allocator.name()
             );
         }
     }

@@ -1,5 +1,5 @@
-//! Tooling-level integration: traces, Gantt rendering and lower bounds
-//! working together over real generated workloads.
+//! Tooling-level integration: Gantt rendering and lower bounds working
+//! together over real generated workloads.
 
 use exec_model::{SyntheticModel, TimeMatrix};
 use rand::SeedableRng;
@@ -8,7 +8,6 @@ use sched::bounds::{gap_factor, lower_bounds};
 use sched::gantt::{ascii_gantt, svg_gantt, SvgOptions};
 use sched::{ListScheduler, Mapper};
 use sim::runner::{run, Algorithm};
-use sim::trace::{occupancy_profile, trace_schedule};
 use workloads::{Corpus, CostConfig, PtgClass};
 
 fn corpus() -> Corpus {
@@ -17,32 +16,6 @@ fn corpus() -> Corpus {
         &CostConfig::default(),
         &mut ChaCha8Rng::seed_from_u64(77),
     )
-}
-
-#[test]
-fn traces_account_for_every_processor_second() {
-    let corpus = corpus();
-    let cluster = platform::grelon();
-    let model = SyntheticModel::default();
-    let entry = corpus
-        .by_class_and_size(PtgClass::Irregular, 100)
-        .next()
-        .unwrap();
-    let (_, schedule) = run(Algorithm::Mcpa, &entry.ptg, &cluster, &model, 2);
-    let trace = trace_schedule(&entry.ptg, &schedule);
-    assert_eq!(trace.len(), 2 * entry.ptg.task_count());
-    // Integrate the occupancy step function: must equal the busy area.
-    let profile = occupancy_profile(&trace);
-    let mut area = 0.0;
-    for w in profile.windows(2) {
-        area += w[0].1 as f64 * (w[1].0 - w[0].0);
-    }
-    assert!(
-        (area - schedule.busy_area()).abs() <= 1e-6 * schedule.busy_area(),
-        "occupancy integral {} vs busy area {}",
-        area,
-        schedule.busy_area()
-    );
 }
 
 #[test]
