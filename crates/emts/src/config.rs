@@ -30,9 +30,11 @@ pub struct EmtsConfig {
     /// Seed the population with MCPA / HCPA / Δ-critical results (paper:
     /// always on; the ablation benches switch it off).
     pub heuristic_seeds: bool,
-    /// Evaluate offspring fitness on multiple threads. Does not affect
-    /// results — mutation happens on the main thread, only the (pure)
-    /// fitness evaluations run concurrently.
+    /// Evaluate offspring fitness on multiple threads, and run MCPA's
+    /// seeding on a worker while the main thread runs HCPA and Δ-CP. Does
+    /// not affect results — mutation happens on the main thread, only the
+    /// (pure) fitness evaluations and the deterministic seeding heuristics
+    /// run concurrently.
     pub parallel_evaluation: bool,
     /// Use comma-selection (best µ of offspring only) instead of the
     /// paper's plus-selection. Only for the selection ablation; plus is the

@@ -4,7 +4,7 @@ use crate::config::EmtsConfig;
 use crate::individual::{select_best, Individual};
 use crate::mutation::{mutation_count, MutationOperator};
 use crate::parallel::{EvalPool, FitnessEngine};
-use crate::seeds::initial_population;
+use crate::seeds::seed_population;
 use crate::trace::{ConvergenceTrace, GenerationStats};
 use exec_model::TimeMatrix;
 use obs::Recorder;
@@ -13,6 +13,64 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sched::{Allocation, ListScheduler, Mapper};
 use std::time::{Duration, Instant};
+
+/// Offspring per chunk of a generation's evaluation stream.
+const CHUNK: usize = 10;
+/// Chunks whose answers a chunk's survival cutoff does not wait for: with
+/// one, the pool maps chunk k − 1 while this thread mutates chunk k, and
+/// chunk k's cutoff uses the offspring of chunks ≤ k − 2.
+const LAG: usize = 1;
+
+/// The µ best fitness values among a generation's parents and the
+/// offspring answered so far: plus-selection keeps µ individuals, so an
+/// offspring worse than all of them cannot survive.
+struct SurvivalScreen {
+    /// Ascending, at most µ values.
+    best: Vec<f64>,
+    mu: usize,
+}
+
+impl SurvivalScreen {
+    fn new(parents: &[Individual], mu: usize) -> Self {
+        let mut best: Vec<f64> = parents.iter().map(|i| i.fitness).collect();
+        best.sort_by(f64::total_cmp);
+        best.truncate(mu);
+        SurvivalScreen { best, mu }
+    }
+
+    /// Adds an answered offspring's fitness.
+    fn admit(&mut self, fitness: f64) {
+        if self.best.len() == self.mu && fitness >= self.best[self.mu - 1] {
+            return;
+        }
+        let at = self.best.partition_point(|&f| f <= fitness);
+        self.best.insert(at, fitness);
+        self.best.truncate(self.mu);
+    }
+
+    /// The µ-th best fitness; infinite while fewer than µ are known.
+    fn cutoff(&self) -> f64 {
+        if self.best.len() < self.mu {
+            f64::INFINITY
+        } else {
+            self.best[self.mu - 1]
+        }
+    }
+}
+
+/// Appends the oldest chunk in flight's answers to `fitness` and admits
+/// the offspring it completed to the survival screen.
+fn collect_chunk<R: Recorder>(
+    engine: &mut FitnessEngine<'_, '_, R>,
+    screen: &mut Option<SurvivalScreen>,
+    fitness: &mut Vec<Option<f64>>,
+) {
+    let answered = engine.collect().expect("a chunk is in flight");
+    if let Some(screen) = screen {
+        answered.iter().flatten().for_each(|&f| screen.admit(f));
+    }
+    fitness.extend(answered);
+}
 
 /// The EMTS scheduler.
 #[derive(Debug, Clone)]
@@ -47,10 +105,11 @@ pub struct EmtsResult {
     /// (always 0 when `rejection` is off).
     pub rejected: usize,
     /// Offspring dropped by the (µ+λ) survival screen — their makespan
-    /// provably exceeded the worst current parent, so plus-selection could
-    /// never keep them. Counted separately from `rejected` (which tracks
-    /// the paper's §VI cutoff) and always 0 under comma-selection or when
-    /// the rejection strategy already owns the cutoff.
+    /// provably exceeded the µ-th best fitness among the parents and
+    /// earlier chunks' offspring, so plus-selection could never keep them.
+    /// Counted separately from `rejected` (which tracks the paper's §VI
+    /// cutoff) and always 0 under comma-selection or when the rejection
+    /// strategy already owns the cutoff.
     pub pruned: usize,
 }
 
@@ -85,7 +144,10 @@ impl Emts {
     ///
     /// Fitness goes through the evaluation engine: a worker pool spawned
     /// once for the whole run (when `parallel_evaluation` is on) behind a
-    /// memo cache — see [`crate::parallel`]. Neither changes any result.
+    /// memo cache — see [`crate::parallel`]. With a worker, MCPA seeds on
+    /// it while this thread runs HCPA and Δ-CP, and it maps each chunk of
+    /// offspring while this thread mutates the next. None of this changes
+    /// any result.
     pub fn run(&self, g: &Ptg, matrix: &TimeMatrix, seed: u64) -> EmtsResult {
         EvalPool::with(g, matrix, self.cfg.parallel_evaluation, |pool| {
             self.run_with_pool(g, matrix, seed, pool, None, &[])
@@ -173,8 +235,10 @@ impl Emts {
         let cfg = &self.cfg;
         let op = &self.op;
 
+        let mut population = rec.time("seed", || {
+            seed_population(cfg, op, g, matrix, pool, &mut rng)
+        });
         let mut engine = FitnessEngine::new(pool);
-        let mut population = rec.time("seed", || initial_population(cfg, op, g, matrix, &mut rng));
         let mut evaluations = population.len();
         if !warm.is_empty() {
             // Warm-start from incumbent individuals (online rolling
@@ -205,19 +269,24 @@ impl Emts {
             .iter()
             .map(|i| i.fitness)
             .fold(f64::INFINITY, f64::min);
+        // The engine's counts at the end of the previous generation; each
+        // row records the difference. The seed row holds what the pool's
+        // seed job cost it: the seeds themselves are evaluated outside the
+        // memo.
+        let mut counted = engine.counters();
         let mut rows = Vec::with_capacity(cfg.generations + 1);
-        rows.push(GenerationStats::from_fitness(
-            None,
-            &population.iter().map(|i| i.fitness).collect::<Vec<_>>(),
-            0,
-        ));
+        rows.push(GenerationStats {
+            counters: counted,
+            ..GenerationStats::from_fitness(
+                None,
+                &population.iter().map(|i| i.fitness).collect::<Vec<_>>(),
+                0,
+            )
+        });
 
         let mut generations = 0;
         let mut rejected = 0usize;
         let mut pruned = 0usize;
-        // The engine's counts at the end of the previous generation; each
-        // row records the difference.
-        let mut counted = engine.counters();
         for u in 0..cfg.generations {
             // lint:allow(src-timing) -- anytime-mode deadline, checked at generation boundaries
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -226,17 +295,6 @@ impl Emts {
             engine.begin_generation();
             rec.event("ea.generation", u as u64);
             let m = mutation_count(u, cfg.generations, cfg.fm, v);
-            // Mutation consumes the RNG on this thread only, so parallel
-            // fitness evaluation cannot change the search trajectory.
-            let mut offspring_allocs: Vec<Allocation> = Vec::with_capacity(cfg.lambda);
-            rec.time("mutate", || {
-                for _ in 0..cfg.lambda {
-                    let pidx = rand::Rng::gen_range(&mut rng, 0..population.len());
-                    let mut alloc = population[pidx].alloc.clone();
-                    op.mutate(&mut alloc, m, p_max, &mut rng);
-                    offspring_allocs.push(alloc);
-                }
-            });
             // Rejection cutoff: fixed at the generation's start so the
             // result is independent of evaluation order. With
             // comma-selection every offspring must survive, so rejection is
@@ -251,19 +309,52 @@ impl Emts {
                 f64::INFINITY
             };
             // Survival screen: under plus-selection an offspring whose
-            // makespan exceeds the worst current parent is discarded by
-            // select_best with certainty (µ parents all rank ahead of it),
-            // so evaluating past that bound is wasted work, and the whole
-            // trajectory — selection, RNG stream — is untouched. Unsound
-            // under comma-selection, where parents die.
-            let survival_cutoff = if cfg.comma_selection {
-                f64::INFINITY
-            } else {
-                population.iter().map(|i| i.fitness).fold(0.0f64, f64::max)
-            };
-            let cutoff = rejection_cutoff.min(survival_cutoff);
-            let fitness: Vec<Option<f64>> =
-                rec.time("evaluate", || engine.evaluate(&offspring_allocs, cutoff));
+            // makespan exceeds µ candidates that stay in the selection
+            // pool — parents and offspring already answered — is discarded
+            // by select_best with certainty, so evaluating past that bound
+            // is wasted work, and the whole trajectory — selection, RNG
+            // stream — is untouched. Unsound under comma-selection, where
+            // parents die.
+            let mut screen =
+                (!cfg.comma_selection).then(|| SurvivalScreen::new(&population, cfg.mu));
+            // Mutation consumes the RNG on this thread only, so parallel
+            // fitness evaluation cannot change the search trajectory. The
+            // offspring stream to the pool in chunks: workers map one chunk
+            // while this thread mutates the next.
+            let mut offspring_allocs: Vec<Allocation> = Vec::with_capacity(cfg.lambda);
+            let mut fitness: Vec<Option<f64>> = Vec::with_capacity(cfg.lambda);
+            for start in (0..cfg.lambda).step_by(CHUNK) {
+                let end = (start + CHUNK).min(cfg.lambda);
+                rec.time("mutate", || {
+                    for _ in start..end {
+                        let pidx = rand::Rng::gen_range(&mut rng, 0..population.len());
+                        let mut alloc = population[pidx].alloc.clone();
+                        op.mutate(&mut alloc, m, p_max, &mut rng);
+                        offspring_allocs.push(alloc);
+                    }
+                });
+                rec.time("evaluate", || {
+                    // The chunk's cutoff waits for every chunk but the
+                    // last LAG ones, which may still be in flight.
+                    while engine.in_flight() > LAG {
+                        collect_chunk(&mut engine, &mut screen, &mut fitness);
+                    }
+                    let survival_cutoff = screen
+                        .as_ref()
+                        .map_or(f64::INFINITY, SurvivalScreen::cutoff);
+                    engine.submit(
+                        &offspring_allocs[start..end],
+                        rejection_cutoff.min(survival_cutoff),
+                    );
+                });
+            }
+            rec.time("evaluate", || {
+                while engine.in_flight() > 0 {
+                    collect_chunk(&mut engine, &mut screen, &mut fitness);
+                }
+                // Free the stream's batches inside the span that filled them.
+                engine.end_stream();
+            });
             evaluations += offspring_allocs.len();
             // Selection starts by turning the evaluated offspring into
             // individuals, so its span covers that work too.

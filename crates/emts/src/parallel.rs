@@ -13,11 +13,16 @@
 //!   buffers per thread, so a steady-state evaluation performs zero heap
 //!   allocations,
 //! * [`EvalPool`] — worker threads spawned **once per run** and fed batches
-//!   over a channel, instead of a fresh thread scope per generation,
+//!   over a channel, instead of a fresh thread scope per generation. A
+//!   batch is either a chunk of offspring to evaluate or one seeding
+//!   heuristic (MCPA) to run while the caller runs the others,
 //! * [`FitnessEngine`] — a memo cache in front of the pool keyed by the
 //!   allocation vector: plus-selection and the shrinking mutation operator
 //!   frequently reproduce earlier individuals, and a cached individual
-//!   skips the mapper entirely.
+//!   skips the mapper entirely. The EA streams each generation's offspring
+//!   through it in chunks ([`FitnessEngine::submit`] /
+//!   [`FitnessEngine::collect`]), so workers map one chunk while the
+//!   caller mutates the next.
 //!
 //! Caching cannot change any result: the mapper is deterministic in the
 //! allocation, and a completed evaluation's [`sched::BoundedEval`] carries
@@ -29,9 +34,10 @@
 //!
 //! The pool treats its workers as expendable. Failures are contained in
 //! three rings, all of which preserve the batch's results exactly (the
-//! mapper is deterministic, so a re-evaluated item is bit-identical):
+//! mapper and the seeding heuristics are deterministic, so an item
+//! computed again is bit-identical):
 //!
-//! 1. **Per-item containment** — each worker evaluation runs under
+//! 1. **Per-item containment** — each worker item runs under
 //!    [`std::panic::catch_unwind`]. A panic poisons at most that item: the
 //!    worker counts it (`pool.worker_panics`), discards its scratch (whose
 //!    buffers may be mid-update) and moves on; the caller later fills the
@@ -44,7 +50,7 @@
 //! 3. **Batch deadline** — the dispatcher waits on the batch with a
 //!    timeout instead of indefinitely. If pending items stop making
 //!    progress ([`PoolError::Stalled`] — a worker died between claiming an
-//!    item and finishing it), the caller evaluates every missing item
+//!    item and finishing it), the caller computes every missing item
 //!    itself and the run continues.
 //!
 //! Lock poisoning is recovered rather than propagated: every mutex here
@@ -186,32 +192,125 @@ struct PoolCore {
     respawns: AtomicU64,
 }
 
-/// One batch of evaluations shared between the pool's workers.
+/// A seeding heuristic a batch can run: the allocation it computes for
+/// the pool's graph and time matrix.
+pub(crate) type Heuristic = fn(&Ptg, &TimeMatrix) -> Allocation;
+
+/// What a batch's items compute.
+enum Work {
+    /// Bounded evaluations of `allocs` at `cutoff`, one write-once result
+    /// slot per allocation.
+    Evaluate {
+        allocs: Vec<Allocation>,
+        cutoff: f64,
+        results: Vec<OnceLock<BoundedEval>>,
+    },
+    /// One run of a seeding heuristic: a single item.
+    Seed {
+        heuristic: Heuristic,
+        result: OnceLock<Allocation>,
+    },
+}
+
+impl Work {
+    fn len(&self) -> usize {
+        match self {
+            Work::Evaluate { allocs, .. } => allocs.len(),
+            Work::Seed { .. } => 1,
+        }
+    }
+}
+
+/// One batch of work shared between the pool's workers and the caller.
 ///
 /// Workers claim indices with an atomic counter, so items are never
-/// evaluated twice and results land positionally no matter which worker
+/// computed twice and results land positionally no matter which thread
 /// takes which item.
 struct Batch {
-    allocs: Vec<Allocation>,
-    cutoff: f64,
+    work: Work,
     /// Next unclaimed index.
     next: AtomicUsize,
-    /// One write-once slot per allocation.
-    results: Vec<OnceLock<BoundedEval>>,
-    /// Items not yet finished; the worker that finishes the last one flags
+    /// Items not yet finished; the thread that finishes the last one flags
     /// `done`.
     pending: AtomicUsize,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
 
-/// Claims and evaluates items from `batch` until none remain.
+impl Batch {
+    fn new(work: Work) -> Arc<Self> {
+        Arc::new(Batch {
+            pending: AtomicUsize::new(work.len()),
+            work,
+            next: AtomicUsize::new(0),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.work.len()
+    }
+
+    /// The allocations an evaluation batch maps (none for a heuristic).
+    fn allocs(&self) -> &[Allocation] {
+        match &self.work {
+            Work::Evaluate { allocs, .. } => allocs,
+            Work::Seed { .. } => &[],
+        }
+    }
+
+    fn is_filled(&self, i: usize) -> bool {
+        match &self.work {
+            Work::Evaluate { results, .. } => results[i].get().is_some(),
+            Work::Seed { result, .. } => result.get().is_some(),
+        }
+    }
+
+    /// Item `i` of a collected evaluation batch.
+    fn outcome(&self, i: usize) -> BoundedEval {
+        match &self.work {
+            Work::Evaluate { results, .. } => *results[i]
+                .get()
+                .expect("a collected batch has every slot filled"),
+            Work::Seed { .. } => unreachable!("a seed job has no evaluations"),
+        }
+    }
+
+    /// Computes item `i` into its slot. A slot another thread filled first
+    /// keeps its value: both computed the same deterministic result.
+    fn run_item<R: Recorder>(
+        &self,
+        i: usize,
+        g: &Ptg,
+        matrix: &TimeMatrix,
+        scratch: &mut EvalScratch,
+        rec: &R,
+    ) {
+        match &self.work {
+            Work::Evaluate {
+                allocs,
+                cutoff,
+                results,
+            } => {
+                let outcome = ListScheduler
+                    .evaluate_bounded_obs(g, matrix, &allocs[i], *cutoff, scratch, rec);
+                let _ = results[i].set(outcome);
+            }
+            Work::Seed { heuristic, result } => {
+                let _ = result.set(heuristic(g, matrix));
+            }
+        }
+    }
+}
+
+/// Claims and computes items from `batch` until none remain.
 ///
 /// Worker threads pass `Some(core)`, which turns on ring-1 containment:
-/// the evaluation runs under `catch_unwind`, and a panicking item merely
+/// the item runs under `catch_unwind`, and a panicking item merely
 /// leaves its result slot empty (counted in `pool.worker_panics`; the
 /// scratch, possibly mid-update when the unwind hit, is rebuilt). The
-/// calling thread passes `None` and evaluates bare — a panic there is the
+/// calling thread passes `None` and computes bare — a panic there is the
 /// caller's own bug and must propagate.
 ///
 /// When recording, each evaluation's duration feeds the
@@ -225,9 +324,10 @@ fn drain_batch<R: Recorder>(
     rec: &R,
     core: Option<&PoolCore>,
 ) {
+    let evaluates = matches!(batch.work, Work::Evaluate { .. });
     loop {
         let i = batch.next.fetch_add(1, Ordering::Relaxed);
-        if i >= batch.allocs.len() {
+        if i >= batch.len() {
             return;
         }
         if core.is_some() && sabotage::claim_should_die() {
@@ -238,58 +338,39 @@ fn drain_batch<R: Recorder>(
             // lint:allow(src-panic-reach) -- deliberate fault injection; the incarnation ring contains the unwind
             panic!("sabotage: worker died mid-item");
         }
-        let eval_start = if R::ENABLED {
+        let eval_start = if R::ENABLED && evaluates {
             // lint:allow(src-timing) -- recorder phase accounting.
             Some(Instant::now())
         } else {
             None
         };
-        let outcome = if let Some(core) = core {
+        if let Some(core) = core {
             // AssertUnwindSafe: on Err the scratch (the only &mut crossing
-            // the boundary) is discarded wholesale, never observed torn.
+            // the boundary) is discarded wholesale, never observed torn,
+            // and the item's slot is set only once it is complete.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 if sabotage::eval_should_panic() {
                     // lint:allow(src-panic-reach) -- deliberate fault injection; caught by the per-item catch_unwind
                     panic!("sabotage: poisoned allocation");
                 }
-                ListScheduler.evaluate_bounded_obs(
-                    g,
-                    matrix,
-                    &batch.allocs[i],
-                    batch.cutoff,
-                    scratch,
-                    rec,
-                )
+                batch.run_item(i, g, matrix, scratch, rec);
             }));
-            match attempt {
-                Ok(outcome) => Some(outcome),
-                Err(_) => {
-                    core.panics.fetch_add(1, Ordering::Relaxed);
-                    *scratch = EvalScratch::with_capacity(g.task_count(), matrix.p_max());
-                    None
-                }
+            if attempt.is_err() {
+                core.panics.fetch_add(1, Ordering::Relaxed);
+                *scratch = EvalScratch::with_capacity(g.task_count(), matrix.p_max());
             }
         } else {
-            Some(ListScheduler.evaluate_bounded_obs(
-                g,
-                matrix,
-                &batch.allocs[i],
-                batch.cutoff,
-                scratch,
-                rec,
-            ))
-        };
+            batch.run_item(i, g, matrix, scratch, rec);
+        }
         if let Some(t) = eval_start {
             rec.latency("pool.eval_seconds", t.elapsed().as_secs_f64());
         }
-        if let Some(outcome) = outcome {
-            // May lose a race against the dispatcher's fallback fill of
-            // the same slot; both compute the same value, so first wins.
-            let _ = batch.results[i].set(outcome);
-        }
         if batch.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             *lock_recover(&batch.done) = true;
-            batch.done_cv.notify_all();
+            // Only the caller ever waits, and it never waits on itself.
+            if core.is_some() {
+                batch.done_cv.notify_all();
+            }
         }
     }
 }
@@ -330,13 +411,16 @@ fn worker_loop<R: Recorder>(g: &Ptg, matrix: &TimeMatrix, core: &PoolCore, rec: 
 /// flushes it **once at shutdown**: total seconds into the flat
 /// `pool/worker_busy` phase, its personal total into the
 /// `pool.worker_busy_seconds` histogram (one sample per worker — the
-/// per-worker busy-time distribution), and its batch count into
-/// `pool.worker_batches`. An incarnation that dies mid-batch loses its
-/// unflushed telemetry — an accepted imprecision of the failure path.
+/// per-worker busy-time distribution), and its batch count, seed jobs
+/// included, into `pool.worker_batches`. An incarnation that dies
+/// mid-batch loses its unflushed telemetry — an accepted imprecision of
+/// the failure path.
 ///
 /// The whole incarnation is one `pool.worker` trace span, so every worker
 /// thread has its own flight-recorder lane before the pool joins, even one
-/// that never wins a batch item.
+/// that never wins a batch item. Each drained batch is a `pool.batch`
+/// span on that lane, or `pool.seed` when it runs a seeding heuristic; a
+/// seed job is never part of the caller's `ea` span tree.
 // lint:panic-root
 fn worker_incarnation<R: Recorder>(g: &Ptg, matrix: &TimeMatrix, core: &PoolCore, rec: &R) {
     let _incarnation = rec.trace_span("pool.worker");
@@ -354,9 +438,12 @@ fn worker_incarnation<R: Recorder>(g: &Ptg, matrix: &TimeMatrix, core: &PoolCore
                 } else {
                     None
                 };
-                // Thread-local span: one `pool.batch` interval per drained
-                // batch on this worker's flight-recorder lane.
-                let batch_span = rec.trace_span("pool.batch");
+                // Thread-local span: one interval per drained batch on
+                // this worker's flight-recorder lane.
+                let batch_span = rec.trace_span(match batch.work {
+                    Work::Evaluate { .. } => "pool.batch",
+                    Work::Seed { .. } => "pool.seed",
+                });
                 drain_batch(g, matrix, &batch, &mut scratch, rec, Some(core));
                 drop(batch_span);
                 if let Some(t) = batch_start {
@@ -375,12 +462,15 @@ fn worker_incarnation<R: Recorder>(g: &Ptg, matrix: &TimeMatrix, core: &PoolCore
 }
 
 /// A persistent evaluation pool: worker threads spawned once (per EMTS
-/// run), each owning one [`EvalScratch`], fed whole generations as batches
-/// over a channel.
+/// run), each owning one [`EvalScratch`], fed batches over a channel —
+/// chunks of offspring, or a seeding heuristic to run while the caller
+/// runs the others.
 ///
-/// The calling thread participates in every batch with its own scratch, so
-/// a pool with zero workers degenerates to plain serial evaluation — that
-/// is also the configuration chosen when `parallel` is off.
+/// A batch is handed over without waiting and collected later; collecting
+/// it, the calling thread computes whatever no worker has claimed yet with
+/// its own scratch. A pool with zero workers therefore degenerates to
+/// plain serial evaluation — that is also the configuration chosen when
+/// `parallel` is off.
 ///
 /// The pool is generic over a [`Recorder`], defaulted to the no-op one so
 /// existing call sites are untouched; [`EvalPool::with_recorder`] threads a
@@ -568,36 +658,56 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
     }
 
     /// Evaluates every allocation under `cutoff`; results are positional.
+    /// The batch is handed over and collected at once.
     pub fn run_batch(&mut self, allocs: Vec<Allocation>, cutoff: f64) -> Vec<BoundedEval> {
-        let n = allocs.len();
-        if n == 0 {
+        if allocs.is_empty() {
             return Vec::new();
         }
-        let tx = match &self.tx {
-            // Serial mode, and tiny batches aren't worth the dispatch.
-            Some(tx) if n >= 4 => tx,
-            _ => {
-                if REC::ENABLED {
-                    self.rec.add("pool.batches", 1);
-                }
-                return allocs
-                    .iter()
-                    .map(|a| {
-                        let eval_start = if REC::ENABLED {
-                            // lint:allow(src-timing) -- recorder phase accounting.
-                            Some(Instant::now())
-                        } else {
-                            None
-                        };
-                        let outcome = self.eval_inline(a, cutoff);
-                        if let Some(t) = eval_start {
-                            self.rec
-                                .latency("pool.eval_seconds", t.elapsed().as_secs_f64());
-                        }
-                        outcome
-                    })
-                    .collect();
-            }
+        let batch = self.submit(Work::Evaluate {
+            results: allocs.iter().map(|_| OnceLock::new()).collect(),
+            allocs,
+            cutoff,
+        });
+        self.collect(&batch);
+        (0..batch.len()).map(|i| batch.outcome(i)).collect()
+    }
+
+    /// Starts `heuristic` on a worker and returns at once; with no
+    /// workers it runs here and now. [`Self::join_seed`] returns its
+    /// allocation.
+    pub(crate) fn spawn_seed(&mut self, heuristic: Heuristic) -> SeedJob {
+        SeedJob(self.submit(Work::Seed {
+            heuristic,
+            result: OnceLock::new(),
+        }))
+    }
+
+    /// The allocation of a [`Self::spawn_seed`] job. If no worker has
+    /// claimed the job, the caller runs it; if its worker panicked, died
+    /// or stalled, the caller runs it again, with the same bits.
+    pub(crate) fn join_seed(&mut self, job: SeedJob) -> Allocation {
+        self.collect(&job.0);
+        match &job.0.work {
+            Work::Seed { result, .. } => result.get().expect("a collected job is filled").clone(),
+            Work::Evaluate { .. } => unreachable!("a seed job runs a heuristic"),
+        }
+    }
+
+    /// Hands `work` to the workers without waiting for it. With no
+    /// workers, the caller computes every item now.
+    fn submit(&mut self, work: Work) -> Arc<Batch> {
+        let batch = Batch::new(work);
+        let n = batch.len();
+        let Some(tx) = &self.tx else {
+            drain_batch(
+                self.g,
+                self.matrix,
+                &batch,
+                &mut self.scratch,
+                self.rec,
+                None,
+            );
+            return batch;
         };
         let dispatch_start = if REC::ENABLED {
             // lint:allow(src-timing) -- recorder phase accounting.
@@ -605,37 +715,42 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         } else {
             None
         };
-        let batch = Arc::new(Batch {
-            allocs,
-            cutoff,
-            next: AtomicUsize::new(0),
-            results: (0..n).map(|_| OnceLock::new()).collect(),
-            pending: AtomicUsize::new(n),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
-        // One handle per worker; a worker still busy with nothing (batches
-        // are strictly sequential) picks its copy up immediately. A stale
-        // copy that outlives its batch drains zero items and is discarded.
-        let mut disconnected = false;
+        // One handle per worker; a worker still busy with an earlier batch
+        // picks its copy up when it is done. A stale copy that outlives
+        // its batch drains zero items and is discarded.
         for _ in 0..self.workers.min(n) {
             if tx.send(Arc::clone(&batch)).is_err() {
                 // No receiver left — impossible while the scope lives, but
                 // typed recovery keeps it an inconvenience: the caller
-                // simply drains the whole batch itself below.
-                disconnected = true;
+                // simply drains the whole batch itself when collecting.
+                self.last_error = Some(PoolError::Disconnected);
                 break;
             }
         }
-        if disconnected {
-            self.last_error = Some(PoolError::Disconnected);
-        }
-        let drain_start = if let Some(t) = dispatch_start {
+        if let Some(t) = dispatch_start {
             self.rec
                 .phase_add("pool/dispatch", t.elapsed().as_secs_f64());
             // Timeline marker: a batch of `n` items was handed to the
             // workers.
             self.rec.event("pool.batch.dispatch", n as u64);
+        }
+        batch
+    }
+
+    /// Completes a [`Self::submit`]ted batch: the caller computes every
+    /// item no worker has claimed, waits for the claimed ones and fills
+    /// any slot a worker failed to deliver. An evaluation batch counts in
+    /// `pool.batches`.
+    fn collect(&mut self, batch: &Batch) {
+        let evaluates = matches!(batch.work, Work::Evaluate { .. });
+        if self.tx.is_none() {
+            // Computed whole at submission.
+            if REC::ENABLED && evaluates {
+                self.rec.add("pool.batches", 1);
+            }
+            return;
+        }
+        let drain_start = if REC::ENABLED {
             // lint:allow(src-timing) -- recorder phase accounting.
             Some(Instant::now())
         } else {
@@ -645,44 +760,41 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
             drain_batch(
                 self.g,
                 self.matrix,
-                &batch,
+                batch,
                 &mut self.scratch,
                 self.rec,
                 None,
             );
         }
-        if wait_for_batch(&batch) {
-            let missing = batch.results.iter().filter(|s| s.get().is_none()).count();
+        if wait_for_batch(batch) {
+            let missing = (0..batch.len()).filter(|&i| !batch.is_filled(i)).count();
             self.last_error = Some(PoolError::Stalled { missing });
         }
         // Fill every slot the workers failed to produce — items lost to a
         // contained panic (batch completed, slot empty) or to a stall.
-        // The mapper is deterministic, so a refilled item is bit-identical
-        // to what a healthy worker would have produced.
-        for (i, slot) in batch.results.iter().enumerate() {
-            if slot.get().is_some() {
-                continue;
+        // The mapper and the heuristics are deterministic, so a refilled
+        // item is bit-identical to what a healthy worker would have
+        // produced.
+        for i in 0..batch.len() {
+            if !batch.is_filled(i) {
+                batch.run_item(i, self.g, self.matrix, &mut self.scratch, self.rec);
+                self.serial_fallbacks += 1;
             }
-            let _ = slot.set(self.eval_inline(&batch.allocs[i], cutoff));
-            self.serial_fallbacks += 1;
         }
         if let Some(t) = drain_start {
             self.rec.phase_add("pool/drain", t.elapsed().as_secs_f64());
-            self.rec.add("pool.batches", 1);
+            if evaluates {
+                self.rec.add("pool.batches", 1);
+            }
             // Timeline marker: every slot of the batch is filled.
-            self.rec.event("pool.batch.complete", n as u64);
+            self.rec.event("pool.batch.complete", batch.len() as u64);
         }
-        batch
-            .results
-            .iter()
-            .map(|slot| {
-                *slot
-                    .get()
-                    .expect("every slot is filled after the fallback pass")
-            })
-            .collect()
     }
 }
+
+/// A seeding heuristic handed to the pool by [`EvalPool::spawn_seed`] and
+/// not yet joined.
+pub(crate) struct SeedJob(Arc<Batch>);
 
 /// Waits until `batch` completes or stalls; true means stalled.
 ///
@@ -758,9 +870,15 @@ type Passthrough = BuildHasherDefault<PassthroughHasher>;
 /// proves nothing about other cutoffs); a hit decides accept/reject from
 /// the stored `reject_key` with the mapper's exact test
 /// ([`BoundedEval::decide`]), so hits and misses are bit-for-bit
-/// interchangeable. [`Self::evaluate`] sends its misses through
-/// [`EvalPool::run_batch`], which evaluates inline on the caller's scratch
-/// when the pool has no workers.
+/// interchangeable.
+///
+/// A generation's offspring stream through the engine in chunks:
+/// [`Self::submit`] answers what it can from the memo, dedups the rest
+/// against the whole generation so far and hands the misses to the pool
+/// without waiting; [`Self::collect`] answers the oldest chunk still in
+/// flight. [`Self::evaluate`] is the one-chunk case. With no workers the
+/// pool computes each chunk at submission, so the chunk schedule, and
+/// every count, is the same at every worker count.
 pub struct FitnessEngine<'p, 'env, R: Recorder = NoopRecorder> {
     pool: &'p mut EvalPool<'env, R>,
     /// Completed evaluations; every entry is a [`BoundedEval::Complete`].
@@ -771,9 +889,38 @@ pub struct FitnessEngine<'p, 'env, R: Recorder = NoopRecorder> {
     /// rejection costs no allocation.
     gen_rejected: Vec<(u64, usize)>,
     gen_rejected_genes: Vec<u32>,
+    /// This generation's submitted chunks, oldest first; the first
+    /// `collected` are answered.
+    chunks: Vec<Chunk>,
+    collected: usize,
+    /// This generation's first miss of each allocation hash, as (chunk,
+    /// item in its batch): a later duplicate is answered from the same
+    /// evaluation. (An allocation whose hash collides with a different
+    /// one's is evaluated again.)
+    gen_misses: HashMap<u64, (u32, u32), Passthrough>,
     cache_entries: usize,
     hits: u64,
     misses: u64,
+}
+
+/// One submitted chunk of a generation's offspring.
+struct Chunk {
+    cutoff: f64,
+    /// One per offspring, in order.
+    answers: Vec<Answer>,
+    /// The chunk's misses, with their hashes; `None` when the memo and
+    /// earlier chunks answered everything.
+    batch: Option<(Arc<Batch>, Vec<u64>)>,
+}
+
+/// Where an offspring's fitness comes from.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// The memo decided it at submission.
+    Memo(Option<f64>),
+    /// The generation's evaluation of the same allocation — its chunk's
+    /// own or an earlier chunk's — decided at this chunk's cutoff.
+    Evaluation { chunk: u32, item: u32 },
 }
 
 impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
@@ -786,6 +933,9 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
             cache: HashMap::default(),
             gen_rejected: Vec::new(),
             gen_rejected_genes: Vec::new(),
+            chunks: Vec::new(),
+            collected: 0,
+            gen_misses: HashMap::default(),
             cache_entries: 0,
             hits: 0,
             misses: 0,
@@ -815,51 +965,139 @@ impl<'p, 'env, R: Recorder> FitnessEngine<'p, 'env, R> {
     }
 
     /// Starts a new generation: forgets which allocations were rejected at
-    /// the previous generation's cutoff (the new cutoff may accept them).
+    /// the previous generation's cutoff (the new cutoff may accept them)
+    /// and ends the previous generation's offspring stream.
     pub fn begin_generation(&mut self) {
         self.gen_rejected.clear();
         self.gen_rejected_genes.clear();
+        self.end_stream();
     }
 
-    /// Bounded fitness of every allocation (`None` = rejected), positional.
+    /// Forgets the chunks of the current stream (collected or not).
+    pub(crate) fn end_stream(&mut self) {
+        self.chunks.clear();
+        self.collected = 0;
+        self.gen_misses.clear();
+    }
+
+    /// Bounded fitness of every allocation (`None` = rejected), positional:
+    /// a stream of one chunk of its own, so no chunk may be in flight.
     ///
     /// Duplicates — across generations via the cache, and within the batch
-    /// via in-batch dedup — are evaluated once; each allocation counts as
-    /// exactly one cache hit or miss.
+    /// — are evaluated once; each allocation counts as exactly one cache
+    /// hit or miss.
     pub fn evaluate(&mut self, allocs: &[Allocation], cutoff: f64) -> Vec<Option<f64>> {
-        let hashes: Vec<u64> = allocs.iter().map(alloc_hash).collect();
-        let mut results: Vec<Option<f64>> = vec![None; allocs.len()];
-        let mut first_seen: HashMap<u64, Vec<usize>, Passthrough> = HashMap::default();
-        let mut miss_indices: Vec<usize> = Vec::new();
-        let mut aliases: Vec<(usize, usize)> = Vec::new();
-        for (i, a) in allocs.iter().enumerate() {
-            let h = hashes[i];
-            if let Some(c) = self.cache_probe(h, a) {
-                results[i] = c.decide(cutoff);
-            } else if let Some(&j) = first_seen
-                .get(&h)
-                .and_then(|chain| chain.iter().find(|&&j| allocs[j] == *a))
-            {
-                aliases.push((i, j));
-            } else {
-                first_seen.entry(h).or_default().push(i);
-                miss_indices.push(i);
-            }
-        }
-        let misses = miss_indices.len();
-        self.hits += (allocs.len() - misses) as u64;
-        self.misses += misses as u64;
-        if misses > 0 {
-            let batch: Vec<Allocation> = miss_indices.iter().map(|&i| allocs[i].clone()).collect();
-            let outcomes = self.pool.run_batch(batch, cutoff);
-            for (&i, outcome) in miss_indices.iter().zip(outcomes) {
-                results[i] = self.absorb(hashes[i], &allocs[i], outcome);
-            }
-        }
-        for (i, j) in aliases {
-            results[i] = results[j];
-        }
+        assert_eq!(self.in_flight(), 0, "evaluate runs outside a chunk stream");
+        self.end_stream();
+        self.submit(allocs, cutoff);
+        let results = self.collect().expect("the chunk just submitted");
+        self.end_stream();
         results
+    }
+
+    /// Hands the next chunk of this generation's offspring to the pool at
+    /// `cutoff`, without waiting for it.
+    ///
+    /// Memo hits are decided here; an allocation the generation already
+    /// submitted is answered from that evaluation, at this chunk's cutoff;
+    /// the rest are the chunk's misses. Each allocation counts as exactly
+    /// one hit or miss. Cutoffs must not grow within a generation: a
+    /// duplicate of an offspring rejected in an earlier chunk is then
+    /// rejected here too, exactly as a fresh evaluation would be.
+    pub fn submit(&mut self, allocs: &[Allocation], cutoff: f64) {
+        if let Some(last) = self.chunks.last() {
+            assert!(
+                cutoff <= last.cutoff,
+                "chunk cutoffs must not grow within a generation"
+            );
+        }
+        let k = self.chunks.len() as u32;
+        let mut answers = Vec::with_capacity(allocs.len());
+        let mut misses: Vec<Allocation> = Vec::with_capacity(allocs.len());
+        let mut hashes: Vec<u64> = Vec::with_capacity(allocs.len());
+        for a in allocs {
+            let h = alloc_hash(a);
+            if let Some(c) = self.cache_probe(h, a) {
+                answers.push(Answer::Memo(c.decide(cutoff)));
+                self.hits += 1;
+                continue;
+            }
+            let earlier = self.gen_misses.get(&h).copied().filter(|&(c, i)| {
+                let seen = if c == k {
+                    &misses[i as usize]
+                } else {
+                    &self.batch_of(c).allocs()[i as usize]
+                };
+                seen == a
+            });
+            if let Some((chunk, item)) = earlier {
+                answers.push(Answer::Evaluation { chunk, item });
+                self.hits += 1;
+            } else {
+                let item = misses.len() as u32;
+                self.gen_misses.entry(h).or_insert((k, item));
+                answers.push(Answer::Evaluation { chunk: k, item });
+                misses.push(a.clone());
+                hashes.push(h);
+                self.misses += 1;
+            }
+        }
+        let batch = (!misses.is_empty()).then(|| {
+            let work = Work::Evaluate {
+                results: misses.iter().map(|_| OnceLock::new()).collect(),
+                allocs: misses,
+                cutoff,
+            };
+            (self.pool.submit(work), hashes)
+        });
+        self.chunks.push(Chunk {
+            cutoff,
+            answers,
+            batch,
+        });
+    }
+
+    /// Answers the oldest chunk still in flight (`None` when none is):
+    /// bounded fitness of each of its allocations, positional. Completed
+    /// evaluations join the memo.
+    pub fn collect(&mut self) -> Option<Vec<Option<f64>>> {
+        let k = self.collected;
+        let chunk = self.chunks.get_mut(k)?;
+        self.collected += 1;
+        if let Some((batch, hashes)) = chunk.batch.take() {
+            self.pool.collect(&batch);
+            for (i, &h) in hashes.iter().enumerate() {
+                self.absorb(h, &batch.allocs()[i], batch.outcome(i));
+            }
+            self.chunks[k].batch = Some((batch, hashes));
+        }
+        let chunk = &self.chunks[k];
+        Some(
+            chunk
+                .answers
+                .iter()
+                .map(|answer| match *answer {
+                    Answer::Memo(fitness) => fitness,
+                    Answer::Evaluation { chunk: c, item } => {
+                        self.batch_of(c).outcome(item as usize).decide(chunk.cutoff)
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// The batch of this generation's chunk `c`, which had misses.
+    fn batch_of(&self, c: u32) -> &Batch {
+        let (batch, _) = self.chunks[c as usize]
+            .batch
+            .as_ref()
+            .expect("a chunk with misses has a batch");
+        batch
+    }
+
+    /// Chunks submitted and not yet collected.
+    pub fn in_flight(&self) -> usize {
+        self.chunks.len() - self.collected
     }
 
     /// One unbounded evaluation of `alloc`, for a parent that

@@ -11,17 +11,24 @@
 //! the initial population is diverse but anchored near the heuristic
 //! solutions. With `heuristic_seeds` disabled (ablation), the population is
 //! the all-ones allocation plus random perturbations of it.
+//!
+//! Inside an EMTS run, MCPA runs on a worker of the run's evaluation pool
+//! while the calling thread runs HCPA and Δ-CP; the heuristics are
+//! deterministic, so the population is the same either way.
 
 use crate::config::EmtsConfig;
 use crate::individual::Individual;
 use crate::mutation::MutationOperator;
+use crate::parallel::EvalPool;
 use exec_model::TimeMatrix;
 use heuristics::{Allocator, DeltaCritical, Hcpa, Mcpa};
+use obs::Recorder;
 use ptg::Ptg;
 use rand::Rng;
 use sched::{Allocation, ListScheduler, Mapper};
 
-/// Builds and evaluates the initial population of µ individuals.
+/// Builds and evaluates the initial population of µ individuals, on this
+/// thread alone.
 pub fn initial_population<R: Rng + ?Sized>(
     cfg: &EmtsConfig,
     op: &MutationOperator,
@@ -29,15 +36,33 @@ pub fn initial_population<R: Rng + ?Sized>(
     matrix: &TimeMatrix,
     rng: &mut R,
 ) -> Vec<Individual> {
+    EvalPool::with(g, matrix, false, |pool| {
+        seed_population(cfg, op, g, matrix, pool, rng)
+    })
+}
+
+/// [`initial_population`] with `pool`'s help: MCPA runs on a worker while
+/// this thread runs HCPA and Δ-CP (all three here when `pool` has no
+/// worker). The population keeps the order MCPA, HCPA, Δ-CP, and the
+/// seed-mutants draw from `rng` afterwards, so it is the same at every
+/// worker count.
+pub(crate) fn seed_population<REC: Recorder, R: Rng + ?Sized>(
+    cfg: &EmtsConfig,
+    op: &MutationOperator,
+    g: &Ptg,
+    matrix: &TimeMatrix,
+    pool: &mut EvalPool<'_, REC>,
+    rng: &mut R,
+) -> Vec<Individual> {
     let p_max = matrix.p_max();
     let mut seeds: Vec<(Allocation, &'static str)> = Vec::new();
     if cfg.heuristic_seeds {
-        seeds.push((Mcpa.allocate(g, matrix), "MCPA"));
-        seeds.push((Hcpa.allocate(g, matrix), "HCPA"));
-        seeds.push((
-            DeltaCritical::new(cfg.delta).allocate(g, matrix),
-            "DeltaCritical",
-        ));
+        let mcpa = pool.spawn_seed(|g, matrix| Mcpa.allocate(g, matrix));
+        let hcpa = Hcpa.allocate(g, matrix);
+        let delta = DeltaCritical::new(cfg.delta).allocate(g, matrix);
+        seeds.push((pool.join_seed(mcpa), "MCPA"));
+        seeds.push((hcpa, "HCPA"));
+        seeds.push((delta, "DeltaCritical"));
     } else {
         seeds.push((Allocation::ones(g.task_count()), "AllOne"));
     }

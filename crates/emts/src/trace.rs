@@ -84,8 +84,9 @@ pub struct GenerationStats {
     /// Number of alleles mutated per offspring this generation (0 for the
     /// seed population).
     pub mutated_alleles: usize,
-    /// What the fitness engine did this generation (all zero for the seed
-    /// population, which is evaluated before the engine starts).
+    /// What the fitness engine did this generation. The seed population
+    /// is evaluated outside the memo, so its row holds only what the
+    /// pool's seed job cost: worker panics, respawns and fallbacks.
     pub counters: FitnessCounters,
 }
 

@@ -1,11 +1,13 @@
 //! One differential harness for every fitness-evaluation entry point.
 //!
-//! A single generator draws a random DAGGEN PTG under Model 1 (Amdahl) or
-//! Model 2 (synthetic), a chain of paper-operator mutants (each offspring
-//! is the parent of the next, with a clamped no-op link in the middle) and
-//! a tight cutoff around the chain's median makespan. Every entry point in
-//! [`ENTRY_POINTS`] evaluates the chain at an infinite and at the tight
-//! cutoff, and must reproduce the per-processor oracle
+//! A single generator draws a random DAGGEN PTG, or one without edges,
+//! under Model 1 (Amdahl) or Model 2 (synthetic), a chain of
+//! paper-operator mutants (each offspring is the parent of the next, with
+//! a clamped no-op link in the middle) and a tight cutoff around the
+//! chain's median makespan. Every entry point in [`ENTRY_POINTS`]
+//! evaluates the chain at an infinite cutoff, at the tight one, at the
+//! root's exact makespan (which the oracle accepts) and just below it
+//! (which the oracle rejects), and must reproduce the per-processor oracle
 //! `ListScheduler::makespan_bounded_reference` bit for bit, accept and
 //! reject alike. Every path in [`PLACEMENT_PATHS`] places the chain's
 //! tasks at an infinite cutoff: the paths must agree on the bits of every
@@ -18,7 +20,7 @@ use emts::{EvalPool, FitnessEngine, MutationOperator};
 use exec_model::{Amdahl, SyntheticModel, TimeMatrix};
 use obs::{NoopRecorder, StatsRecorder};
 use proptest::prelude::*;
-use ptg::{Ptg, TaskId};
+use ptg::{Ptg, PtgBuilder, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sched::{
@@ -43,16 +45,25 @@ struct Case {
     tight: f64,
 }
 
-fn case(seed: u64, n: usize, p: u32, model2: bool, cutoff_factor: f64) -> Case {
+fn case(seed: u64, n: usize, p: u32, model2: bool, edges: bool, cutoff_factor: f64) -> Case {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let params = DaggenParams {
-        n,
-        width: 0.5,
-        regularity: 0.4,
-        density: 0.3,
-        jump: 2,
+    let g = if edges {
+        let params = DaggenParams {
+            n,
+            width: 0.5,
+            regularity: 0.4,
+            density: 0.3,
+            jump: 2,
+        };
+        random_ptg(&params, &CostConfig::default(), &mut rng)
+    } else {
+        let mut b = PtgBuilder::with_capacity(n);
+        for i in 0..n {
+            let (flop, alpha) = (rng.gen_range(1e9..2.4e10), rng.gen_range(0.0..0.25));
+            b.add_task(format!("t{i}"), flop, alpha);
+        }
+        b.build().expect("a graph without edges is acyclic")
     };
-    let g = random_ptg(&params, &CostConfig::default(), &mut rng);
     let m = if model2 {
         TimeMatrix::compute(&g, &SyntheticModel::default(), 3.1e9, p)
     } else {
@@ -96,7 +107,7 @@ fn oracle(g: &Ptg, m: &TimeMatrix, allocs: &[Allocation], cutoff: f64) -> Vec<Op
 /// An entry point's fitness of every chain member at `cutoff`.
 type EntryPoint = fn(&Case, f64) -> Vec<Option<f64>>;
 
-const ENTRY_POINTS: [(&str, EntryPoint); 11] = [
+const ENTRY_POINTS: [(&str, EntryPoint); 12] = [
     ("makespan_bounded", fresh),
     ("makespan_bounded_with", reused_scratch),
     ("evaluate_bounded_obs, live stats", instrumented),
@@ -107,13 +118,13 @@ const ENTRY_POINTS: [(&str, EntryPoint); 11] = [
         pooled(c, cutoff, 2, c.chain.len())
     }),
     ("run_batch, 2 workers only", workers_only),
-    // Batches too small to dispatch run inline even when workers exist.
     ("run_batch, 2 workers, batches of 3", |c, cutoff| {
         pooled(c, cutoff, 2, 3)
     }),
     ("engine, cold memo", cold_memo),
     ("engine, warm memo", warm_memo),
     ("engine, cross-cutoff hit", cross_cutoff),
+    ("engine, chunks of 3 in flight, 2 workers", streamed),
     ("record + eval_offspring", offspring),
 ];
 
@@ -209,6 +220,31 @@ fn cross_cutoff(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
     })
 }
 
+/// The chain streamed twice through one generation, in chunks of 3 with
+/// one chunk in flight, as the EA streams its offspring: the second pass
+/// runs no mapper — every allocation is a memo hit or a duplicate of the
+/// first pass's evaluation, rejections included — and answers the same.
+fn streamed(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    EvalPool::with_workers(&c.g, &c.m, 2, &NoopRecorder, |pool| {
+        let mut engine = FitnessEngine::new(pool);
+        let mut out = Vec::new();
+        for chunk in c.chain.chunks(3).chain(c.chain.chunks(3)) {
+            if engine.in_flight() > 0 {
+                out.extend(engine.collect().expect("a chunk is in flight"));
+            }
+            engine.submit(chunk, cutoff);
+        }
+        out.extend(engine.collect().expect("a chunk is in flight"));
+        let (first, second) = out.split_at(c.chain.len());
+        assert_eq!(bits(first), bits(second), "the passes disagree");
+        let mut distinct: Vec<_> = c.chain.iter().map(Allocation::as_slice).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(engine.cache_misses(), distinct.len(), "one miss each");
+        second.to_vec()
+    })
+}
+
 /// The root through the memo, each mutant against its parent's record.
 fn offspring(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
     EvalPool::with_workers(&c.g, &c.m, 0, &NoopRecorder, |pool| {
@@ -260,10 +296,19 @@ fn bits(v: &[Option<f64>]) -> Vec<Option<u64>> {
     v.iter().map(|f| f.map(f64::to_bits)).collect()
 }
 
-/// (seed, task count, platform size, model, cutoff factor around the
-/// chain's median makespan).
-fn scenario() -> impl Strategy<Value = (u64, usize, u32, u8, f64)> {
-    (0u64..1 << 40, 6usize..48, 3u32..72, 1u8..=2, 0.5f64..1.5)
+/// (seed, task count, platform size — 2 to 5 in a quarter of the cases —,
+/// model, shape — 0 draws a graph without edges, anything else a DAGGEN
+/// one — and cutoff factor around the chain's median makespan).
+fn scenario() -> impl Strategy<Value = (u64, usize, u32, u8, u8, f64)> {
+    let platform = (2u32..72, 0u8..4).prop_map(|(p, small)| if small == 0 { 2 + p % 4 } else { p });
+    (
+        0u64..1 << 40,
+        2usize..48,
+        platform,
+        1u8..=2,
+        0u8..5,
+        0.5f64..1.5,
+    )
 }
 
 proptest! {
@@ -271,11 +316,17 @@ proptest! {
 
     #[test]
     fn every_entry_point_matches_the_oracle(
-        (seed, n, p, model, cutoff_factor) in scenario()
+        (seed, n, p, model, shape, cutoff_factor) in scenario()
     ) {
         let model2 = model == 2;
-        let c = case(seed, n, p, model2, cutoff_factor);
-        for cutoff in [f64::INFINITY, c.tight] {
+        let c = case(seed, n, p, model2, shape != 0, cutoff_factor);
+        // The oracle accepts a schedule exactly at the cutoff, and
+        // rejects it just below.
+        let at = |cutoff| oracle(&c.g, &c.m, &c.chain[..1], cutoff)[0];
+        let root = at(f64::INFINITY).expect("complete");
+        let below = root * 0.999_999;
+        prop_assert_eq!((at(root), at(below)), (Some(root), None));
+        for cutoff in [f64::INFINITY, c.tight, root, below] {
             let want = bits(&oracle(&c.g, &c.m, &c.chain, cutoff));
             for (name, entry) in ENTRY_POINTS {
                 prop_assert_eq!(
@@ -292,10 +343,10 @@ proptest! {
 
     #[test]
     fn every_placement_path_matches_the_oracle(
-        (seed, n, p, model, cutoff_factor) in scenario()
+        (seed, n, p, model, shape, cutoff_factor) in scenario()
     ) {
         let model2 = model == 2;
-        let c = case(seed, n, p, model2, cutoff_factor);
+        let c = case(seed, n, p, model2, shape != 0, cutoff_factor);
         let makespans = oracle(&c.g, &c.m, &c.chain, f64::INFINITY);
         for (a, want) in c.chain.iter().zip(makespans) {
             let want = want.expect("an infinite cutoff never rejects");

@@ -33,7 +33,7 @@ use ptg::{Ptg, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sched::{Allocation, RescheduleError, Rescheduler, ResumeState, RunningTask, Schedule};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -82,7 +82,7 @@ impl fmt::Display for FaultSpecError {
 impl std::error::Error for FaultSpecError {}
 
 /// A user-facing fault description; one spec drives many seeded trials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Base RNG seed; trial `i` uses a stream derived from `(seed, i)`.
     pub seed: u64,
@@ -112,7 +112,6 @@ pub struct FaultSpec {
     /// keep-one-survivor rule. The replay then has no platform left and
     /// reports [`RescheduleError::NoSurvivors`] — the negative path the
     /// typed error exists for.
-    #[serde(default)]
     pub kill_all: Option<f64>,
 }
 
@@ -369,7 +368,7 @@ impl FaultPlan {
 }
 
 /// One logged event of a faulty replay, in simulation order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulation time.
     pub time: f64,
@@ -380,7 +379,7 @@ pub struct FaultEvent {
 }
 
 /// Kinds of faulty-replay events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEventKind {
     /// An attempt began executing.
     Start,
@@ -394,7 +393,7 @@ pub enum FaultEventKind {
 }
 
 /// Result of one faulty replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultyReport {
     /// Time of the last finish.
     pub makespan: f64,
@@ -993,7 +992,7 @@ pub fn fault_trials_obs<R: Recorder>(
 /// often nodes fail, how quickly they come back, and how many spare
 /// nodes can join mid-run. One spec + one seed ⇒ one deterministic
 /// event stream ([`ChurnStream`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSpec {
     /// Mean exponential inter-failure time in simulated seconds
     /// (`0` ⇒ no stochastic failures).

@@ -12,7 +12,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// Every scheduling algorithm the simulator can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Plain CPA allocation.
     Cpa,

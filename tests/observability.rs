@@ -145,7 +145,8 @@ fn flight_recorder_traces_one_lane_per_pool_worker() {
     let flight = FlightRecorder::new();
     let result = Emts::new(EmtsConfig::emts10()).run_with_workers(&g, &matrix, 5, WORKERS, &flight);
     assert!(result.best_makespan.is_finite());
-    let lanes: Vec<String> = flight.snapshot().into_iter().map(|l| l.name).collect();
+    let snapshot = flight.snapshot();
+    let lanes: Vec<&str> = snapshot.iter().map(|l| l.name.as_str()).collect();
     // One ring per thread that recorded anything: the driving thread plus
     // every pool worker. A worker opens its `pool.worker` span as it starts,
     // so it has a lane even if it loses every batch item's claim race.
@@ -158,6 +159,17 @@ fn flight_recorder_traces_one_lane_per_pool_worker() {
         let name = format!("worker-{w}");
         assert!(lanes.iter().any(|l| l == &name), "missing lane {name}");
     }
+    // The MCPA seed job is a `pool.seed` span on the lane of the one
+    // worker it was handed to, never on the driving thread's `ea` lane.
+    let seed_lanes: Vec<&str> = snapshot
+        .iter()
+        .filter(|l| l.events.iter().any(|e| e.name == "pool.seed"))
+        .map(|l| l.name.as_str())
+        .collect();
+    assert!(
+        seed_lanes.len() == 1 && seed_lanes[0].starts_with("worker-"),
+        "expected the seed job on one worker lane, got {seed_lanes:?}"
+    );
 
     // The Chrome trace is loadable JSON with one named thread per lane,
     // and the span pairing produced complete ("X") events.

@@ -48,15 +48,27 @@ fn mcpa_and_hcpa_equal_the_reference_loop_on_a_grid_cycle() {
 
 /// Pool workers only change who evaluates the offspring, never what the EA
 /// does with the results: EMTS5 with 0, 1 and 2 workers must return the
-/// same best allocation, the same best-makespan bits and the same
-/// per-generation fitness summaries. Every 6th item of one DAGGEN grid
-/// cycle covers all three graph sizes; both paper platforms, both models.
+/// same best allocation, the same best-makespan bits, the same counts —
+/// evaluations, offspring pruned by the survival screen or rejected by the
+/// §VI cutoff, memo hits and misses — and the same per-generation rows,
+/// with and without §VI rejection. Without rejection the result is also
+/// that of a reference EA with no survival screen at all, built from the
+/// public parts: the screen that tightens chunk by chunk never changes a
+/// selection. Every 6th item of one DAGGEN grid cycle covers all three
+/// graph sizes; both paper platforms, both models.
 #[test]
 fn emts_trajectories_do_not_depend_on_the_worker_count() {
     use emts::{Emts, EmtsConfig, EmtsResult, GenerationStats};
     use exec_model::PaperModel;
     let costs = CostConfig::default();
-    let emts = Emts::new(EmtsConfig::emts5());
+    let configs = [
+        EmtsConfig::emts5(),
+        EmtsConfig {
+            rejection: true,
+            rejection_slack: 1.5,
+            ..EmtsConfig::emts5()
+        },
+    ];
     let keys = |r: &EmtsResult| {
         r.trace
             .iter()
@@ -73,24 +85,99 @@ fn emts_trajectories_do_not_depend_on_the_worker_count() {
                     cluster.speed_flops(),
                     cluster.processors,
                 );
-                let runs: Vec<EmtsResult> = (0..=2)
-                    .map(|workers| {
-                        emts.run_with_workers(&g, &matrix, i, workers, &obs::NoopRecorder)
-                    })
-                    .collect();
-                for (workers, r) in runs.iter().enumerate().skip(1) {
-                    let ctx = format!("item {i}, {model:?} on {}, {workers} workers", cluster.name);
-                    assert_eq!(r.best, runs[0].best, "{ctx}");
-                    assert_eq!(
-                        r.best_makespan.to_bits(),
-                        runs[0].best_makespan.to_bits(),
-                        "{ctx}"
+                for cfg in &configs {
+                    let emts = Emts::new(cfg.clone());
+                    let runs: Vec<EmtsResult> = (0..=2)
+                        .map(|workers| {
+                            emts.run_with_workers(&g, &matrix, i, workers, &obs::NoopRecorder)
+                        })
+                        .collect();
+                    let ctx = format!(
+                        "item {i}, {model:?} on {}, rejection {}",
+                        cluster.name, cfg.rejection
                     );
-                    assert_eq!(keys(r), keys(&runs[0]), "{ctx}");
+                    for (workers, r) in runs.iter().enumerate().skip(1) {
+                        let ctx = format!("{ctx}, {workers} workers");
+                        assert_eq!(r.best, runs[0].best, "{ctx}");
+                        assert_eq!(
+                            r.best_makespan.to_bits(),
+                            runs[0].best_makespan.to_bits(),
+                            "{ctx}"
+                        );
+                        assert_eq!(keys(r), keys(&runs[0]), "{ctx}");
+                        let counts = |r: &EmtsResult| (r.evaluations, r.pruned, r.rejected);
+                        assert_eq!(counts(r), counts(&runs[0]), "{ctx}");
+                        assert_eq!(r.trace.counters(), runs[0].trace.counters(), "{ctx}");
+                        assert_eq!(r.trace, runs[0].trace, "{ctx}");
+                    }
+                    if !cfg.rejection {
+                        let (best, best_makespan, rows) = unscreened_ea(cfg, &g, &matrix, i);
+                        assert_eq!(runs[0].best, best, "{ctx}");
+                        assert_eq!(runs[0].best_makespan.to_bits(), best_makespan.to_bits());
+                        let reference: Vec<_> =
+                            rows.iter().map(GenerationStats::fitness_key).collect();
+                        assert_eq!(keys(&runs[0]), reference, "{ctx}");
+                    }
                 }
             }
         }
     }
+}
+
+/// The (µ+λ) EA from its public parts, every offspring mapped to the end:
+/// the best allocation, its makespan and a fitness row per generation.
+fn unscreened_ea(
+    cfg: &emts::EmtsConfig,
+    g: &ptg::Ptg,
+    matrix: &TimeMatrix,
+    seed: u64,
+) -> (sched::Allocation, f64, Vec<emts::GenerationStats>) {
+    use emts::individual::select_best;
+    use emts::mutation::mutation_count;
+    use emts::seeds::initial_population;
+    use emts::{EvalPool, FitnessEngine, GenerationStats, Individual, MutationOperator};
+    use rand::Rng;
+    let op = MutationOperator {
+        shrink_prob: cfg.shrink_prob,
+        sigma_shrink: cfg.sigma_shrink,
+        sigma_stretch: cfg.sigma_stretch,
+        uniform: cfg.uniform_mutation,
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut population = initial_population(cfg, &op, g, matrix, &mut rng);
+    let row = |generation, population: &[Individual], m| {
+        let fitness: Vec<f64> = population.iter().map(|i| i.fitness).collect();
+        GenerationStats::from_fitness(generation, &fitness, m)
+    };
+    let mut rows = vec![row(None, &population, 0)];
+    let population = EvalPool::with(g, matrix, false, |pool| {
+        let mut engine = FitnessEngine::new(pool);
+        for u in 0..cfg.generations {
+            engine.begin_generation();
+            let m = mutation_count(u, cfg.generations, cfg.fm, g.task_count());
+            let offspring: Vec<_> = (0..cfg.lambda)
+                .map(|_| {
+                    let parent = &population[rng.gen_range(0..population.len())];
+                    let mut alloc = parent.alloc.clone();
+                    op.mutate(&mut alloc, m, matrix.p_max(), &mut rng);
+                    alloc
+                })
+                .collect();
+            let fitness = engine.evaluate(&offspring, f64::INFINITY);
+            let mut pool = population;
+            pool.extend(offspring.into_iter().zip(fitness).map(|(a, f)| {
+                Individual::new(a, f.expect("an infinite cutoff rejects nothing"), "mutant")
+            }));
+            population = select_best(pool, cfg.mu);
+            rows.push(row(Some(u), &population, m));
+        }
+        population
+    });
+    let best = population
+        .into_iter()
+        .min_by(|a, b| a.fitness.total_cmp(&b.fitness))
+        .expect("a population is never empty");
+    (best.alloc, best.fitness, rows)
 }
 
 fn params_strategy() -> impl Strategy<Value = (DaggenParams, u64, u32)> {
