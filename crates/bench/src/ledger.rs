@@ -7,7 +7,7 @@
 //! rounds, rotating which side runs first; a side reads as its median
 //! round and a ratio between sides as the median of their per-round
 //! ratios, so host drift cancels out of the ratios but not out of absolute
-//! nanoseconds. The fault, online and lint measurements read `data/` and
+//! nanoseconds. The fault and lint measurements read `data/` and
 //! `crates/` relative to the working directory, the repository root, and
 //! panic if it is not.
 
@@ -547,7 +547,7 @@ impl From<OnlineTotals> for OnlineRow {
 /// 40 s) on Chti under [`ONLINE_CHURN`], 60 s epochs with a 5 s decision
 /// budget, Model 2 and otherwise `emts-sim --online`'s defaults; once with
 /// EMTS5 as ring 0, once reactive only. No epoch may overrun its budget.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct OnlineBench {
     workload: String,
     seed: u64,
@@ -557,7 +557,7 @@ struct OnlineBench {
 }
 
 fn online() -> OnlineBench {
-    let cluster = chti_platform();
+    let cluster = chti();
     let churn = sim::faults::ChurnSpec::parse(ONLINE_CHURN).expect("the ledger's churn parses");
     let run = |emts: Option<EmtsConfig>| -> OnlineRow {
         let cfg = OnlineConfig {
@@ -679,10 +679,32 @@ mod tests {
         );
     }
 
+    /// `BENCH_online.json` holds no timings, so a fresh [`online`] record
+    /// must equal the committed file field for field.
+    #[test]
+    fn the_committed_online_bench_is_what_the_code_computes() {
+        let fresh = online();
+        for (mode, row) in [("rolling", &fresh.rolling), ("reactive", &fresh.reactive)] {
+            assert_eq!(
+                row.watchdog_degraded, 0,
+                "the {mode} run degraded an epoch: the host was too slow to compare it"
+            );
+        }
+        let text = read(&format!(
+            "{}/../../BENCH_online.json",
+            env!("CARGO_MANIFEST_DIR")
+        ));
+        let committed = serde_json::parse(&text).expect("committed BENCH file is JSON");
+        assert!(
+            committed == fresh.to_value(),
+            "BENCH_online.json is stale: regenerate it with `emts-ledger --out .`\n{}",
+            serde_json::to_string_pretty(&fresh).expect("records serialize")
+        );
+    }
+
     #[test]
     fn committed_bench_files_match_the_ledger_records() {
         assert_round_trips::<FitnessBench>("BENCH_fitness.json");
         assert_round_trips::<ObsBench>("BENCH_obs.json");
-        assert_round_trips::<OnlineBench>("BENCH_online.json");
     }
 }

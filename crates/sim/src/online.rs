@@ -21,9 +21,16 @@
 //!
 //!   | ring | strategy | cost |
 //!   |------|----------|------|
-//!   | 0 | full EMTS re-optimization of the backlog union, warm-started from the incumbent allocations, run in anytime mode ([`Emts::run_deadline`]) | dominant |
+//!   | 0 | EMTS re-optimization of the backlog's *unstarted* tasks (neither finished nor running), warm-started from their incumbent widths, run in anytime mode ([`Emts::run_deadline`]); then one [`Rescheduler`] pass over the backlog union with those widths evolved and every started task's width kept | dominant |
 //!   | 1 | incremental repair: one [`Rescheduler`] pass over the backlog union with the incumbent allocations | cheap |
 //!   | 2 | reactive survivors-only FIFO: each job rescheduled alone behind the others' reservations (`busy_until` floors) | trivial |
+//!
+//!   Ring 0's EA sees the subgraph of the union induced by the unstarted
+//!   tasks (a task whose predecessors have all started is a source) and
+//!   scores it from scratch on every processor; the final pass then plans
+//!   it around the running tasks and dead nodes. With every task started
+//!   there is nothing to evolve, and ring 0 adopts that pass over the
+//!   incumbent, which is ring 1's plan.
 //!
 //!   Ring 2 is always computed first as the safety net; deeper rings are
 //!   attempted only while the budget slice allows, so a stuck or slow
@@ -67,6 +74,12 @@ use workloads::CostConfig;
 const ARRIVAL_SALT: u64 = 0xA88A_11E5_0D15_EA5E;
 /// Salt separating per-epoch EMTS seeds from the workload stream.
 const EPOCH_SALT: u64 = 0x0E0C_5EED_BADC_0FFE;
+/// Latency names of a decision epoch's wall time, by adopted ring.
+const DECIDE_SECONDS: [&str; 3] = [
+    "online.ring0.decide_seconds",
+    "online.ring1.decide_seconds",
+    "online.ring2.decide_seconds",
+];
 
 /// Derives the deterministic EMTS seed used by decision epoch `epoch`.
 /// Exposed so tests can reproduce a specific epoch's optimizer run
@@ -383,16 +396,20 @@ impl Job {
 }
 
 /// The backlog union: all active jobs' graphs side by side in one PTG,
-/// with per-job task-id offsets, so a single [`Rescheduler`] (or EMTS)
-/// pass plans the whole backlog with global knowledge.
+/// so a single [`Rescheduler`] (or EMTS) pass plans the whole backlog with
+/// global knowledge. A filtered union keeps only some of those tasks (see
+/// [`Online::build_union`]); `offsets` always describe the unfiltered one.
 struct BacklogUnion {
     g: Ptg,
     matrix: TimeMatrix,
-    /// Incumbent allocations, concatenated in offset order.
+    /// Incumbent allocations, concatenated in union order.
     alloc: Allocation,
     state: ResumeState,
-    /// `(job slot, task offset, task count)` per active job, ascending.
+    /// `(job slot, task offset, task count)` per active job, ascending, in
+    /// the unfiltered union.
     offsets: Vec<(usize, usize, usize)>,
+    /// Each task's position in the unfiltered union.
+    position: Vec<usize>,
 }
 
 impl BacklogUnion {
@@ -405,7 +422,7 @@ impl BacklogUnion {
             .map(|&(j, _, _)| (j, Vec::new()))
             .collect();
         for p in placements {
-            let t = p.task.index();
+            let t = self.position[p.task.index()];
             let slot = self
                 .offsets
                 .iter()
@@ -418,6 +435,14 @@ impl BacklogUnion {
             });
         }
         per_job
+    }
+
+    /// Writes `widths`, one per task of this union, into `into`, an
+    /// allocation of the unfiltered union.
+    fn scatter(&self, widths: &Allocation, into: &mut Allocation) {
+        for (v, &t) in self.g.task_ids().zip(&self.position) {
+            into.set(TaskId(t as u32), widths.of(v));
+        }
     }
 }
 
@@ -741,51 +766,65 @@ impl<'a, R: Recorder> Online<'a, R> {
         }
     }
 
-    /// Builds the backlog union for rings 1 and 0.
-    fn build_union(&self, active: &[usize]) -> BacklogUnion {
+    /// Builds the backlog union of the `active` jobs, in admission order
+    /// and each job's tasks in id order. With `unstarted_only`, it keeps
+    /// only the tasks neither finished nor running at `now`, with every
+    /// union edge between two of them; `None` when that leaves no task.
+    fn build_union(&self, active: &[usize], unstarted_only: bool) -> Option<BacklogUnion> {
         let mut b = PtgBuilder::new();
         let mut offsets = Vec::with_capacity(active.len());
+        let mut position = Vec::new();
         let mut alloc = Vec::new();
+        let mut finished = Vec::new();
+        let mut running = Vec::new();
         let mut off = 0usize;
         for &slot in active {
             let job = &self.jobs[slot];
-            for v in job.g.task_ids() {
+            let held = job.running_placements(self.now);
+            let mut keep = vec![true; job.g.task_count()];
+            if unstarted_only {
+                for (k, f) in keep.iter_mut().zip(&job.finished) {
+                    *k = f.is_none();
+                }
+                for p in &held {
+                    keep[p.task.index()] = false;
+                }
+            }
+            // The union id of each kept task.
+            let mut ids = vec![None; keep.len()];
+            for v in job.g.task_ids().filter(|v| keep[v.index()]) {
                 let t = job.g.task(v);
-                b.add_task(t.name.clone(), t.flop, t.alpha);
+                ids[v.index()] = Some(b.add_task(t.name.clone(), t.flop, t.alpha));
+                position.push(off + v.index());
+                alloc.push(job.alloc.of(v));
+                finished.push(job.finished[v.index()]);
             }
             for v in job.g.task_ids() {
                 for &w in job.g.successors(v) {
-                    b.add_edge(
-                        TaskId((off + v.index()) as u32),
-                        TaskId((off + w.index()) as u32),
-                    )
-                    .expect("job edges are valid in the union");
+                    if let (Some(from), Some(to)) = (ids[v.index()], ids[w.index()]) {
+                        b.add_edge(from, to)
+                            .expect("job edges are valid in the union");
+                    }
                 }
             }
-            for v in job.g.task_ids() {
-                alloc.push(job.alloc.of(v));
+            for p in held {
+                if let Some(task) = ids[p.task.index()] {
+                    running.push(RunningTask {
+                        task,
+                        finish: p.finish,
+                        processors: p.processors,
+                    });
+                }
             }
-            offsets.push((slot, off, job.g.task_count()));
-            off += job.g.task_count();
+            offsets.push((slot, off, keep.len()));
+            off += keep.len();
+        }
+        if b.task_count() == 0 {
+            return None;
         }
         let g = b.build().expect("active jobs form a valid union graph");
         let matrix = TimeMatrix::compute(&g, self.model, self.speed, self.p_total);
-        let mut finished = vec![None; off];
-        let mut running = Vec::new();
-        for &(slot, start, _) in &offsets {
-            let job = &self.jobs[slot];
-            for (i, f) in job.finished.iter().enumerate() {
-                finished[start + i] = *f;
-            }
-            for p in job.running_placements(self.now) {
-                running.push(RunningTask {
-                    task: TaskId((start + p.task.index()) as u32),
-                    finish: p.finish,
-                    processors: p.processors.clone(),
-                });
-            }
-        }
-        BacklogUnion {
+        Some(BacklogUnion {
             g,
             matrix,
             alloc: Allocation::from_vec(alloc),
@@ -797,7 +836,8 @@ impl<'a, R: Recorder> Online<'a, R> {
                 busy_until: Vec::new(),
             },
             offsets,
-        }
+            position,
+        })
     }
 
     /// Adopts `fresh` pending placements (already split per job) on top of
@@ -845,7 +885,9 @@ impl<'a, R: Recorder> Online<'a, R> {
             let mut degraded = false;
             if self.cfg.emts.is_some() {
                 if slice_ok(0.25) {
-                    let union = self.build_union(&active);
+                    let union = self
+                        .build_union(&active, false)
+                        .expect("active jobs hold tasks");
                     let repaired = Rescheduler
                         .reschedule(&union.g, &union.matrix, &union.alloc, &union.state)
                         .expect("ring 1 plans only with survivors");
@@ -853,25 +895,32 @@ impl<'a, R: Recorder> Online<'a, R> {
                     ring = 1;
                     let sabotaged = self.cfg.sabotage_ring0.contains(&epoch_index);
                     if !sabotaged && slice_ok(0.5) {
-                        let deadline = budget.map(|b| t0 + b.mul_f64(0.9));
-                        let emts_cfg = self.cfg.emts.clone().expect("checked above");
-                        let result = Emts::new(emts_cfg).run_deadline(
-                            &union.g,
-                            &union.matrix,
-                            epoch_seed(self.cfg.seed, epoch_index as u64),
-                            deadline,
-                            std::slice::from_ref(&union.alloc),
-                            self.rec,
-                        );
+                        // Ring 0 evolves the widths of the tasks still to
+                        // start; started tasks keep their incumbent widths.
+                        // With nothing left to start it adopts the incumbent.
+                        let mut best = union.alloc.clone();
+                        if let Some(pending) = self.build_union(&active, true) {
+                            let deadline = budget.map(|b| t0 + b.mul_f64(0.9));
+                            let emts_cfg = self.cfg.emts.clone().expect("checked above");
+                            let result = Emts::new(emts_cfg).run_deadline(
+                                &pending.g,
+                                &pending.matrix,
+                                epoch_seed(self.cfg.seed, epoch_index as u64),
+                                deadline,
+                                std::slice::from_ref(&pending.alloc),
+                                self.rec,
+                            );
+                            pending.scatter(&result.best, &mut best);
+                        }
                         let evolved = Rescheduler
-                            .reschedule(&union.g, &union.matrix, &result.best, &union.state)
+                            .reschedule(&union.g, &union.matrix, &best, &union.state)
                             .expect("ring 0 plans only with survivors");
                         self.adopt(union.split(evolved));
                         // The evolved allocation becomes the incumbent —
                         // the warm start of the next epoch.
                         for &(slot, off, len) in &union.offsets {
                             let per_job: Vec<u32> = (0..len)
-                                .map(|i| result.best.of(TaskId((off + i) as u32)))
+                                .map(|i| best.of(TaskId((off + i) as u32)))
                                 .collect();
                             self.jobs[slot].alloc = Allocation::from_vec(per_job);
                         }
@@ -887,6 +936,7 @@ impl<'a, R: Recorder> Online<'a, R> {
         });
 
         let decision_seconds = t0.elapsed().as_secs_f64();
+        rec.latency(DECIDE_SECONDS[usize::from(ring)], decision_seconds);
         let overran = budget.is_some_and(|b| decision_seconds > b.as_secs_f64());
         self.dirty = false;
         self.totals.decision_epochs += 1;
@@ -920,9 +970,10 @@ impl<'a, R: Recorder> Online<'a, R> {
 /// Runs the online control loop to completion. See the module docs for
 /// the regime; the result is deterministic in simulated time for a fixed
 /// `(cluster, model, cfg)`. Under a recorder, decisions are timed as
-/// `online.decide` spans and the finished [`OnlineTotals`] are published
-/// once, each field as `online.<field>` (counts as counters, the rest as
-/// gauges).
+/// `online.decide` spans and as one `online.ring{0,1,2}.decide_seconds`
+/// latency each, under the ring the decision adopted, and the finished
+/// [`OnlineTotals`] are published once, each field as `online.<field>`
+/// (counts as counters, the rest as gauges).
 pub fn run_online<R: Recorder>(
     cluster: &Cluster,
     model: &dyn ExecutionTimeModel,
@@ -1054,4 +1105,157 @@ pub fn run_online<R: Recorder>(
         epochs: sim.epochs,
         events: sim.events,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exec_model::Amdahl;
+
+    const P: u32 = 4;
+
+    /// `0 → 1, 0 → 2, 1 → 3, 2 → 3`, and `4` alone.
+    fn diamond() -> Ptg {
+        let mut b = PtgBuilder::new();
+        for i in 0..5 {
+            b.add_task(format!("t{i}"), 1e9 * (i + 1) as f64, 0.1);
+        }
+        for (from, to) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            b.add_edge(TaskId(from), TaskId(to)).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn job(index: u64) -> Job {
+        let g = diamond();
+        let n = g.task_count();
+        Job {
+            index,
+            matrix: TimeMatrix::compute(&g, &Amdahl, 1e9, P),
+            // Widths 1, 2, 3, 4, 1: every task's width names it.
+            alloc: Allocation::from_vec((0..n as u32).map(|i| i % P + 1).collect()),
+            g,
+            arrival: 0.0,
+            admitted: 0.0,
+            ideal: 1.0,
+            finished: vec![None; n],
+            plan: Vec::new(),
+            first_start: None,
+            completion: None,
+        }
+    }
+
+    fn placement(task: u32, start: f64, finish: f64, processors: &[u32]) -> Placement {
+        Placement {
+            task: TaskId(task),
+            start,
+            finish,
+            processors: processors.to_vec(),
+        }
+    }
+
+    /// At `now = 2`, job 0 has finished task 0, runs task 1 and plans the
+    /// rest; job 1 has started nothing.
+    fn backlog(cfg: &OnlineConfig) -> Online<'_, obs::NoopRecorder> {
+        let mut started = job(0);
+        started.finished[0] = Some(1.0);
+        started.plan = vec![
+            placement(1, 1.0, 3.0, &[0, 1]),
+            placement(2, 3.0, 5.0, &[0, 1, 2]),
+            placement(3, 5.0, 6.0, &[0, 1, 2, 3]),
+            placement(4, 3.0, 4.0, &[3]),
+        ];
+        Online {
+            cfg,
+            model: &Amdahl,
+            rec: &obs::NoopRecorder,
+            speed: 1e9,
+            processors: P,
+            p_total: P,
+            now: 2.0,
+            alive: vec![true; P as usize],
+            churn: ChurnStream::new(&cfg.churn, cfg.seed),
+            arrivals: vec![0.0, 0.0],
+            next_arrival: 2,
+            queue: Vec::new(),
+            jobs: vec![started, job(1)],
+            dirty: true,
+            alive_seconds: 0.0,
+            busy_seconds: 0.0,
+            events: Vec::new(),
+            epochs: Vec::new(),
+            totals: OnlineTotals::default(),
+        }
+    }
+
+    #[test]
+    fn ring0_evolves_exactly_the_unstarted_tasks_in_union_order() {
+        let cfg = OnlineConfig::default();
+        let sim = backlog(&cfg);
+        let union = sim.build_union(&[0, 1], false).unwrap();
+        let pending = sim.build_union(&[0, 1], true).unwrap();
+        assert_eq!(union.position, (0..10).collect::<Vec<_>>());
+        assert_eq!(union.state.running.len(), 1);
+        // Job 0's tasks 0 (finished) and 1 (running) are left out.
+        assert_eq!(pending.position, vec![2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(pending.offsets, union.offsets);
+        for (v, &t) in pending.g.task_ids().zip(&pending.position) {
+            let u = TaskId(t as u32);
+            assert_eq!(pending.g.task(v), union.g.task(u));
+            assert_eq!(pending.alloc.of(v), union.alloc.of(u));
+        }
+        // Exactly the induced edges, in union order: 1 → 3 leaves with its
+        // running source, so job 0's task 3 waits on task 2 alone.
+        let induced: Vec<(usize, usize)> = union
+            .g
+            .edges()
+            .map(|(a, b)| (a.index(), b.index()))
+            .filter(|(a, b)| pending.position.contains(a) && pending.position.contains(b))
+            .collect();
+        let kept: Vec<(usize, usize)> = pending
+            .g
+            .edges()
+            .map(|(a, b)| (pending.position[a.index()], pending.position[b.index()]))
+            .collect();
+        assert_eq!(kept, induced);
+        assert_eq!(kept, vec![(2, 3), (5, 6), (5, 7), (6, 8), (7, 8)]);
+        assert!(pending.state.running.is_empty());
+        assert!(pending.state.finished.iter().all(Option::is_none));
+
+        // Scattering an evolved allocation back changes only the unstarted
+        // tasks' widths.
+        let mut best = union.alloc.clone();
+        pending.scatter(&Allocation::uniform(pending.g.task_count(), P), &mut best);
+        for t in 0..10 {
+            let u = TaskId(t as u32);
+            let want = if pending.position.contains(&t) {
+                P
+            } else {
+                union.alloc.of(u)
+            };
+            assert_eq!(best.of(u), want, "task {t}");
+        }
+    }
+
+    #[test]
+    fn with_every_task_started_ring0_adopts_the_incumbent_repair() {
+        let cfg = OnlineConfig::default();
+        let mut sim = backlog(&cfg);
+        sim.jobs.truncate(1);
+        let job = &mut sim.jobs[0];
+        for t in [0, 1, 2, 4] {
+            job.finished[t] = Some(1.5);
+        }
+        job.plan = vec![placement(3, 1.5, 3.0, &[0, 1, 2, 3])];
+        let alloc = job.alloc.clone();
+        assert!(sim.build_union(&[0], true).is_none());
+
+        sim.decide(0).unwrap();
+        assert_eq!(sim.epochs[0].ring, 0, "the epoch still counts as ring 0");
+        assert_eq!(
+            sim.jobs[0].plan,
+            vec![placement(3, 1.5, 3.0, &[0, 1, 2, 3])]
+        );
+        assert_eq!(sim.jobs[0].alloc, alloc);
+    }
 }

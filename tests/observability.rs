@@ -12,7 +12,9 @@ use exec_model::{SyntheticModel, TimeMatrix};
 use obs::{FlightRecorder, RunReport, StatsRecorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use sim::faults::ChurnSpec;
 use sim::runner::{run_obs, Algorithm};
+use sim::{run_online, OnlineConfig};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use workloads::daggen::{random_ptg, DaggenParams};
 use workloads::CostConfig;
@@ -226,6 +228,20 @@ fn full_pipeline_records_every_stage() {
     assert_eq!(plain.allocation, run_report.allocation);
 }
 
+/// The first backticked name of each row of the first table under
+/// `heading` in DESIGN.md.
+fn documented_names(heading: &str) -> Vec<&'static str> {
+    include_str!("../DESIGN.md")
+        .split(heading)
+        .nth(1)
+        .unwrap_or_else(|| panic!("DESIGN.md has no `{heading}`"))
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('`').nth(1))
+        .collect()
+}
+
 /// Each fact of a run has one counter name: a recorded EMTS10 run reports
 /// exactly the documented counters, so a duplicate name cannot come back
 /// unnoticed.
@@ -236,16 +252,7 @@ fn a_recorded_emts10_run_reports_exactly_the_documented_counters() {
     let rec = StatsRecorder::new();
     let result = Emts::new(EmtsConfig::emts10()).run_with_workers(&g, &matrix, 1, 1, &rec);
     let report = rec.report("counters");
-    // DESIGN.md §12's table: the first backticked name of each row.
-    let documented: Vec<&str> = include_str!("../DESIGN.md")
-        .split("### Counters of a recorded EMTS run")
-        .nth(1)
-        .expect("DESIGN.md §12 has the counter table")
-        .lines()
-        .skip_while(|l| !l.starts_with('|'))
-        .take_while(|l| l.starts_with('|'))
-        .filter_map(|l| l.split('`').nth(1))
-        .collect();
+    let documented = documented_names("### Counters of a recorded EMTS run");
     assert_eq!(report.counters.keys().collect::<Vec<_>>(), documented);
     // Every count is published from the run's typed result.
     let get = |name: &str| report.counters[name];
@@ -295,4 +302,59 @@ fn the_timeline_shows_the_seed_row_and_per_generation_hits_and_misses() {
         assert_eq!(row[misses], stats.counters.misses.to_string(), "{text}");
     }
     assert!(result.trace.counters().misses > 0);
+}
+
+/// Each decision epoch of an online run is one latency sample under the
+/// ring it adopted: a rolling run with ring 0 sabotaged in some epochs and
+/// a reactive-only run report exactly the documented `online.*`
+/// histograms, one sample per adopted epoch.
+#[test]
+fn a_recorded_online_run_reports_one_decision_latency_per_epoch_by_ring() {
+    let _turn = exclusive();
+    let rec = StatsRecorder::new();
+    let rolling = OnlineConfig {
+        jobs: 6,
+        arrival_mean: 40.0,
+        churn: ChurnSpec::parse("fail_every=200,repair_after=120,spares=1,join_every=500")
+            .expect("valid churn spec"),
+        emts: Some(EmtsConfig {
+            parallel_evaluation: false,
+            ..EmtsConfig::emts5()
+        }),
+        sabotage_ring0: vec![2, 4],
+        ..OnlineConfig::default()
+    };
+    let reactive = OnlineConfig {
+        emts: None,
+        ..rolling.clone()
+    };
+    let model = SyntheticModel::default();
+    let mut epochs = [0u64; 3];
+    for cfg in [&rolling, &reactive] {
+        let t = run_online(&platform::chti(), &model, cfg, &rec)
+            .expect("the spare keeps a survivor")
+            .totals;
+        for (n, ring) in epochs
+            .iter_mut()
+            .zip([t.ring0_epochs, t.ring1_epochs, t.ring2_epochs])
+        {
+            *n += ring as u64;
+        }
+    }
+    assert!(
+        epochs.iter().all(|&n| n > 0),
+        "every ring adopted: {epochs:?}"
+    );
+    let report = rec.report("online");
+    let documented = documented_names("### Decision latencies of an online run");
+    let online: Vec<&str> = report
+        .histograms
+        .keys()
+        .map(String::as_str)
+        .filter(|k| k.starts_with("online."))
+        .collect();
+    assert_eq!(online, documented);
+    for (name, n) in documented.iter().zip(epochs) {
+        assert_eq!(report.histograms[*name].total(), n, "{name}");
+    }
 }
