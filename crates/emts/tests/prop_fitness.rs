@@ -11,8 +11,8 @@
 //! `ListScheduler::makespan_bounded_reference` bit for bit, accept and
 //! reject alike. Every path in [`PLACEMENT_PATHS`] places the chain's
 //! tasks at an infinite cutoff: the paths must agree on the bits of every
-//! start and finish, and their makespan is the oracle's. Adding or retiring
-//! an evaluation path is one table row.
+//! start and finish and on every processor set, and their makespan is the
+//! oracle's. Adding or retiring an evaluation path is one table row.
 
 use emts::mutation::mutation_count;
 use emts::parallel::sabotage;
@@ -24,7 +24,8 @@ use ptg::{Ptg, PtgBuilder, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sched::{
-    Allocation, BoundedEval, EvalScratch, ListScheduler, Mapper, Rescheduler, ResumeState,
+    Allocation, BoundedEval, EvalScratch, ListScheduler, Mapper, Placement, Rescheduler,
+    ResumeState, Schedule,
 };
 use workloads::{daggen::random_ptg, CostConfig, DaggenParams};
 
@@ -260,36 +261,46 @@ fn offspring(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
 }
 
 /// A path that places every task of the graph: the bits of each task's
-/// start and finish, in task order.
-type PlacementPath = fn(&Case, &Allocation) -> Vec<(TaskId, u64, u64)>;
+/// start and finish and its processors, in task order.
+type PlacementPath = fn(&Case, &Allocation) -> Vec<Placed>;
 
-const PLACEMENT_PATHS: [(&str, PlacementPath); 2] = [
-    ("ListScheduler::map", mapped),
+/// A task, the bits of its start and finish, and its processors.
+type Placed = (TaskId, u64, u64, Vec<u32>);
+
+const PLACEMENT_PATHS: [(&str, PlacementPath); 3] = [
+    ("ListScheduler::map", |c, a| {
+        in_task_order(c, ListScheduler.map(&c.g, &c.m, a))
+    }),
+    ("ListScheduler::map_reference (heap)", |c, a| {
+        in_task_order(c, ListScheduler.map_reference(&c.g, &c.m, a))
+    }),
     ("fresh Rescheduler replan", replanned),
 ];
 
-fn mapped(c: &Case, a: &Allocation) -> Vec<(TaskId, u64, u64)> {
-    let schedule = ListScheduler.map(&c.g, &c.m, a);
+fn in_task_order(c: &Case, schedule: Schedule) -> Vec<Placed> {
     c.g.task_ids()
-        .map(|v| {
-            let pl = schedule.placement(v);
-            (v, pl.start.to_bits(), pl.finish.to_bits())
-        })
+        .map(|v| placed(schedule.placement(v)))
         .collect()
 }
 
-/// A replan from time 0 on the whole live platform, which shares only the
-/// graph's adjacency with the mapper's core.
-fn replanned(c: &Case, a: &Allocation) -> Vec<(TaskId, u64, u64)> {
+/// A replan from time 0 on the whole live platform: the mapper's core
+/// behind the rescheduler's own set-up.
+fn replanned(c: &Case, a: &Allocation) -> Vec<Placed> {
     let state = ResumeState::fresh(c.g.task_count(), c.m.p_max() as usize, 0.0);
     let mut replan = Rescheduler
         .reschedule(&c.g, &c.m, a, &state)
         .expect("live platform");
     replan.sort_by_key(|pl| pl.task);
-    replan
-        .iter()
-        .map(|pl| (pl.task, pl.start.to_bits(), pl.finish.to_bits()))
-        .collect()
+    replan.iter().map(placed).collect()
+}
+
+fn placed(pl: &Placement) -> Placed {
+    (
+        pl.task,
+        pl.start.to_bits(),
+        pl.finish.to_bits(),
+        pl.processors.clone(),
+    )
 }
 
 fn bits(v: &[Option<f64>]) -> Vec<Option<u64>> {
@@ -355,7 +366,7 @@ proptest! {
                 let placed = path(&c, a);
                 let makespan = placed
                     .iter()
-                    .map(|&(_, _, finish)| f64::from_bits(finish))
+                    .map(|&(_, _, finish, _)| f64::from_bits(finish))
                     .fold(0.0, f64::max);
                 prop_assert_eq!(makespan.to_bits(), want.to_bits(), "{} (model2 = {})", name, model2);
                 prop_assert_eq!(&placed, &first, "{} (model2 = {})", name, model2);

@@ -22,6 +22,21 @@
 //!   list, so the largest bottom level with the smallest id, which is
 //!   [`critical_path`]'s tie-break.
 //!
+//! **Implied edges.** The arena holds the transitive reduction's lists
+//! ([`reduced_successors`], computed per call): about half the edges of a
+//! DAGGEN graph are implied by a longer path, and the sweep reads only the
+//! rest. The bits cannot move. Take an edge `u → w` implied by
+//! `u → x ⇝ w`: times are `> 0` and rounding is monotone, so a bottom
+//! level never falls against an edge, `bl(x) ≥ bl(w)`, and the maximum over
+//! `u`'s successors is the same without `w`. `w` could still be the
+//! heaviest successor only by tying `bl(x)`, and that needs some task on the
+//! path whose time is absorbed in its sum (`t + down == down`, so
+//! `t ≤ down · 2^-53`). Every `down` is at most `T_CP`, so while every time
+//! the loop has used exceeds `T_CP · 2^-52` none can be; the loop tests
+//! that before each walk, and the first time it fails switches the arena to
+//! every edge for good and re-sweeps the whole graph before the walk. The
+//! result is exact by construction.
+//!
 //! One pass over the sources gives `T_CP` and the first task of the
 //! critical path, and the rest of the path is a pointer walk over the
 //! heaviest successors. Each task's gain is cached until the task grows;
@@ -31,7 +46,7 @@
 //! sum and decide on it. So every stop test is the exact one.
 //!
 //! The test oracle [`run_cpa_loop_reference`] instead runs two full
-//! bottom-level passes per step (one for `T_CP`, one inside
+//! bottom-level passes per step over every edge (one for `T_CP`, one inside
 //! `critical_path`), recomputes every candidate's gain, the level sums and
 //! the area; every value and comparison is bitwise the same in both, so
 //! their allocations are identical.
@@ -40,6 +55,7 @@ use exec_model::TimeMatrix;
 use ptg::critpath::{bottom_levels, critical_path};
 use ptg::levels::PrecedenceLevels;
 use ptg::topo::topo_positions;
+use ptg::transform::reduced_successors;
 use ptg::{Ptg, TaskId};
 use sched::Allocation;
 
@@ -73,21 +89,39 @@ struct Successors {
     /// The successors of `order[i]` are `succ[off[i]..off[i + 1]]`.
     off: Vec<usize>,
     succ: Vec<TaskId>,
+    /// Whether the lists hold every edge, not only the reduction's.
+    every_edge: bool,
 }
 
 impl Successors {
-    fn new(g: &Ptg) -> Self {
+    /// The transitive reduction's lists.
+    fn reduced(g: &Ptg) -> Self {
+        let kept = reduced_successors(g);
+        Self::from_lists(g, |v| kept.of(v), false)
+    }
+
+    /// Every edge of `g`.
+    fn with_every_edge(g: &Ptg) -> Self {
+        Self::from_lists(g, |v| g.successors(v), true)
+    }
+
+    fn from_lists<'a>(g: &Ptg, list: impl Fn(TaskId) -> &'a [TaskId], every_edge: bool) -> Self {
         let order = g.topo_order().to_vec();
         let mut off = Vec::with_capacity(order.len() + 1);
         let mut succ = Vec::with_capacity(g.edge_count());
         off.push(0);
         for &v in &order {
             let start = succ.len();
-            succ.extend_from_slice(g.successors(v));
+            succ.extend_from_slice(list(v));
             succ[start..].sort_unstable();
             off.push(succ.len());
         }
-        Successors { order, off, succ }
+        Successors {
+            order,
+            off,
+            succ,
+            every_edge,
+        }
     }
 
     /// Re-sweeps topological positions `last..=0`: the bottom level `bl` and
@@ -176,8 +210,8 @@ impl WorkArea {
 /// Terminates because every iteration increases the total allocation by one
 /// and each task is capped at `P`, so at most `V · (P − 1)` iterations run.
 /// Each iteration costs one sweep over the topological prefix that ends at
-/// the task it grew, a pass over the sources and a walk along the critical
-/// path (see the module docs).
+/// the task it grew (on the transitive reduction's edges), a pass over the
+/// sources and a walk along the critical path (see the module docs).
 ///
 /// # Panics
 /// Panics if `cfg.caps` does not hold one cap per task.
@@ -195,7 +229,7 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
     let levels = PrecedenceLevels::compute(g);
     let level: Vec<usize> = g.task_ids().map(|v| levels.level_of(v)).collect();
     let mut level_sum: Vec<u32> = levels.iter().map(|(_, tasks)| tasks.len() as u32).collect();
-    let arena = Successors::new(g);
+    let mut arena = Successors::reduced(g);
     let pos = topo_positions(g);
     let sources = g.sources();
     let mut alloc = Allocation::ones(n);
@@ -203,6 +237,8 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
     let mut area = WorkArea::exact(&alloc, &times);
     let (mut bl, mut heavy) = (vec![0.0; n], vec![NO_TASK; n]);
     arena.sweep(n - 1, &times, &mut bl, &mut heavy);
+    // The smallest time any task has had, for the absorption test below.
+    let mut t_min = times.iter().copied().fold(f64::INFINITY, f64::min);
     // A task's gain depends only on its own allocation, so it is computed
     // once per allocation and reused until the task grows again. Tasks at
     // their cap never become candidates, so their entry is never read.
@@ -228,6 +264,12 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
         if area.covers(t_cp, p_total, &alloc, &times) {
             break;
         }
+        // No sweep can have absorbed a time while every time exceeds
+        // `T_CP · 2^-52` (module docs); otherwise the walk needs every edge.
+        if !arena.every_edge && t_cp >= t_min / f64::EPSILON {
+            arena = Successors::with_every_edge(g);
+            arena.sweep(n - 1, &times, &mut bl, &mut heavy);
+        }
         // Candidates: tasks on the current critical path that can still
         // grow. Gains are finite (the matrix holds finite times), and on
         // equal gains the later task wins, as in `Iterator::max_by`.
@@ -250,6 +292,7 @@ pub fn run_cpa_loop(g: &Ptg, matrix: &TimeMatrix, cfg: &CpaLoop) -> Allocation {
         let time = matrix.time(task, s);
         area.grow(s, times[v], time);
         times[v] = time;
+        t_min = t_min.min(time);
         gains[v] = gain_at(task, s);
         level_sum[level[v]] += 1;
         arena.sweep(pos[v] as usize, &times, &mut bl, &mut heavy);
@@ -425,6 +468,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_absorbed_time_falls_back_to_every_edge() {
+        // u → x → w plus the implied u → w. x's time is absorbed in
+        // bl(w), so bl(x) == bl(w), and with every edge u's heaviest
+        // successor is the tied w (the smaller id): the critical path is
+        // u, w, whose caps stop the loop at once. On the reduction alone u
+        // would reach w through x, and x, the one task that may grow,
+        // would grow to P.
+        let mut b = PtgBuilder::new();
+        let u = b.add_task("u", 8e9, 0.1);
+        let w = b.add_task("w", 8e9, 0.1);
+        let x = b.add_task("x", 8e-291, 0.1);
+        b.add_edge(u, w).unwrap();
+        b.add_edge(u, x).unwrap();
+        b.add_edge(x, w).unwrap();
+        let g = b.build().unwrap();
+        let m = TimeMatrix::compute(&g, &Amdahl, 1e9, 8);
+        let times = m.times_for(&[1, 1, 1]);
+        assert_eq!(times[x.index()] + times[w.index()], times[w.index()]);
+        let cfg = CpaLoop {
+            caps: Some(vec![1, 1, 8]),
+            ..CpaLoop::default()
+        };
+        let alloc = run_cpa_loop(&g, &m, &cfg);
+        assert_eq!(alloc, run_cpa_loop_reference(&g, &m, &cfg));
+        assert_eq!(alloc.as_slice(), &[1, 1, 1]);
     }
 
     #[test]

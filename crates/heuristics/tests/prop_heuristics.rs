@@ -4,6 +4,7 @@ use exec_model::{Amdahl, SyntheticModel, TimeMatrix};
 use heuristics::common::{run_cpa_loop, run_cpa_loop_reference, CpaLoop};
 use heuristics::{Allocator, BestSpeedup, Cpa, DeltaCritical, Hcpa, Mcpa, Mcpa2};
 use proptest::prelude::*;
+use ptg::analysis::descendants;
 use ptg::levels::PrecedenceLevels;
 use ptg::{Ptg, PtgBuilder, TaskId};
 use rand::{Rng, SeedableRng};
@@ -37,9 +38,11 @@ fn scenario() -> impl Strategy<Value = (DaggenParams, u64, u32)> {
 }
 
 /// `g` rebuilt with its edges inserted in a shuffled order, so its
-/// successor lists are no longer sorted by task id. With `equal_costs`,
-/// every task takes task 0's flop and α, which forces exact bottom-level
-/// and gain ties.
+/// successor lists are no longer sorted by task id, and with up to one
+/// closure edge per four tasks: an edge `a → b` to a task `a` already
+/// reaches, which a longer path implies and the CPA loop's arena therefore
+/// drops. With `equal_costs`, every task takes task 0's flop and α, which
+/// forces exact bottom-level and gain ties.
 fn rebuilt(g: &Ptg, rng: &mut ChaCha8Rng, equal_costs: bool) -> Ptg {
     let mut b = PtgBuilder::new();
     for v in g.task_ids() {
@@ -51,6 +54,16 @@ fn rebuilt(g: &Ptg, rng: &mut ChaCha8Rng, equal_costs: bool) -> Ptg {
         b.add_task(g.task(v).name.clone(), cost.flop, cost.alpha);
     }
     let mut edges: Vec<(TaskId, TaskId)> = g.edges().collect();
+    for _ in 0..g.task_count().div_ceil(4) {
+        let a = TaskId::from_index(rng.gen_range(0..g.task_count()));
+        let far: Vec<TaskId> = descendants(g, a)
+            .into_iter()
+            .filter(|&b| !edges.contains(&(a, b)))
+            .collect();
+        if !far.is_empty() {
+            edges.push((a, far[rng.gen_range(0..far.len())]));
+        }
+    }
     for i in (1..edges.len()).rev() {
         edges.swap(i, rng.gen_range(0..=i));
     }

@@ -6,12 +6,13 @@ use crate::topo::is_valid_topological_order;
 use serde::{DeError, Deserialize, Serialize};
 
 /// One direction of a graph's adjacency: every task's list, back to back
-/// in one arena.
+/// in one arena. [`crate::transform::reduced_successors`] returns the
+/// successor lists of a graph's transitive reduction in this form.
 #[derive(Debug, Clone)]
-pub(crate) struct EdgeLists {
+pub struct EdgeLists {
     /// `task_count + 1` offsets: task `v`'s list is `ids[off[v]..off[v + 1]]`.
-    off: Vec<usize>,
-    ids: Vec<TaskId>,
+    pub(crate) off: Vec<usize>,
+    pub(crate) ids: Vec<TaskId>,
 }
 
 impl EdgeLists {
@@ -50,7 +51,7 @@ impl EdgeLists {
 
     /// The list of task `v`.
     #[inline]
-    pub(crate) fn of(&self, v: TaskId) -> &[TaskId] {
+    pub fn of(&self, v: TaskId) -> &[TaskId] {
         &self.ids[self.off[v.index()]..self.off[v.index() + 1]]
     }
 

@@ -1,55 +1,81 @@
 //! Graph transformations.
 //!
-//! * [`transitive_reduction`] — drop edges implied by longer paths. Random
-//!   generators (and real workflow exports) often carry redundant edges;
-//!   reducing them shrinks the mapper's working set without changing any
-//!   schedule's feasibility.
+//! * [`reduced_successors`] / [`transitive_reduction`] — drop edges implied
+//!   by longer paths. Random generators (and real workflow exports) often
+//!   carry redundant edges; such an edge never decides a bottom level or a
+//!   data-ready time, so dropping it shrinks the working set of a loop over
+//!   the graph without changing any schedule's feasibility.
 //! * [`compose_serial`] / [`compose_parallel`] — combine PTGs the way
 //!   workflow engines do (run A then B; run A beside B).
 
 use crate::build::PtgBuilder;
-use crate::graph::Ptg;
+use crate::graph::{EdgeLists, Ptg};
 use crate::node::TaskId;
 
-/// Returns a copy of `g` without transitively redundant edges: an edge
-/// `a → b` is dropped iff a path `a ⇝ b` of length ≥ 2 exists.
+/// The successor lists of `g`'s transitive reduction: each task keeps the
+/// successors that no *other* successor of the same task reaches, in the
+/// graph's own successor order. An edge `u → w` is dropped iff a path
+/// `u → x ⇝ w` through another successor `x` exists.
 ///
-/// O(V · E) via one DFS per task — fine for the ≤ 100-task graphs of this
-/// workspace.
+/// One pass per window of 64 target tasks walks the tasks in reverse
+/// topological order and keeps, per task, the bitset of its strict
+/// descendants inside the window; an edge `u → w` is implied iff `w` lies
+/// in the union of the descendant sets of `u`'s successors (`w` never lies
+/// in its own). `O(⌈V/64⌉ · E)` time and `O(V + E)` memory, so no graph
+/// size needs a threshold.
+pub fn reduced_successors(g: &Ptg) -> EdgeLists {
+    let n = g.task_count();
+    let (off, ids) = (&g.succ.off, &g.succ.ids);
+    let mut implied = vec![false; ids.len()];
+    // Strict descendants of each task among the window's 64 targets.
+    let mut below = vec![0u64; n];
+    for base in (0..n).step_by(64) {
+        for &u in g.topo_order().iter().rev() {
+            let edges = off[u.index()]..off[u.index() + 1];
+            let reach = ids[edges.clone()]
+                .iter()
+                .fold(0u64, |acc, x| acc | below[x.index()]);
+            let mut direct = 0u64;
+            for e in edges {
+                // Targets below `base` wrap around to a large offset.
+                let bit = ids[e].index().wrapping_sub(base);
+                if bit < 64 {
+                    implied[e] = (reach >> bit) & 1 == 1;
+                    direct |= 1 << bit;
+                }
+            }
+            below[u.index()] = reach | direct;
+        }
+    }
+    let mut kept = EdgeLists {
+        off: Vec::with_capacity(n + 1),
+        ids: Vec::with_capacity(ids.len()),
+    };
+    kept.off.push(0);
+    for list in off.windows(2) {
+        let edges = list[0]..list[1];
+        kept.ids
+            .extend(edges.filter(|&e| !implied[e]).map(|e| ids[e]));
+        kept.off.push(kept.ids.len());
+    }
+    kept
+}
+
+/// Returns a copy of `g` without transitively redundant edges: an edge
+/// `a → b` is dropped iff a path `a ⇝ b` of length ≥ 2 exists. The edges
+/// kept are [`reduced_successors`]'s, added in the same order.
 pub fn transitive_reduction(g: &Ptg) -> Ptg {
+    let kept = reduced_successors(g);
     let mut b = PtgBuilder::with_capacity(g.task_count());
     for v in g.task_ids() {
         b.push_task(g.task(v).clone());
     }
     for a in g.task_ids() {
-        for &c in g.successors(a) {
-            if !reachable_without_edge(g, a, c) {
-                b.add_edge(a, c).expect("subset of an acyclic edge set");
-            }
+        for &c in kept.of(a) {
+            b.add_edge(a, c).expect("subset of an acyclic edge set");
         }
     }
     b.build().expect("subgraph of a DAG is a DAG")
-}
-
-/// Is `to` reachable from `from` without using the direct edge `from → to`?
-fn reachable_without_edge(g: &Ptg, from: TaskId, to: TaskId) -> bool {
-    let mut seen = vec![false; g.task_count()];
-    let mut stack: Vec<TaskId> = g
-        .successors(from)
-        .iter()
-        .copied()
-        .filter(|&s| s != to)
-        .collect();
-    while let Some(v) = stack.pop() {
-        if v == to {
-            return true;
-        }
-        if !seen[v.index()] {
-            seen[v.index()] = true;
-            stack.extend(g.successors(v).iter().copied());
-        }
-    }
-    false
 }
 
 /// Serial composition: every sink of `first` precedes every source of

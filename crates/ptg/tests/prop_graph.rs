@@ -8,12 +8,18 @@
 //! self-loops and ids past the last task — are replayed against a naive
 //! nested-`Vec` model of the builder, which must agree with it call by
 //! call and on the finished graph, before and after a serde round trip.
+//! The transitive reduction is checked against a naive DFS on graphs whose
+//! sizes straddle its 64-task windows.
 
 use proptest::prelude::*;
+use ptg::analysis::descendants;
 use ptg::critpath::{bottom_levels, critical_path, critical_path_length, top_levels};
 use ptg::levels::PrecedenceLevels;
 use ptg::topo::is_valid_topological_order;
+use ptg::transform::{reduced_successors, transitive_reduction};
 use ptg::{Ptg, PtgBuilder, PtgError, TaskId};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 
 /// The builder as first written: one `Vec` per task and direction, a
@@ -142,6 +148,66 @@ fn dag_strategy() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
         });
         (Just(n), proptest::collection::vec(edge, 0..(n * 3)))
     })
+}
+
+/// A DAG on `n` tasks with about `degree · n` random edges and then
+/// `closure` more, each `a → b` to a task `a` already reaches. Task ids are
+/// a random permutation of a topological order, so edges run both up and
+/// down in id and cross every 64-task window.
+fn shuffled_dag(n: usize, degree: usize, closure: usize, seed: u64) -> Ptg {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut id: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        id.swap(i, rng.gen_range(0..=i));
+    }
+    let mut edges = Vec::new();
+    for _ in 0..degree * n {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            edges.push((id[a.min(b)], id[a.max(b)]));
+        }
+    }
+    let (g, _) = build_graph(n, &edges, seed);
+    for _ in 0..closure {
+        let a = TaskId::from_index(rng.gen_range(0..n));
+        let mut far = descendants(&g, a);
+        far.retain(|&b| !g.has_edge(a, b));
+        if !far.is_empty() {
+            edges.push((a.index(), far[rng.gen_range(0..far.len())].index()));
+        }
+    }
+    build_graph(n, &edges, seed).0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn reduction_keeps_the_successors_no_other_successor_reaches(
+        n in (0usize..6).prop_map(|k| [1, 63, 64, 65, 128, 200][k]),
+        degree in 0usize..6,
+        closure_per_4_tasks in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let g = shuffled_dag(n, degree, closure_per_4_tasks * n / 4, seed);
+        let kept = reduced_successors(&g);
+        let below: Vec<Vec<TaskId>> = g.task_ids().map(|v| descendants(&g, v)).collect();
+        for u in g.task_ids() {
+            let succ = g.successors(u);
+            let implied = |w: TaskId| {
+                succ.iter().any(|&x| x != w && below[x.index()].binary_search(&w).is_ok())
+            };
+            let naive: Vec<TaskId> = succ.iter().copied().filter(|&w| !implied(w)).collect();
+            prop_assert_eq!(kept.of(u), &naive[..], "successors of {}", u);
+        }
+        let reduced = transitive_reduction(&g);
+        let again = reduced_successors(&reduced);
+        for v in g.task_ids() {
+            prop_assert_eq!(reduced.successors(v), kept.of(v));
+            prop_assert_eq!(&descendants(&reduced, v), &below[v.index()], "{} reaches", v);
+            prop_assert_eq!(again.of(v), reduced.successors(v), "a second reduction dropped an edge");
+        }
+    }
 }
 
 proptest! {

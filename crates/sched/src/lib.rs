@@ -22,6 +22,7 @@
 //!   Figure 6).
 
 pub mod allocation;
+mod avail;
 pub mod bounds;
 pub mod gantt;
 pub mod mapper;

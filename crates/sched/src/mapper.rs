@@ -14,6 +14,7 @@
 //! insertion buys.
 
 use crate::allocation::Allocation;
+use crate::avail::{Availability, HeapAvail, SortedAvail};
 use crate::schedule::{Placement, Schedule};
 use crate::soa_heap::{
     group_avail, group_count, group_entry, ready_entry, ready_task, MaxHeap128, MinHeap128,
@@ -22,7 +23,7 @@ use exec_model::TimeMatrix;
 use obs::{NoopRecorder, Recorder};
 use ptg::critpath::bottom_levels_into;
 use ptg::{Ptg, TaskId};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 thread_local! {
@@ -113,7 +114,7 @@ pub struct ListScheduler;
 ///
 /// The EA evaluates the mapping function thousands of times per run on
 /// graphs of identical size; with a scratch carried between calls the whole
-/// evaluation — time gather, bottom levels, ready queue, processor heap —
+/// evaluation — time gather, bottom levels, ready queue, processor groups —
 /// runs without touching the allocator (heaps and vectors are `clear()`ed,
 /// which keeps their capacity). Create one per worker thread and pass it to
 /// [`ListScheduler::makespan_bounded_with`].
@@ -135,12 +136,10 @@ pub struct EvalScratch {
     /// comparator-driven `BinaryHeap` so the oracle shares no queue
     /// implementation with the SoA fast path.
     pub(crate) ready_ref: BinaryHeap<ReadyTask>,
-    /// Min-heap of `(free time, processor)` — used by the per-processor
-    /// core, which must report concrete processor indices.
-    pub(crate) avail: BinaryHeap<Reverse<(OrderedF64, u32)>>,
-    /// The processors popped for the task being placed (per-processor core
-    /// only).
-    popped: Vec<(f64, u32)>,
+    /// Processor availability for the per-processor core, which must
+    /// report concrete processor indices: one array sorted by
+    /// `(free time, processor)`.
+    pub(crate) avail: SortedAvail,
     /// Min-heap of processor *groups* for the makespan-only core: every
     /// processor popped for a task gets the same finish time, so the heap
     /// can carry `(free time, count)` runs instead of `count` individual
@@ -166,8 +165,7 @@ impl EvalScratch {
             data_ready: Vec::with_capacity(tasks),
             ready: MaxHeap128::with_capacity(tasks),
             ready_ref: BinaryHeap::with_capacity(tasks),
-            avail: BinaryHeap::with_capacity(procs as usize),
-            popped: Vec::with_capacity(procs as usize),
+            avail: SortedAvail::with_capacity(procs as usize),
             groups: MinHeap128::with_capacity(tasks + 1),
         }
     }
@@ -234,14 +232,16 @@ impl EvalScratch {
         }
     }
 
-    /// Seeds the per-processor core for a whole-graph mapping: every source
-    /// is ready and all `p_max` processors are free at time 0.
-    fn seed_fresh(&mut self, g: &Ptg, p_max: u32) {
-        self.push_ready_sources(g);
-        self.avail.clear();
-        for q in 0..p_max {
-            self.avail.push(Reverse((OrderedF64(0.0), q)));
-        }
+    /// Runs `f` on this scratch and its availability array, taken out of
+    /// the scratch for the call so that both can be borrowed at once.
+    pub(crate) fn with_avail<T>(
+        &mut self,
+        f: impl FnOnce(&mut EvalScratch, &mut SortedAvail) -> T,
+    ) -> T {
+        let mut avail = std::mem::take(&mut self.avail);
+        let out = f(self, &mut avail);
+        self.avail = avail;
+        out
     }
 }
 
@@ -276,49 +276,41 @@ impl ListScheduler {
     /// below).
     ///
     /// The caller sets up the task columns of `scratch` (times, bottom
-    /// levels, remaining in-degrees, data-ready floors) and seeds both
-    /// queues: the ready tasks and one `(free time, processor)` entry per
+    /// levels, remaining in-degrees, data-ready floors), seeds its ready
+    /// queue and seeds `avail` with one `(free time, processor)` pair per
     /// usable processor. A whole-graph mapping seeds every source and all
-    /// processors at 0 ([`EvalScratch::seed_fresh`]); a replan seeds the
-    /// remainder's ready tasks and the survivors at their availability.
+    /// processors at 0; a replan seeds the remainder's ready tasks and the
+    /// survivors at their availability.
     ///
     /// Ready tasks pop by decreasing bottom level (ties toward the smaller
     /// task id); each takes its `widths[v]` earliest-free processors from
-    /// the min-heap — identical tie-breaking by processor index as a full
-    /// sort of the availability vector, at O(s log P) instead of O(P log P)
-    /// per task. `on_place` observes every placement `(task, start, finish,
-    /// popped processors)`; the full mapper and the rescheduler record
-    /// placements there while the makespan-only reference passes a no-op.
+    /// `avail` (ties toward the smaller processor index), the same as a
+    /// full sort of the availability vector would pick. `on_place` observes
+    /// every placement `(task, start, finish, processors sorted by index)`;
+    /// the full mapper and the rescheduler record placements there while
+    /// the makespan-only reference passes a no-op.
     ///
-    /// This core deliberately stays on the pre-refactor data structures —
-    /// comparator-driven `BinaryHeap`s of typed ready tasks and processor
-    /// slots — so the bit-identity property tests pit two independent
-    /// implementations against each other.
+    /// The ready queue deliberately stays on the pre-refactor
+    /// comparator-driven `BinaryHeap` of typed ready tasks, and the oracle
+    /// runs this loop on [`HeapAvail`], so the bit-identity property tests
+    /// pit independent implementations against each other.
     #[inline]
-    pub(crate) fn schedule_core<F>(
+    pub(crate) fn schedule_core<A: Availability, F>(
         g: &Ptg,
         widths: &[u32],
         cutoff: f64,
         scratch: &mut EvalScratch,
+        avail: &mut A,
         mut on_place: F,
     ) -> BoundedEval
     where
-        F: FnMut(TaskId, f64, f64, &[(f64, u32)]),
+        F: FnMut(TaskId, f64, f64, &[u32]),
     {
         let threshold = reject_threshold(cutoff);
         let mut makespan = 0.0f64;
         let mut reject_key = 0.0f64;
         while let Some(ReadyTask { task: v, .. }) = scratch.ready_ref.pop() {
-            let s = widths[v.index()] as usize;
-            scratch.popped.clear();
-            for _ in 0..s {
-                let Reverse((OrderedF64(free), q)) = scratch
-                    .avail
-                    .pop()
-                    .expect("widths never exceed the seeded processors");
-                scratch.popped.push((free, q));
-            }
-            let procs_free = scratch.popped.last().expect("s ≥ 1").0;
+            let (procs_free, procs) = avail.take(widths[v.index()] as usize);
             let start = scratch.data_ready[v.index()].max(procs_free);
             // Rejection test: everything on v's bottom-level path still has
             // to run after `start`, so the final makespan is at least
@@ -329,12 +321,9 @@ impl ListScheduler {
             }
             reject_key = reject_key.max(lower_bound);
             let finish = start + scratch.times[v.index()];
-            for i in 0..s {
-                let q = scratch.popped[i].1;
-                scratch.avail.push(Reverse((OrderedF64(finish), q)));
-            }
             makespan = makespan.max(finish);
-            on_place(v, start, finish, &scratch.popped);
+            on_place(v, start, finish, procs);
+            avail.give_back(finish);
             for &w in g.successors(v) {
                 scratch.data_ready[w.index()] = scratch.data_ready[w.index()].max(finish);
                 scratch.in_deg[w.index()] -= 1;
@@ -350,6 +339,38 @@ impl ListScheduler {
             makespan,
             reject_key,
         }
+    }
+
+    /// A whole-graph mapping on the per-processor core: every source ready
+    /// and all processors free at 0 in `avail`.
+    fn map_on<A: Availability>(
+        g: &Ptg,
+        matrix: &TimeMatrix,
+        alloc: &Allocation,
+        scratch: &mut EvalScratch,
+        avail: &mut A,
+    ) -> Schedule {
+        Self::prepare_into(g, matrix, alloc, scratch);
+        scratch.push_ready_sources(g);
+        avail.reset_fresh(matrix.p_max());
+        let mut placements = Vec::with_capacity(g.task_count());
+        let outcome = Self::schedule_core(
+            g,
+            alloc.as_slice(),
+            f64::INFINITY,
+            scratch,
+            avail,
+            |task, start, finish, processors| {
+                placements.push(Placement {
+                    task,
+                    start,
+                    finish,
+                    processors: processors.to_vec(),
+                });
+            },
+        );
+        debug_assert!(matches!(outcome, BoundedEval::Complete { .. }));
+        Schedule::new(matrix.p_max(), placements)
     }
 
     /// The makespan-only placement core — the EA's inner loop.
@@ -513,29 +534,8 @@ impl ListScheduler {
 
 impl Mapper for ListScheduler {
     fn map(&self, g: &Ptg, matrix: &TimeMatrix, alloc: &Allocation) -> Schedule {
-        let p_total = matrix.p_max();
         SHARED_SCRATCH.with_borrow_mut(|scratch| {
-            Self::prepare_into(g, matrix, alloc, scratch);
-            scratch.seed_fresh(g, p_total);
-            let mut placements = Vec::with_capacity(g.task_count());
-            let outcome = Self::schedule_core(
-                g,
-                alloc.as_slice(),
-                f64::INFINITY,
-                scratch,
-                |task, start, finish, popped| {
-                    let mut processors: Vec<u32> = popped.iter().map(|&(_, q)| q).collect();
-                    processors.sort_unstable();
-                    placements.push(Placement {
-                        task,
-                        start,
-                        finish,
-                        processors,
-                    });
-                },
-            );
-            debug_assert!(matches!(outcome, BoundedEval::Complete { .. }));
-            Schedule::new(p_total, placements)
+            scratch.with_avail(|scratch, avail| Self::map_on(g, matrix, alloc, scratch, avail))
         })
     }
 
@@ -634,6 +634,17 @@ impl ListScheduler {
         Self::schedule_core_grouped(g, alloc, matrix.p_max(), cutoff, scratch, rec)
     }
 
+    /// [`Mapper::map`] with processor availability on the per-processor
+    /// core's heap oracle. Kept only as the oracle that pins `map`'s
+    /// placements bit for bit, and the baseline of its speed guard; not for
+    /// production use.
+    #[doc(hidden)]
+    pub fn map_reference(&self, g: &Ptg, matrix: &TimeMatrix, alloc: &Allocation) -> Schedule {
+        SHARED_SCRATCH.with_borrow_mut(|scratch| {
+            Self::map_on(g, matrix, alloc, scratch, &mut HeapAvail::default())
+        })
+    }
+
     /// The straightforward per-processor evaluation, retained as the
     /// correctness oracle for the grouped SoA fitness core: comparator-driven
     /// `BinaryHeap`s, one heap entry per processor —
@@ -649,32 +660,21 @@ impl ListScheduler {
     ) -> Option<f64> {
         SHARED_SCRATCH.with_borrow_mut(|scratch| {
             Self::prepare_into(g, matrix, alloc, scratch);
-            scratch.seed_fresh(g, matrix.p_max());
-            match Self::schedule_core(g, alloc.as_slice(), cutoff, scratch, |_, _, _, _| {}) {
+            scratch.push_ready_sources(g);
+            let mut avail = HeapAvail::default();
+            avail.reset_fresh(matrix.p_max());
+            match Self::schedule_core(
+                g,
+                alloc.as_slice(),
+                cutoff,
+                scratch,
+                &mut avail,
+                |_, _, _, _| {},
+            ) {
                 BoundedEval::Complete { makespan, .. } => Some(makespan),
                 BoundedEval::Rejected => None,
             }
         })
-    }
-}
-
-/// Total-ordered wrapper for finite f64 heap keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrderedF64(pub(crate) f64);
-
-impl Eq for OrderedF64 {}
-impl PartialOrd for OrderedF64 {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrderedF64 {
-    // Same rationale as `ReadyTask::cmp`: keep heap comparisons inlinable
-    // from other crates' monomorphizations of the fitness core.
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.partial_cmp(&other.0).expect("finite times")
     }
 }
 

@@ -22,12 +22,12 @@
 //!   from the time matrix at the clamped width.
 
 use crate::allocation::Allocation;
-use crate::mapper::{ListScheduler, OrderedF64, ReadyTask, SHARED_SCRATCH};
+use crate::avail::{Availability, HeapAvail};
+use crate::mapper::{EvalScratch, ListScheduler, ReadyTask, SHARED_SCRATCH};
 use crate::schedule::Placement;
 use exec_model::TimeMatrix;
 use ptg::critpath::bottom_levels_into;
 use ptg::{Ptg, TaskId};
-use std::cmp::Reverse;
 use std::fmt;
 
 /// Why a reschedule request could not produce a plan.
@@ -132,6 +132,38 @@ impl Rescheduler {
         alloc: &Allocation,
         state: &ResumeState,
     ) -> Result<Vec<Placement>, RescheduleError> {
+        SHARED_SCRATCH.with_borrow_mut(|scratch| {
+            scratch
+                .with_avail(|scratch, avail| self.replan(g, matrix, alloc, state, scratch, avail))
+        })
+    }
+
+    /// [`Self::reschedule`] with processor availability on the per-processor
+    /// core's heap oracle. Kept only as the oracle that pins the
+    /// rescheduler's placements bit for bit; not for production use.
+    #[doc(hidden)]
+    pub fn reschedule_reference(
+        &self,
+        g: &Ptg,
+        matrix: &TimeMatrix,
+        alloc: &Allocation,
+        state: &ResumeState,
+    ) -> Result<Vec<Placement>, RescheduleError> {
+        SHARED_SCRATCH.with_borrow_mut(|scratch| {
+            self.replan(g, matrix, alloc, state, scratch, &mut HeapAvail::default())
+        })
+    }
+
+    /// The body of [`Self::reschedule`], on processor availability `avail`.
+    fn replan<A: Availability>(
+        &self,
+        g: &Ptg,
+        matrix: &TimeMatrix,
+        alloc: &Allocation,
+        state: &ResumeState,
+        scratch: &mut EvalScratch,
+        avail: &mut A,
+    ) -> Result<Vec<Placement>, RescheduleError> {
         let n = g.task_count();
         assert_eq!(state.finished.len(), n, "finished/PTG size mismatch");
         assert_eq!(alloc.len(), n, "allocation/PTG size mismatch");
@@ -187,76 +219,71 @@ impl Rescheduler {
             }
         }
 
+        // Priority: bottom levels over the remainder, with settled tasks
+        // contributing zero time (their work is already paid for).
+        scratch.times.clear();
+        scratch
+            .times
+            .extend(g.task_ids().map(|v| match width[v.index()] {
+                0 => 0.0,
+                w => matrix.time(v, w),
+            }));
+        bottom_levels_into(g, &scratch.times, &mut scratch.bl);
+
+        // Data readiness and in-degrees over the remainder only, visiting
+        // predecessors in builder order as every other fold over the graph
+        // does.
+        scratch.data_ready.clear();
+        scratch.data_ready.resize(n, state.now);
+        scratch.in_deg.clear();
+        scratch.in_deg.resize(n, 0);
+        for v in g.task_ids() {
+            if settled_finish[v.index()].is_some() {
+                continue;
+            }
+            for &p in g.predecessors(v) {
+                match settled_finish[p.index()] {
+                    Some(f) => scratch.data_ready[v.index()] = scratch.data_ready[v.index()].max(f),
+                    None => scratch.in_deg[v.index()] += 1,
+                }
+            }
+        }
+
+        // Plain list scheduling on the mapper's core: ready tasks by
+        // decreasing bottom level (ties toward the smaller id), each on the
+        // earliest-free `width(v)` survivors (ties toward the smaller
+        // index). Settled tasks are never queued: their in-degree is 0 but
+        // they are not pushed.
+        scratch.ready_ref.clear();
+        for v in g.task_ids() {
+            if settled_finish[v.index()].is_none() && scratch.in_deg[v.index()] == 0 {
+                scratch.ready_ref.push(ReadyTask {
+                    bl: scratch.bl[v.index()],
+                    task: v,
+                });
+            }
+        }
+        avail.reset(
+            (0..state.alive.len())
+                .filter(|&q| state.alive[q])
+                .map(|q| (free[q], q as u32)),
+        );
         let mut placements = Vec::new();
-        SHARED_SCRATCH.with_borrow_mut(|scratch| {
-            // Priority: bottom levels over the remainder, with settled
-            // tasks contributing zero time (their work is already paid
-            // for).
-            scratch.times.clear();
-            scratch
-                .times
-                .extend(g.task_ids().map(|v| match width[v.index()] {
-                    0 => 0.0,
-                    w => matrix.time(v, w),
-                }));
-            bottom_levels_into(g, &scratch.times, &mut scratch.bl);
-
-            // Data readiness and in-degrees over the remainder only,
-            // visiting predecessors in builder order as every other fold
-            // over the graph does.
-            scratch.data_ready.clear();
-            scratch.data_ready.resize(n, state.now);
-            scratch.in_deg.clear();
-            scratch.in_deg.resize(n, 0);
-            for v in g.task_ids() {
-                if settled_finish[v.index()].is_some() {
-                    continue;
-                }
-                for &p in g.predecessors(v) {
-                    match settled_finish[p.index()] {
-                        Some(f) => {
-                            scratch.data_ready[v.index()] = scratch.data_ready[v.index()].max(f)
-                        }
-                        None => scratch.in_deg[v.index()] += 1,
-                    }
-                }
-            }
-
-            // Plain list scheduling on the mapper's core: ready tasks by
-            // decreasing bottom level (ties toward the smaller id), each on
-            // the earliest-free `width(v)` survivors (ties toward the
-            // smaller index). Settled tasks are never queued: their
-            // in-degree is 0 but they are not pushed.
-            scratch.ready_ref.clear();
-            for v in g.task_ids() {
-                if settled_finish[v.index()].is_none() && scratch.in_deg[v.index()] == 0 {
-                    scratch.ready_ref.push(ReadyTask {
-                        bl: scratch.bl[v.index()],
-                        task: v,
-                    });
-                }
-            }
-            scratch.avail.clear();
-            for (q, _) in state.alive.iter().enumerate().filter(|&(_, &a)| a) {
-                scratch.avail.push(Reverse((OrderedF64(free[q]), q as u32)));
-            }
-            ListScheduler::schedule_core(
-                g,
-                &width,
-                f64::INFINITY,
-                scratch,
-                |task, start, finish, popped| {
-                    let mut processors: Vec<u32> = popped.iter().map(|&(_, q)| q).collect();
-                    processors.sort_unstable();
-                    placements.push(Placement {
-                        task,
-                        start,
-                        finish,
-                        processors,
-                    });
-                },
-            );
-        });
+        ListScheduler::schedule_core(
+            g,
+            &width,
+            f64::INFINITY,
+            scratch,
+            avail,
+            |task, start, finish, processors| {
+                placements.push(Placement {
+                    task,
+                    start,
+                    finish,
+                    processors: processors.to_vec(),
+                });
+            },
+        );
         Ok(placements)
     }
 }

@@ -71,7 +71,7 @@ case $CORPUS_RC in
     *) echo "emts-lint exited with unexpected status $CORPUS_RC on data/bad" >&2; exit 1 ;;
 esac
 
-echo "== perf guards (release): recorder overhead budgets, SoA core vs oracle, CPA loop vs reference"
+echo "== perf guards (release): recorder overhead budgets, SoA core vs oracle, CPA loop vs reference, map vs heap reference"
 cargo test --release -q --offline -p bench --test perf_guard -- --ignored
 
 echo "== benchmark unit tests (release), including a 2%-scale bit-for-bit smoke of every workload"

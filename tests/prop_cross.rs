@@ -46,6 +46,61 @@ fn mcpa_and_hcpa_equal_the_reference_loop_on_a_grid_cycle() {
     }
 }
 
+/// The CPA loop sweeps each graph's transitive reduction
+/// (`ptg::transform::reduced_successors`). On one cycle of the paper's
+/// DAGGEN grid, as drawn and with one closure edge per four tasks added (an
+/// edge `a → b` to a task `a` already reaches), it must keep exactly the
+/// successors that no other successor of the same task reaches by DFS.
+#[test]
+fn the_reduction_of_daggen_items_equals_a_naive_dfs_check() {
+    use ptg::analysis::descendants;
+    use ptg::transform::reduced_successors;
+    use ptg::{Ptg, PtgBuilder, TaskId};
+    use rand::Rng;
+    let naive = |g: &Ptg| -> Vec<Vec<TaskId>> {
+        let below: Vec<Vec<TaskId>> = g.task_ids().map(|v| descendants(g, v)).collect();
+        g.task_ids()
+            .map(|u| {
+                let succ = g.successors(u);
+                let implied = |w: TaskId| {
+                    succ.iter()
+                        .any(|&x| x != w && below[x.index()].binary_search(&w).is_ok())
+                };
+                succ.iter().copied().filter(|&w| !implied(w)).collect()
+            })
+            .collect()
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(2011);
+    let mut dropped = [0usize; 2];
+    for i in 0..144 {
+        let drawn = workloads::stream::item(2011, i, &CostConfig::default()).ptg;
+        let mut b = PtgBuilder::with_capacity(drawn.task_count());
+        for v in drawn.task_ids() {
+            b.push_task(drawn.task(v).clone());
+        }
+        for (from, to) in drawn.edges() {
+            b.add_edge(from, to).expect("edges of a valid PTG");
+        }
+        for _ in 0..drawn.task_count().div_ceil(4) {
+            let a = TaskId::from_index(rng.gen_range(0..drawn.task_count()));
+            let far = descendants(&drawn, a);
+            if !far.is_empty() {
+                let _ = b.add_edge_dedup(a, far[rng.gen_range(0..far.len())]);
+            }
+        }
+        let closed = b.build().expect("closure edges keep a DAG acyclic");
+        for (k, g) in [drawn, closed].iter().enumerate() {
+            let kept = reduced_successors(g);
+            let want = naive(g);
+            for u in g.task_ids() {
+                assert_eq!(kept.of(u), &want[u.index()][..], "item {i}, {u}");
+            }
+            dropped[k] += g.edge_count() - want.iter().map(Vec::len).sum::<usize>();
+        }
+    }
+    assert!(dropped[0] > 0 && dropped[1] > dropped[0], "{dropped:?}");
+}
+
 /// Pool workers only change who evaluates the offspring, never what the EA
 /// does with the results: EMTS5 with 0, 1 and 2 workers must return the
 /// same best allocation, the same best-makespan bits, the same counts —
