@@ -3,8 +3,9 @@
 //! The other bit-identity tests compare two paths of one build (oracle vs
 //! SoA core, 0 vs 2 workers). This one compares the build with the
 //! committed file `tests/golden_fingerprints.txt`, so a change that moves
-//! any allocation, EA trajectory, placement, fault replay or online event
-//! fails here and names what moved.
+//! any allocation, EA trajectory, placement (of the list mapper on the EA's
+//! best, of the insertion mapper on MCPA's allocation), fault replay or
+//! online event fails here and names what moved.
 //!
 //! Grid: every 6th item of one DAGGEN stream grid cycle (`0..144`, seed
 //! 2011) × Chti/Grelon × Model 1/2 — 96 cases, one line per case and facet:
@@ -25,7 +26,7 @@
 use emts::{Emts, EmtsConfig, GenerationStats};
 use exec_model::{PaperModel, TimeMatrix};
 use heuristics::{Allocator, DeltaCritical, Hcpa, Mcpa};
-use sched::{Allocation, ListScheduler, Mapper, Schedule};
+use sched::{Allocation, InsertionScheduler, ListScheduler, Mapper, Schedule};
 use sim::faults::{execute_with_faults, ChurnSpec, FaultEventKind, FaultPlan, FaultSpec};
 use sim::online::OnlineEventKind;
 use sim::{fault_trials, run_online, OnlineConfig};
@@ -119,7 +120,8 @@ fn graph(g: &ptg::Ptg) -> Fnv {
 /// `(facet, hex)` fingerprints of one grid case.
 fn case(g: &ptg::Ptg, matrix: &TimeMatrix, seed: u64) -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
-    out.push(("mcpa", Fnv::new().alloc(&Mcpa.allocate(g, matrix)).hex()));
+    let mcpa = Mcpa.allocate(g, matrix);
+    out.push(("mcpa", Fnv::new().alloc(&mcpa).hex()));
     out.push(("hcpa", Fnv::new().alloc(&Hcpa.allocate(g, matrix)).hex()));
     let delta = DeltaCritical::default().allocate(g, matrix);
     out.push(("delta", Fnv::new().alloc(&delta).hex()));
@@ -149,6 +151,9 @@ fn case(g: &ptg::Ptg, matrix: &TimeMatrix, seed: u64) -> Vec<(&'static str, Stri
 
     let schedule = ListScheduler.map(g, matrix, &emts.best);
     out.push(("map", placements(&schedule).hex()));
+    // The backfilling mapper on the grid's mapper-study input.
+    let inserted = InsertionScheduler.map(g, matrix, &mcpa);
+    out.push(("insertion", placements(&inserted).hex()));
 
     let spec = FaultSpec::parse(FAULTS).expect("valid fault spec");
     let s = fault_trials(g, matrix, &schedule, &emts.best, &spec, 4).expect("a survivor is kept");
