@@ -14,7 +14,8 @@
 //! * `recv.name(…)` — resolves only when the method name is defined
 //!   exactly once in the workspace, or is defined in the calling file;
 //!   common names (`new`, `get`, `len`) otherwise stay external instead of
-//!   fanning out to every impl.
+//!   fanning out to every impl, and std names (`map`, `take`, `all`)
+//!   resolve same-file only on a `self.` receiver.
 //! * `name(…)` — same-file definitions first, then same-crate, then every
 //!   workspace definition (ambiguity keeps all candidates).
 //!
@@ -101,10 +102,12 @@ pub struct CallGraph {
 /// Method names so common in `std` that a dotted call is almost certainly
 /// a collection/iterator/string method, not the one workspace fn that
 /// happens to share the name. The workspace-unique fallback for dotted
-/// calls skips these (same-file resolution still applies: a type calling
-/// its *own* `next` is a real edge). Without this, `line.split(',')`
-/// resolves to `BacklogUnion::split` and `args.next()` to
-/// `PtgStream::next`, poisoning every parse path with false panic chains.
+/// calls skips these, and so does same-file resolution unless the receiver
+/// is `self` (a type calling its *own* `next` is a real edge). Without
+/// this, `line.split(',')` resolves to `BacklogUnion::split`,
+/// `args.next()` to `PtgStream::next` and `(0..p).map(..)` in the mapper's
+/// file to `ListScheduler::map`, poisoning parse and hot paths with false
+/// panic and allocation chains.
 const STD_DOTTED_METHODS: &[&str] = &[
     "next",
     "split",
@@ -133,6 +136,8 @@ const STD_DOTTED_METHODS: &[&str] = &[
     "iter",
     "map",
     "filter",
+    "all",
+    "any",
     "collect",
     "sum",
     "min",
@@ -212,16 +217,22 @@ impl CallGraph {
                         None => Vec::new(),
                     }
                 } else if call.dotted {
-                    let same_file: Vec<usize> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&t| nodes[t].file == caller_file)
-                        .collect();
+                    // A std-named method on any receiver but `self` is
+                    // taken for the std one: `(0..n).map(..)` in a file
+                    // that defines a `map` is an iterator adapter.
+                    let std_name = STD_DOTTED_METHODS.contains(&call.name.as_str());
+                    let same_file: Vec<usize> = if std_name && !call.self_receiver {
+                        Vec::new()
+                    } else {
+                        candidates
+                            .iter()
+                            .copied()
+                            .filter(|&t| nodes[t].file == caller_file)
+                            .collect()
+                    };
                     if !same_file.is_empty() {
                         same_file
-                    } else if candidates.len() == 1
-                        && !STD_DOTTED_METHODS.contains(&call.name.as_str())
-                    {
+                    } else if candidates.len() == 1 && !std_name {
                         candidates.clone()
                     } else {
                         Vec::new()
@@ -469,6 +480,62 @@ mod tests {
             }]
         );
         assert!(g.externals.iter().any(|x| x.from == 0 && x.name == "split"));
+    }
+
+    #[test]
+    fn iterator_adapters_never_resolve_to_a_same_file_method_of_that_name() {
+        // The file defines a `map` method; `(0..n).map(..)` in a hot-path fn
+        // beside it is the iterator adapter, not that method.
+        let g = graph(&[(
+            "crates/a/src/mapper.rs",
+            "impl Mapper {\n    fn map(&self) { let v = vec![1]; }\n}\n\
+             // lint:hot-path\nfn hot(n: u32) { (0..n).map(|q| q); }\n",
+        )]);
+        assert!(g.edges.is_empty(), "{:?}", g.edges);
+        assert!(g.externals.iter().any(|x| x.from == 1 && x.name == "map"));
+    }
+
+    #[test]
+    fn a_std_named_method_on_self_still_resolves_same_file() {
+        let g = graph(&[(
+            "crates/a/src/mapper.rs",
+            "impl Mapper {\n    fn map(&self) {}\n    fn run(&self) { self.map(); }\n}\n",
+        )]);
+        assert_eq!(
+            g.edges,
+            vec![Edge {
+                from: 1,
+                to: 0,
+                line: 3
+            }]
+        );
+    }
+
+    #[test]
+    fn all_and_any_never_take_the_unique_fallback() {
+        // The workspace's only `all` and `any` live in another file; slice
+        // and iterator calls of those names must not resolve to them.
+        let g = graph(&[
+            (
+                "crates/a/src/lib.rs",
+                "fn check(xs: &[u32]) { xs.iter().all(|&x| x > 0); xs.iter().any(|&x| x > 1); }\n",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "impl Successors {\n    fn all(&self) {}\n    fn any(&self) {}\n}\n",
+            ),
+        ]);
+        assert!(g.edges.is_empty(), "{:?}", g.edges);
+        let names: Vec<&str> = g
+            .externals
+            .iter()
+            .filter(|x| x.from == 0)
+            .map(|x| x.name.as_str())
+            .collect();
+        assert!(
+            names.contains(&"all") && names.contains(&"any"),
+            "{names:?}"
+        );
     }
 
     #[test]

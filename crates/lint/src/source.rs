@@ -276,6 +276,8 @@ pub struct CallSite {
     pub qualified: bool,
     /// True for method-call syntax `recv.bar(…)`.
     pub dotted: bool,
+    /// True for a method call on `self` itself: `self.bar(…)`.
+    pub self_receiver: bool,
     /// Line of the call site.
     pub line: usize,
 }
@@ -886,6 +888,9 @@ pub fn scan_source(file: &str, src: &str, timing_exempt: bool) -> ScanResult {
                     qualifier,
                     qualified,
                     dotted: prev_dot,
+                    self_receiver: prev_dot
+                        && i >= 2
+                        && matches!(toks[i - 2].0, Tok::Ident("self")),
                     line: *line,
                 });
             }

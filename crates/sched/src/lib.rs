@@ -11,8 +11,8 @@
 //!   sorted by decreasing bottom level, each mapped to the first processor
 //!   set with `s(v)` free processors (this is also the EA's fitness
 //!   function),
-//! * [`mapper::InsertionScheduler`] — a backfilling variant used by the
-//!   ablation benches,
+//! * [`mapper::InsertionScheduler`] — a backfilling variant on the same
+//!   placement loop, used by the component grid's mapper study,
 //! * [`Schedule`] / [`validate`] — the resulting schedule and its invariant
 //!   checks (dependencies respected, no processor oversubscription),
 //! * [`metrics`] — makespan, utilization, critical-path efficiency,

@@ -9,12 +9,14 @@
 //! [`ListScheduler::makespan_bounded_with`] and `schedule_core_grouped`).
 //!
 //! [`InsertionScheduler`] is a backfilling variant that may start a task in
-//! an earlier idle gap; the paper's future-work section motivates cheaper
-//! mapping functions, and the ablation benches use this one to quantify what
-//! insertion buys.
+//! an earlier idle gap; the paper's future-work section motivates trying
+//! other mapping functions, and the component grid's mapper study uses this
+//! one to quantify what insertion buys. Both run one placement loop,
+//! `ListScheduler::schedule_core`, and differ only in the processor
+//! availability container they hand it (see `avail`).
 
 use crate::allocation::Allocation;
-use crate::avail::{Availability, HeapAvail, SortedAvail};
+use crate::avail::{Availability, Backfill, HeapAvail, SortedAvail};
 use crate::schedule::{Placement, Schedule};
 use crate::soa_heap::{
     group_avail, group_count, group_entry, ready_entry, ready_task, MaxHeap128, MinHeap128,
@@ -271,9 +273,10 @@ impl ListScheduler {
         scratch.data_ready.resize(g.task_count(), 0.0);
     }
 
-    /// The per-processor placement routine behind [`Mapper::map`] and the
-    /// [`crate::Rescheduler`] (and the reference oracle for the grouped core
-    /// below).
+    /// The per-processor placement routine behind [`Mapper::map`], the
+    /// [`InsertionScheduler`] and the [`crate::Rescheduler`] (and the
+    /// reference oracle for the grouped core below): the crate's only loop
+    /// that names each task's processors.
     ///
     /// The caller sets up the task columns of `scratch` (times, bottom
     /// levels, remaining in-degrees, data-ready floors), seeds its ready
@@ -283,12 +286,15 @@ impl ListScheduler {
     /// survivors at their availability.
     ///
     /// Ready tasks pop by decreasing bottom level (ties toward the smaller
-    /// task id); each takes its `widths[v]` earliest-free processors from
-    /// `avail` (ties toward the smaller processor index), the same as a
-    /// full sort of the availability vector would pick. `on_place` observes
-    /// every placement `(task, start, finish, processors sorted by index)`;
-    /// the full mapper and the rescheduler record placements there while
-    /// the makespan-only reference passes a no-op.
+    /// task id); `avail` places each on `widths[v]` processors, given its
+    /// data-ready time and duration. The list containers take the
+    /// earliest-free processors (ties toward the smaller processor index),
+    /// the same as a full sort of the availability vector would pick;
+    /// [`Backfill`] takes the earliest window, possibly before work already
+    /// placed. `on_place` observes every placement `(task, start, finish,
+    /// processors sorted by index)`; the full mappers and the rescheduler
+    /// record placements there while the makespan-only reference passes a
+    /// no-op.
     ///
     /// The ready queue deliberately stays on the pre-refactor
     /// comparator-driven `BinaryHeap` of typed ready tasks, and the oracle
@@ -310,8 +316,11 @@ impl ListScheduler {
         let mut makespan = 0.0f64;
         let mut reject_key = 0.0f64;
         while let Some(ReadyTask { task: v, .. }) = scratch.ready_ref.pop() {
-            let (procs_free, procs) = avail.take(widths[v.index()] as usize);
-            let start = scratch.data_ready[v.index()].max(procs_free);
+            let (start, procs) = avail.take(
+                widths[v.index()] as usize,
+                scratch.data_ready[v.index()],
+                scratch.times[v.index()],
+            );
             // Rejection test: everything on v's bottom-level path still has
             // to run after `start`, so the final makespan is at least
             // `start + bl(v)`.
@@ -342,7 +351,8 @@ impl ListScheduler {
     }
 
     /// A whole-graph mapping on the per-processor core: every source ready
-    /// and all processors free at 0 in `avail`.
+    /// and all processors free at 0 in `avail`, which decides the placement
+    /// policy.
     fn map_on<A: Availability>(
         g: &Ptg,
         matrix: &TimeMatrix,
@@ -352,7 +362,7 @@ impl ListScheduler {
     ) -> Schedule {
         Self::prepare_into(g, matrix, alloc, scratch);
         scratch.push_ready_sources(g);
-        avail.reset_fresh(matrix.p_max());
+        avail.reset((0..matrix.p_max()).map(|q| (0.0, q)));
         let mut placements = Vec::with_capacity(g.task_count());
         let outcome = Self::schedule_core(
             g,
@@ -662,7 +672,7 @@ impl ListScheduler {
             Self::prepare_into(g, matrix, alloc, scratch);
             scratch.push_ready_sources(g);
             let mut avail = HeapAvail::default();
-            avail.reset_fresh(matrix.p_max());
+            avail.reset((0..matrix.p_max()).map(|q| (0.0, q)));
             match Self::schedule_core(
                 g,
                 alloc.as_slice(),
@@ -683,92 +693,22 @@ impl ListScheduler {
 /// Tasks are considered in the same bottom-level order, but each task may be
 /// inserted into the earliest time window, possibly *before* previously
 /// placed work, as long as `s(v)` processors are simultaneously idle for its
-/// whole duration.
+/// whole duration. It runs the list scheduler's placement loop with a
+/// backfilling availability container (`avail::Backfill`) in place of the
+/// sorted free-time array.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InsertionScheduler;
 
 impl Mapper for InsertionScheduler {
     fn map(&self, g: &Ptg, matrix: &TimeMatrix, alloc: &Allocation) -> Schedule {
-        let p_total = matrix.p_max() as usize;
-        // Per-processor busy intervals, kept sorted by start time.
-        let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); p_total];
-        let mut placements = Vec::with_capacity(g.task_count());
         SHARED_SCRATCH.with_borrow_mut(|scratch| {
-            ListScheduler::prepare_into(g, matrix, alloc, scratch);
-            scratch.push_ready_sources(g);
-            let EvalScratch {
-                times,
-                bl,
-                in_deg,
-                data_ready,
-                ready_ref: ready,
-                ..
-            } = scratch;
-            while let Some(ReadyTask { task: v, .. }) = ready.pop() {
-                let s = alloc.of(v) as usize;
-                let d = times[v.index()];
-                let r = data_ready[v.index()];
-                // Candidate start times: the ready time and every interval end
-                // after it. The earliest feasible candidate wins.
-                let mut candidates: Vec<f64> = vec![r];
-                for iv in busy.iter().flatten() {
-                    if iv.1 > r {
-                        candidates.push(iv.1);
-                    }
-                }
-                candidates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                candidates.dedup();
-                let mut placed: Option<(f64, Vec<u32>)> = None;
-                for &t in &candidates {
-                    let free: Vec<u32> = (0..p_total)
-                        .filter(|&q| is_free(&busy[q], t, t + d))
-                        .map(|q| q as u32)
-                        .collect();
-                    if free.len() >= s {
-                        placed = Some((t, free[..s].to_vec()));
-                        break;
-                    }
-                }
-                let (start, processors) =
-                    placed.expect("the time after all work finishes is always feasible");
-                let finish = start + d;
-                for &q in &processors {
-                    let list = &mut busy[q as usize];
-                    let pos = list
-                        .binary_search_by(|iv| iv.0.partial_cmp(&start).expect("finite times"))
-                        .unwrap_or_else(|e| e);
-                    list.insert(pos, (start, finish));
-                }
-                placements.push(Placement {
-                    task: v,
-                    start,
-                    finish,
-                    processors,
-                });
-                for &w in g.successors(v) {
-                    data_ready[w.index()] = data_ready[w.index()].max(finish);
-                    in_deg[w.index()] -= 1;
-                    if in_deg[w.index()] == 0 {
-                        ready.push(ReadyTask {
-                            bl: bl[w.index()],
-                            task: w,
-                        });
-                    }
-                }
-            }
-        });
-        Schedule::new(p_total as u32, placements)
+            ListScheduler::map_on(g, matrix, alloc, scratch, &mut Backfill::default())
+        })
     }
 
     fn name(&self) -> &'static str {
         "insertion"
     }
-}
-
-/// True if processor `q` (busy intervals sorted by start) is idle during the
-/// whole window `[start, finish)`.
-fn is_free(busy: &[(f64, f64)], start: f64, finish: f64) -> bool {
-    busy.iter().all(|&(s, f)| finish <= s || f <= start)
 }
 
 #[cfg(test)]
@@ -880,6 +820,40 @@ mod tests {
         let ins = InsertionScheduler.map(&g, &m, &alloc).makespan();
         assert!(ins <= list + 1e-9);
         let _ = a1;
+    }
+
+    #[test]
+    fn insertion_starts_a_short_task_in_the_gap_list_scheduling_leaves() {
+        // P = 2, 1 GFLOPS, α = 0: W (2 s on 1 proc) → X (1 s on 2 procs),
+        // and an independent Z (0.5 s on 1 proc). X waits for W, so
+        // processor 1 idles over [0, 2). List scheduling places by bottom
+        // level (W 3, X 1, Z 0.5) and appends Z after X; insertion starts
+        // Z in that gap.
+        let mut b = PtgBuilder::new();
+        let w = b.add_task("w", 2e9, 0.0);
+        let x = b.add_task("x", 2e9, 0.0);
+        let z = b.add_task("z", 0.5e9, 0.0);
+        b.add_edge(w, x).unwrap();
+        let g = b.build().unwrap();
+        let m = matrix(&g, 2);
+        let alloc = Allocation::from_vec(vec![1, 2, 1]);
+        let at = |s: &Schedule, v: TaskId| {
+            let p = s.placement(v);
+            (p.start, p.finish, p.processors.clone())
+        };
+
+        let list = ListScheduler.map(&g, &m, &alloc);
+        assert_eq!(at(&list, w), (0.0, 2.0, vec![0]));
+        assert_eq!(at(&list, x), (2.0, 3.0, vec![0, 1]));
+        assert_eq!(at(&list, z), (3.0, 3.5, vec![0]));
+        assert_eq!(list.makespan(), 3.5);
+
+        let ins = InsertionScheduler.map(&g, &m, &alloc);
+        assert_eq!(at(&ins, w), (0.0, 2.0, vec![0]));
+        assert_eq!(at(&ins, x), (2.0, 3.0, vec![0, 1]));
+        assert_eq!(at(&ins, z), (0.0, 0.5, vec![1]));
+        assert_eq!(ins.makespan(), 3.0);
+        crate::validate::validate_schedule(&g, &m, &alloc, &ins).unwrap();
     }
 
     #[test]
