@@ -1,5 +1,5 @@
-//! `emts-lint` — rule-based static analysis for schedules, artifacts and
-//! project source invariants.
+//! `emts-lint` — rule-based static analysis for input files, committed
+//! telemetry and project source invariants.
 //!
 //! ```text
 //! usage: emts-lint [options] <path>...
@@ -13,14 +13,16 @@
 //!   --rules                  print the rule catalogue and exit
 //!
 //! exit status: 0 clean, 1 new findings at or above the deny threshold,
-//! 2 usage or I/O error.
+//! 2 usage or I/O error, or a named file of no known kind.
 //! ```
 //!
 //! Paths may be files or directories; directories are recursed and files
-//! are classified by suffix (`.ptg`, `.platform`, `.faults`/`.spec`,
-//! `.schedule.json`, `.rs`). `target/`, `vendor/` and VCS directories are
-//! never descended into; `tests/`, `benches/` and `examples/` are exempt
-//! from source rules.
+//! are classified by name (`.ptg`, `.platform`, `.rs`, `BENCH_*.json`,
+//! `*_report.json`, `.trace.json`). A directory walk skips files of any
+//! other kind; a file named on the command line that is of no such kind is
+//! an error (exit 2). `target/`, `vendor/` and VCS directories are never
+//! descended into; `tests/`, `benches/` and `examples/` are exempt from
+//! source rules.
 
 use lint::output;
 use lint::rules::Severity;

@@ -104,10 +104,9 @@ pub struct CallGraph {
 /// happens to share the name. The workspace-unique fallback for dotted
 /// calls skips these, and so does same-file resolution unless the receiver
 /// is `self` (a type calling its *own* `next` is a real edge). Without
-/// this, `line.split(',')` resolves to `BacklogUnion::split`,
-/// `args.next()` to `PtgStream::next` and `(0..p).map(..)` in the mapper's
-/// file to `ListScheduler::map`, poisoning parse and hot paths with false
-/// panic and allocation chains.
+/// this, `line.split(',')` resolves to `BacklogUnion::split` and
+/// `(0..p).map(..)` in the mapper's file to `ListScheduler::map`,
+/// poisoning parse and hot paths with false panic and allocation chains.
 const STD_DOTTED_METHODS: &[&str] = &[
     "next",
     "split",

@@ -12,8 +12,8 @@
 //! * **`src-determinism-taint`** — no nondeterminism source (clock reads,
 //!   env reads, `thread::current()`, `HashMap`/`HashSet` iteration) may be
 //!   reachable through calls from a function that produces a deterministic
-//!   artifact (RunReport counters, ConvergenceTrace, stream checkpoints,
-//!   online event traces). Escape hatches: `*_seconds` reporting lines and
+//!   artifact (RunReport counters, ConvergenceTrace, online event
+//!   traces). Escape hatches: `*_seconds` reporting lines and
 //!   `// lint:allow(src-timing)` at the source remove the site in pass 1.
 //! * **`src-hot-path-alloc-transitive`** — extends `src-hot-path-alloc`
 //!   through the call graph: a `// lint:hot-path` fn must not reach an

@@ -12,7 +12,7 @@
 use crate::callgraph::CallGraph;
 use crate::findings::{sort_findings, Finding};
 use crate::source::FileFacts;
-use crate::{artifact, dataflow, files, reports, source};
+use crate::{dataflow, files, reports, source};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -28,13 +28,15 @@ const TEST_DIRS: &[&str] = &["tests", "benches", "examples"];
 /// `src-timing`.
 const TIMING_CRATES: &[&str] = &["obs", "bench"];
 
+/// The file kinds [`classify`] recognizes, for the error that names an
+/// explicit path of any other kind.
+const INPUT_KINDS: &str = "*.ptg, *.platform, *.rs, BENCH_*.json, *_report.json, *.trace.json";
+
 /// What the driver decided about one path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Ptg,
     Platform,
-    Faults,
-    Artifact,
     Report,
     Bench,
     Trace,
@@ -44,9 +46,6 @@ enum Kind {
 
 fn classify(path: &Path) -> Kind {
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    if name.ends_with(".schedule.json") {
-        return Kind::Artifact;
-    }
     // `_report.json` outranks the `BENCH_` prefix: BENCH_fitness_report.json
     // is a RunReport that happens to live in the benchmark family.
     if name.ends_with("_report.json") {
@@ -61,7 +60,6 @@ fn classify(path: &Path) -> Kind {
     match path.extension().and_then(|e| e.to_str()) {
         Some("ptg") => Kind::Ptg,
         Some("platform") => Kind::Platform,
-        Some("faults") | Some("spec") => Kind::Faults,
         Some("rs") => Kind::Source,
         _ => Kind::Skip,
     }
@@ -136,7 +134,9 @@ pub fn lint_paths(paths: &[PathBuf]) -> Result<Vec<Finding>, DriverError> {
     Ok(findings)
 }
 
-/// Recursively expands `path` into lintable files.
+/// Recursively expands `path` into lintable files. A directory walk skips
+/// files of unknown kind; an `explicit` file of unknown kind is an error,
+/// so a path the user names is never passed unread.
 fn collect(path: &Path, out: &mut Vec<PathBuf>, explicit: bool) -> Result<(), DriverError> {
     let io = |e: std::io::Error| DriverError {
         path: path.to_path_buf(),
@@ -154,6 +154,11 @@ fn collect(path: &Path, out: &mut Vec<PathBuf>, explicit: bool) -> Result<(), Dr
     } else if path.is_file() {
         if classify(path) != Kind::Skip {
             out.push(path.to_path_buf());
+        } else if explicit {
+            return Err(DriverError {
+                path: path.to_path_buf(),
+                message: format!("not a kind of file emts-lint reads ({INPUT_KINDS})"),
+            });
         }
         Ok(())
     } else {
@@ -186,8 +191,6 @@ fn lint_file(
     Ok(match kind {
         Kind::Ptg => files::lint_ptg_file(&file, &text),
         Kind::Platform => files::lint_platform_file(&file, &text),
-        Kind::Faults => files::lint_fault_file(&file, &text),
-        Kind::Artifact => artifact::lint_artifact_json(&file, &text),
         Kind::Report => reports::lint_report_json(&file, &text),
         Kind::Bench => reports::lint_bench_json(&file, &text),
         Kind::Trace => reports::lint_trace_json(&file, &text),
@@ -211,9 +214,8 @@ mod tests {
     fn classification_by_suffix() {
         assert_eq!(classify(Path::new("a/b.ptg")), Kind::Ptg);
         assert_eq!(classify(Path::new("x.platform")), Kind::Platform);
-        assert_eq!(classify(Path::new("x.faults")), Kind::Faults);
-        assert_eq!(classify(Path::new("x.spec")), Kind::Faults);
-        assert_eq!(classify(Path::new("run.schedule.json")), Kind::Artifact);
+        assert_eq!(classify(Path::new("x.faults")), Kind::Skip);
+        assert_eq!(classify(Path::new("run.schedule.json")), Kind::Skip);
         assert_eq!(classify(Path::new("BENCH_fitness.json")), Kind::Bench);
         assert_eq!(
             classify(Path::new("BENCH_fitness_report.json")),

@@ -1,5 +1,5 @@
-//! Line-anchored lints for the project's text artifacts: `*.ptg` graphs,
-//! `*.platform` clusters and `*.faults` fault specifications.
+//! Line-anchored lints for the project's text artifacts: `*.ptg` graphs
+//! and `*.platform` clusters.
 //!
 //! Unlike the strict parsers in `sim::formats` and `platform::file` — which
 //! stop at the first error — these lints are *lenient*: they keep scanning
@@ -8,7 +8,6 @@
 
 use crate::findings::Finding;
 use crate::rules;
-use sim::faults::FaultSpec;
 
 /// Lints a PTG text file: parse errors, degenerate tasks, out-of-range
 /// edges, cycles (anchored at the edge that closes them), duplicate edges
@@ -213,44 +212,6 @@ pub fn lint_platform_file(file: &str, input: &str) -> Vec<Finding> {
     }
 }
 
-/// Lints a fault-spec file: one `key=value,...` spec per non-comment line
-/// (the grammar of [`FaultSpec::parse`]), each error anchored to its line,
-/// plus the ineffective-crash smell (`crash > 0` with `retries = 0` never
-/// crashes anything — attempt 0 is the retry-exhausted attempt).
-pub fn lint_fault_file(file: &str, input: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (idx, raw) in input.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match FaultSpec::parse(line) {
-            Ok(spec) => {
-                if spec.crash > 0.0 && spec.retries == 0 {
-                    out.push(Finding::new(
-                        &rules::FAULT_INEFFECTIVE_CRASH,
-                        file,
-                        Some(line_no),
-                        format!(
-                            "crash={} with retries=0 never crashes: attempt 0 is the \
-                             retry-exhausted attempt",
-                            spec.crash
-                        ),
-                    ));
-                }
-            }
-            Err(e) => out.push(Finding::new(
-                &rules::FAULT_PARSE,
-                file,
-                Some(line_no),
-                e.to_string(),
-            )),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,14 +300,5 @@ mod tests {
         let f = lint_platform_file("c.platform", "# tiny\nprocessors 1\nspeed_gflops 1\n");
         assert_eq!(rules_of(&f), vec!["platform-degenerate"]);
         assert_eq!(f[0].line, Some(2));
-    }
-
-    #[test]
-    fn fault_specs_are_linted_per_line() {
-        let text = "# specs\nseed=1,perturb=0.1\ncrash=2.0\nseed=3,crash=0.5,retries=0\n";
-        let f = lint_fault_file("f.faults", text);
-        assert_eq!(rules_of(&f), vec!["fault-parse", "fault-ineffective-crash"]);
-        assert_eq!(f[0].line, Some(3));
-        assert_eq!(f[1].line, Some(4));
     }
 }

@@ -106,11 +106,8 @@ mod tests {
             f.to_string(),
             "g.ptg:7: error [ptg-cycle] edge 3 -> 0 closes a cycle"
         );
-        let f = Finding::new(&rules::SCHED_OVERLAP, "s.schedule.json", None, "overlap");
-        assert_eq!(
-            f.to_string(),
-            "s.schedule.json: error [sched-overlap] overlap"
-        );
+        let f = Finding::new(&rules::TRACE_NESTING, "p.trace.json", None, "overlap");
+        assert_eq!(f.to_string(), "p.trace.json: error [trace-nesting] overlap");
     }
 
     #[test]

@@ -1,24 +1,23 @@
 //! `emts-lint` — a rule-based static analyzer for the EMTS workspace.
 //!
 //! Production schedulers ship a static verification layer next to their
-//! dynamic checks; this crate is ours. Two rule families share one
+//! dynamic checks; this crate is ours. Three rule families share one
 //! registry ([`rules::CATALOGUE`]), one finding shape ([`Finding`]) and
 //! one reporting/baseline pipeline:
 //!
-//! * **Family A — artifact analysis** ([`artifact`], [`files`]): enumerate
-//!   *every* violation in a committed `*.schedule.json` bundle through the
-//!   shared `sched::for_each_violation` enumerator, cross-check reported
-//!   makespans against the critical-path and area lower bounds (beating a
-//!   proven bound ⇒ corrupt artifact), flag the allocation smells the
-//!   paper motivates (past-sweet-spot allocations, Model-2 non-monotonic
-//!   waste), and lint `*.ptg` / `*.platform` / `*.faults` files with
-//!   line-anchored findings.
-//! * **Family B — source invariants** ([`source`]): a hand-rolled Rust
-//!   token scanner enforcing project rules over `crates/*/src` — no
-//!   `unwrap`/`expect`/`panic!` on user-input parse paths outside tests,
-//!   no `Instant::now`/`SystemTime::now` outside `obs`/`bench`, no
-//!   allocating calls in functions marked `// lint:hot-path`, with
-//!   `// lint:allow(rule-id)` suppressions.
+//! * **Family A — input files** ([`files`]): lint the `*.ptg` and
+//!   `*.platform` files the simulator reads with line-anchored findings,
+//!   reporting every problem in a file rather than the first.
+//! * **Family B — source invariants** ([`source`], [`callgraph`],
+//!   [`dataflow`]): a hand-rolled Rust token scanner enforcing project
+//!   rules over `crates/*/src` — no `unwrap`/`expect`/`panic!` on
+//!   user-input parse paths outside tests, no
+//!   `Instant::now`/`SystemTime::now` outside `obs`/`bench`, no allocating
+//!   calls in functions marked `// lint:hot-path`, with
+//!   `// lint:allow(rule-id)` suppressions — then the same rules carried
+//!   through the workspace call graph.
+//! * **Family C — committed telemetry** ([`reports`]): `BENCH_*.json`,
+//!   `*_report.json` and `*.trace.json` cross-checks.
 //!
 //! The [`driver`] walks paths and dispatches by suffix; [`baseline`]
 //! implements the committed-baseline mechanism so only *new* findings gate
@@ -27,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod artifact;
 pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
@@ -39,10 +37,9 @@ pub mod reports;
 pub mod rules;
 pub mod source;
 
-pub use artifact::{lint_artifact, lint_artifact_json, ScheduleArtifact};
 pub use baseline::Baseline;
 pub use driver::lint_paths;
-pub use files::{lint_fault_file, lint_platform_file, lint_ptg_file};
+pub use files::{lint_platform_file, lint_ptg_file};
 pub use findings::Finding;
 pub use rules::{Category, Rule, Severity, CATALOGUE};
 pub use source::lint_source;

@@ -61,14 +61,10 @@ impl Deserialize for Severity {
 /// What kind of input a rule inspects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
-    /// `*.schedule.json` artifact bundles (schedule + allocation + bounds).
-    Schedule,
     /// `*.ptg` task-graph files.
     Ptg,
     /// `*.platform` cluster files.
     Platform,
-    /// `*.faults` fault-spec files.
-    Faults,
     /// `*.rs` project source.
     Source,
     /// `BENCH_*.json` benchmark baselines.
@@ -82,10 +78,8 @@ pub enum Category {
 impl fmt::Display for Category {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Category::Schedule => write!(f, "schedule"),
             Category::Ptg => write!(f, "ptg"),
             Category::Platform => write!(f, "platform"),
-            Category::Faults => write!(f, "faults"),
             Category::Source => write!(f, "source"),
             Category::Bench => write!(f, "bench"),
             Category::Report => write!(f, "report"),
@@ -98,10 +92,8 @@ impl Category {
     /// Parses the lowercase wire form.
     pub fn parse(s: &str) -> Option<Category> {
         match s {
-            "schedule" => Some(Category::Schedule),
             "ptg" => Some(Category::Ptg),
             "platform" => Some(Category::Platform),
-            "faults" => Some(Category::Faults),
             "source" => Some(Category::Source),
             "bench" => Some(Category::Bench),
             "report" => Some(Category::Report),
@@ -156,28 +148,6 @@ macro_rules! rules {
 }
 
 rules! {
-    // Family A — schedule artifacts (`*.schedule.json`).
-    ARTIFACT_MALFORMED = ("artifact-malformed", Error, Schedule,
-        "schedule artifact does not parse or is structurally inconsistent");
-    SCHED_TASK_COUNT = ("sched-task-count", Error, Schedule,
-        "schedule covers a different number of tasks than the PTG");
-    SCHED_WIDTH = ("sched-width", Error, Schedule,
-        "task uses a different processor count than its allocation");
-    SCHED_DURATION = ("sched-duration", Error, Schedule,
-        "task duration disagrees with the execution-time model");
-    SCHED_PRECEDENCE = ("sched-precedence", Error, Schedule,
-        "task starts before a predecessor finishes");
-    SCHED_OVERLAP = ("sched-overlap", Error, Schedule,
-        "two tasks overlap on the same processor (oversubscribed slot)");
-    SCHED_BELOW_BOUND = ("sched-below-bound", Error, Schedule,
-        "reported makespan beats a proven lower bound — corrupt artifact");
-    SCHED_MAKESPAN_REPORT = ("sched-makespan-report", Error, Schedule,
-        "reported makespan disagrees with the schedule's actual makespan");
-    ALLOC_PAST_SWEET_SPOT = ("alloc-past-sweet-spot", Warning, Schedule,
-        "task allocated more processors than its fastest width");
-    ALLOC_NONMONOTONIC_WASTE = ("alloc-nonmonotonic-waste", Warning, Schedule,
-        "fewer processors would run the task at least as fast (Model-2 waste)");
-
     // Family A — PTG files (`*.ptg`).
     PTG_PARSE = ("ptg-parse", Error, Ptg,
         "line does not parse as a task or edge directive");
@@ -197,12 +167,6 @@ rules! {
         "platform file is malformed or out of domain");
     PLATFORM_DEGENERATE = ("platform-degenerate", Warning, Platform,
         "single-processor platform degenerates every moldable schedule");
-
-    // Family A — fault-spec files (`*.faults`).
-    FAULT_PARSE = ("fault-parse", Error, Faults,
-        "fault spec does not parse or a value is out of range");
-    FAULT_INEFFECTIVE_CRASH = ("fault-ineffective-crash", Warning, Faults,
-        "crash probability set with retries=0 — attempt 0 never crashes");
 
     // Family B — source invariants (`*.rs`).
     SRC_UNWRAP_PARSE = ("src-unwrap-parse", Warning, Source,

@@ -238,14 +238,9 @@ const ALLOC_TYPES: &[&str] = &[
 
 /// Types whose mention in a function's signature or body marks it as a
 /// deterministic-artifact *sink* for the determinism-taint propagation:
-/// these produce RunReport counters, convergence traces, stream
-/// fingerprints, or online event traces.
-const SINK_TYPES: &[&str] = &[
-    "ConvergenceTrace",
-    "RunReport",
-    "StreamCheckpoint",
-    "OnlineEvent",
-];
+/// these produce RunReport counters, convergence traces or online event
+/// traces.
+const SINK_TYPES: &[&str] = &["ConvergenceTrace", "RunReport", "OnlineEvent"];
 /// Method names that iterate a collection (used to spot `HashMap`/`HashSet`
 /// iteration, which yields nondeterministic order).
 const ITER_METHODS: &[&str] = &[

@@ -78,6 +78,26 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn an_explicit_file_of_unknown_kind_is_a_usage_error() {
+    let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let dir = scratch("unknown-kind");
+    let schedule = dir.join("x.schedule.json");
+    std::fs::write(&schedule, "{}").expect("temp file");
+    for path in [readme, schedule] {
+        let out = run(&["--deny", "warning", path.to_str().expect("utf8 path")]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains(path.to_str().expect("utf8 path")), "{err}");
+        assert!(err.contains("*.ptg"), "{err}");
+    }
+    // A directory walk still skips the same file.
+    let walked = run(&["--deny", "warning", dir.to_str().expect("utf8 path")]);
+    assert_eq!(walked.status.code(), Some(0), "{walked:?}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn rules_listing_covers_the_catalogue() {
     let out = run(&["--rules"]);
     assert!(out.status.success());

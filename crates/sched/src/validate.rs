@@ -92,8 +92,8 @@ pub fn all_violations(
     out
 }
 
-/// The single violation enumerator behind [`validate_schedule`],
-/// [`all_violations`] and the `emts-lint` schedule rules.
+/// The single violation enumerator behind [`validate_schedule`] and
+/// [`all_violations`].
 ///
 /// Calls `sink` for every violation in a deterministic order (per-task width
 /// and duration checks, then dependency checks in edge order, then per-

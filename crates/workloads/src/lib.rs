@@ -13,9 +13,8 @@
 //! * [`corpus`] — the full paper corpus: 400 FFT + 100 Strassen + 108
 //!   layered + 324 irregular PTGs (scalable down for quick runs),
 //! * [`stream`] — unbounded generate-and-discard DAGGEN streams for
-//!   throughput experiments: index-addressed items, deterministic
-//!   sharding, order-independent progress fingerprints for
-//!   checkpoint/resume.
+//!   throughput experiments: each item a pure function of the stream seed
+//!   and its index.
 //!
 //! All generators are deterministic given an RNG, so experiments are
 //! reproducible from a seed.
@@ -31,4 +30,4 @@ pub mod stream;
 pub use corpus::{Corpus, CorpusEntry, PtgClass};
 pub use costs::{CostConfig, CostPattern};
 pub use daggen::DaggenParams;
-pub use stream::{PtgStream, StreamCheckpoint, StreamItem};
+pub use stream::StreamItem;

@@ -102,16 +102,13 @@ if $EMTS_REPORT regress BENCH_fitness.json "$REGRESS_DIR/inflated.json" > /dev/n
 fi
 rm -rf "$REGRESS_DIR"
 
-echo "== streaming smoke: sharded + interrupted + resumed 1k-PTG stream is bit-identical"
+echo "== streaming smoke: the 1k-PTG stream reproduces its fingerprint and its layers add up"
 cargo build -q --offline --release -p bench --bin emts-stream
 STREAM=target/release/emts-stream
 STREAM_DIR=$(mktemp -d)
-# Uninterrupted single-shard run vs a 4-way sharded run stopped after 300
-# items mid-checkpoint-interval and resumed from its checkpoint: the
-# order-independent fingerprints must agree exactly.
 $STREAM --count 1000 --seed 2011 --quiet --out "$STREAM_DIR/full.json"
-# The uninterrupted run must also reproduce the committed fingerprint: a
-# change that moved every item would still pass the comparison below.
+# Any change that moves one bit of one item's makespan moves the
+# fingerprint.
 STREAM_FP_1K=f430e1329dd5a752
 grep -q "\"fingerprint\": \"$STREAM_FP_1K\"" "$STREAM_DIR/full.json" \
     || { echo "stream smoke: 1k seed-2011 fingerprint is no longer $STREAM_FP_1K" >&2
@@ -130,22 +127,6 @@ awk -F': ' '
             exit 1
         }
     }' "$STREAM_DIR/full.json"
-$STREAM --count 1000 --seed 2011 --shards 4 --checkpoint "$STREAM_DIR/cp.json" \
-    --checkpoint-every 128 --stop-after 300 --quiet \
-    --out "$STREAM_DIR/partial.json"
-$STREAM --count 1000 --seed 2011 --shards 4 --checkpoint "$STREAM_DIR/cp.json" \
-    --quiet --out "$STREAM_DIR/resumed.json"
-grep -q '"completed": false' "$STREAM_DIR/partial.json" \
-    || { echo "stream smoke: --stop-after did not interrupt the run" >&2; exit 1; }
-grep -q '"completed": true' "$STREAM_DIR/resumed.json" \
-    || { echo "stream smoke: resumed run did not complete" >&2; exit 1; }
-FP_FULL=$(grep '"fingerprint"' "$STREAM_DIR/full.json")
-FP_RESUMED=$(grep '"fingerprint"' "$STREAM_DIR/resumed.json")
-[ -n "$FP_FULL" ] && [ "$FP_FULL" = "$FP_RESUMED" ] \
-    || { echo "stream smoke: resumed sharded run diverged from the uninterrupted run" >&2
-         echo "  full:    $FP_FULL" >&2
-         echo "  resumed: $FP_RESUMED" >&2
-         exit 1; }
 rm -rf "$STREAM_DIR"
 
 echo "== component grid: a full rerun reproduces the committed EXPERIMENTS_grid.json"
