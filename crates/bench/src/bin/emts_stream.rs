@@ -17,7 +17,8 @@
 //! mapping (`map_seconds`); freeing what a layer built counts to that
 //! layer. Only the fingerprint fold and the counters fall outside them, so
 //! they sum to `elapsed_seconds` within a few per cent. The fitness core
-//! on its own is `emts-ledger`'s `mapper_probe`.
+//! on its own is `emts-ledger`'s bare mapper loop (`raw_ns_per_eval` in
+//! `BENCH_obs.json`).
 //!
 //! ```text
 //! emts-stream [--count N] [--seed S] [--out FILE] [--quiet]

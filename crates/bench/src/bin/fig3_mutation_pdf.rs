@@ -1,8 +1,8 @@
-//! Figure 3 â probability density of the mutation operator.
+//! Figure 3 — probability density of the mutation operator.
 //!
-//! Samples the allocation-adjustment distribution `C` (Ïâ = Ïâ = 5,
+//! Samples the allocation-adjustment distribution `C` (σ₁ = σ₂ = 5,
 //! a = 0.2) one million times and prints its empirical density over
-//! [â25, 25], reproducing the asymmetric two-humped shape of the paper's
+//! [−25, 25], reproducing the asymmetric two-humped shape of the paper's
 //! Figure 3: a small negative (shrink) hump at 20 % of the mass and a large
 //! positive (stretch) hump at 80 %.
 
@@ -17,13 +17,13 @@ fn main() {
     let args = &h.args;
     let op = MutationOperator::paper();
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
-    let mut hist = Histogram::new(-25.0, 26.0, 51); // integer bins â25..=25
+    let mut hist = Histogram::new(-25.0, 26.0, 51); // integer bins −25..=25
     let samples = 1_000_000usize;
     for _ in 0..samples {
         hist.add(op.sample_delta(&mut rng) as f64);
     }
     h.say(format_args!(
-        "Figure 3 â mutation operator density, sigma1=sigma2=5, a=0.2, {samples} samples\n"
+        "Figure 3 — mutation operator density, sigma1=sigma2=5, a=0.2, {samples} samples\n"
     ));
     h.say(hist.render(60));
 

@@ -1,7 +1,7 @@
-//! Figure 5 â average relative makespan under Model 2 (non-monotonic),
+//! Figure 5 — average relative makespan under Model 2 (non-monotonic),
 //! EMTS5 (top half) and EMTS10 (bottom half).
 //!
-//! Expected shape (paper Â§V-B): EMTS reduces the makespan more on the
+//! Expected shape (paper §V-B): EMTS reduces the makespan more on the
 //! larger platform (Grelon); EMTS10 is at least as good as EMTS5, with the
 //! biggest extra gains on irregular PTGs.
 
@@ -15,7 +15,7 @@ fn main() {
     let mut all = Vec::new();
     for variant in [EmtsVariant::Emts5, EmtsVariant::Emts10] {
         h.note(format_args!(
-            "Figure 5 (Model 2, {}) â scale {}, seed {} …",
+            "Figure 5 (Model 2, {}) — scale {}, seed {} …",
             variant.label(),
             args.scale,
             args.seed

@@ -19,7 +19,7 @@ use platform::{chti, grelon, Cluster};
 use ptg::Ptg;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sched::{Allocation, BoundedEval, EvalScratch, InsertionScheduler, ListScheduler, Mapper};
+use sched::{Allocation, EvalScratch, InsertionScheduler, ListScheduler, Mapper};
 use serde::{Deserialize, Serialize};
 use sim::online::{run_online, OnlineConfig, OnlineTotals};
 use std::collections::{BTreeMap, BTreeSet};
@@ -256,9 +256,9 @@ pub struct ObsBench {
     /// The serial `EvalPool::run_batch` path, in percent over the bare
     /// loop (the median of the per-round ratios).
     pub noop_overhead_pct: f64,
-    /// `evaluate_bounded_obs` under a [`StatsRecorder`], likewise.
+    /// The same path under a [`StatsRecorder`], likewise.
     pub stats_overhead_pct: f64,
-    /// `evaluate_bounded_obs` under a live [`FlightRecorder`], likewise.
+    /// The same path under a live [`FlightRecorder`], likewise.
     pub flight_overhead_pct: f64,
     /// Single-thread flight-recorder events per second into a ring that
     /// never wraps, and into one that wraps on almost every push.
@@ -268,53 +268,50 @@ pub struct ObsBench {
     drop_rate_at_capacity: f64,
 }
 
-/// Times the bare loop, the serial pool path and the two live recorders
-/// on `case`, in one set of interleaved rounds of four λ-batches per side,
-/// then the flight recorder's event throughput. `emts-ledger` records the
-/// result, and the release perf guard gates it.
+/// Seconds [`OVERHEAD_REPS`] λ-batches of `allocs` take through `run`.
+/// Each batch is a fresh copy made untimed, so every side of
+/// [`recorder_overhead`] reads and frees the same kind of memory.
+fn batch_pass<T>(allocs: &[Allocation], mut run: impl FnMut(Vec<Allocation>) -> T) -> f64 {
+    let batches = [(); OVERHEAD_REPS].map(|_| allocs.to_vec());
+    batches.into_iter().map(|b| secs(|| run(b))).sum()
+}
+
+/// Times the bare loop and the serial pool path, bare and under the two
+/// live recorders, on `case`, in one set of interleaved rounds of four
+/// λ-batches per side, then the flight recorder's event throughput.
+/// `emts-ledger` records the result, and the release perf guard gates it.
 pub fn recorder_overhead(case: &HardCase) -> ObsBench {
     let (g, matrix, allocs) = (&case.g, &case.matrix, &case.allocs);
-    let pass = |mut eval: Box<dyn FnMut(&Allocation) -> BoundedEval + '_>| {
-        secs(|| {
-            (0..OVERHEAD_REPS)
-                .flat_map(|_| allocs)
-                .map(|a| black_box(eval(a)))
-                .count()
-        })
-    };
     let stats = StatsRecorder::new();
     // Never wraps during the measurement: wrapping is the saturation figure.
     let flight = FlightRecorder::with_capacity(1 << 22);
-    let [raw, st, fl] = &mut [(); 3].map(|_| EvalScratch::new());
-    let t = EvalPool::with(g, matrix, false, |pool| {
-        interleaved::<&mut dyn FnMut() -> f64>(
-            ROUNDS,
-            &mut [
-                &mut || {
-                    pass(Box::new(|a| {
-                        ListScheduler.evaluate_bounded_with(g, matrix, a, INF, raw)
-                    }))
-                },
-                // `run_batch` consumes its batch: clone it untimed.
-                &mut || {
-                    let batches = [(); OVERHEAD_REPS].map(|_| allocs.clone());
-                    batches
-                        .into_iter()
-                        .map(|b| secs(|| pool.run_batch(b, INF)))
-                        .sum()
-                },
-                &mut || {
-                    pass(Box::new(|a| {
-                        ListScheduler.evaluate_bounded_obs(g, matrix, a, INF, st, &stats)
-                    }))
-                },
-                &mut || {
-                    pass(Box::new(|a| {
-                        ListScheduler.evaluate_bounded_obs(g, matrix, a, INF, fl, &flight)
-                    }))
-                },
-            ],
-        )
+    // Sized up front, as each pool sizes its own: a scratch grown on first
+    // use lands elsewhere in memory and moved the noop ratio by ±4%.
+    let mut raw = EvalScratch::with_capacity(g.task_count(), matrix.p_max());
+    let t = EvalPool::with(g, matrix, false, |noop| {
+        EvalPool::with_recorder(g, matrix, false, &stats, |st| {
+            EvalPool::with_recorder(g, matrix, false, &flight, |fl| {
+                interleaved::<&mut dyn FnMut() -> f64>(
+                    ROUNDS,
+                    &mut [
+                        &mut || {
+                            batch_pass(allocs, |b| {
+                                b.iter()
+                                    .map(|a| {
+                                        let eval = ListScheduler
+                                            .evaluate_bounded_with(g, matrix, a, INF, &mut raw);
+                                        black_box(eval)
+                                    })
+                                    .count()
+                            })
+                        },
+                        &mut || batch_pass(allocs, |b| noop.run_batch(b, INF)),
+                        &mut || batch_pass(allocs, |b| st.run_batch(b, INF)),
+                        &mut || batch_pass(allocs, |b| fl.run_batch(b, INF)),
+                    ],
+                )
+            })
+        })
     });
     let pct = |side: &[f64]| (paired_ratio(side, &t[0]) - 1.0) * 100.0;
 
@@ -347,33 +344,6 @@ pub fn recorder_overhead(case: &HardCase) -> ObsBench {
         events_per_sec,
         saturated_events_per_sec,
         drop_rate_at_capacity: dropped as f64 / PUSHES as f64,
-    }
-}
-
-/// The fitness core's unit of work on the hard case: ready-queue pops (one
-/// per task) plus availability-run heap pops per evaluation, averaged
-/// exactly over the λ-batch, and the bare loop's time per pop.
-#[derive(Serialize, Deserialize)]
-struct MapperProbe {
-    workload: String,
-    pops_per_eval: f64,
-    ns_per_eval: f64,
-    mapper_ns_per_pop: f64,
-}
-
-fn mapper_probe(case: &HardCase, ns_per_eval: f64) -> MapperProbe {
-    let (stats, mut scratch) = (StatsRecorder::new(), EvalScratch::new());
-    for a in &case.allocs {
-        let _ =
-            ListScheduler.evaluate_bounded_obs(&case.g, &case.matrix, a, INF, &mut scratch, &stats);
-    }
-    let pops = stats.counter("sched.tasks_placed") + stats.counter("sched.group_pops");
-    let pops_per_eval = pops as f64 / LAMBDA as f64;
-    MapperProbe {
-        workload: HardCase::LABEL.into(),
-        pops_per_eval,
-        ns_per_eval,
-        mapper_ns_per_pop: ns_per_eval / pops_per_eval,
     }
 }
 
@@ -590,7 +560,6 @@ struct FitnessBench {
     batch_size: usize,
     paths_ns_per_eval: FitnessPaths,
     mapper_ns_per_call: BTreeMap<String, f64>,
-    mapper_probe: MapperProbe,
     speedup_vs_prepr_baseline: f64,
     robust_p95_degradation: RobustP95,
     lint_v2: LintV2,
@@ -611,7 +580,6 @@ pub fn write(dir: &Path) -> std::io::Result<Vec<String>> {
         batch_size: LAMBDA,
         paths_ns_per_eval: paths,
         mapper_ns_per_call: mapper,
-        mapper_probe: mapper_probe(&case, obs.raw_ns_per_eval),
         speedup_vs_prepr_baseline: speedup,
         robust_p95_degradation: robust_p95_degradation(),
         lint_v2: lint_v2(),

@@ -279,22 +279,15 @@ impl Batch {
 
     /// Computes item `i` into its slot. A slot another thread filled first
     /// keeps its value: both computed the same deterministic result.
-    fn run_item<R: Recorder>(
-        &self,
-        i: usize,
-        g: &Ptg,
-        matrix: &TimeMatrix,
-        scratch: &mut EvalScratch,
-        rec: &R,
-    ) {
+    fn run_item(&self, i: usize, g: &Ptg, matrix: &TimeMatrix, scratch: &mut EvalScratch) {
         match &self.work {
             Work::Evaluate {
                 allocs,
                 cutoff,
                 results,
             } => {
-                let outcome = ListScheduler
-                    .evaluate_bounded_obs(g, matrix, &allocs[i], *cutoff, scratch, rec);
+                let outcome =
+                    ListScheduler.evaluate_bounded_with(g, matrix, &allocs[i], *cutoff, scratch);
                 let _ = results[i].set(outcome);
             }
             Work::Seed { heuristic, result } => {
@@ -353,14 +346,14 @@ fn drain_batch<R: Recorder>(
                     // lint:allow(src-panic-reach) -- deliberate fault injection; caught by the per-item catch_unwind
                     panic!("sabotage: poisoned allocation");
                 }
-                batch.run_item(i, g, matrix, scratch, rec);
+                batch.run_item(i, g, matrix, scratch);
             }));
             if attempt.is_err() {
                 core.panics.fetch_add(1, Ordering::Relaxed);
                 *scratch = EvalScratch::with_capacity(g.task_count(), matrix.p_max());
             }
         } else {
-            batch.run_item(i, g, matrix, scratch, rec);
+            batch.run_item(i, g, matrix, scratch);
         }
         if let Some(t) = eval_start {
             rec.latency("pool.eval_seconds", t.elapsed().as_secs_f64());
@@ -644,17 +637,9 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         self.rec
     }
 
-    /// Evaluates one allocation on the caller's scratch, with no
-    /// telemetry beyond the scheduler's own counters.
+    /// Evaluates one allocation on the caller's scratch.
     fn eval_inline(&mut self, alloc: &Allocation, cutoff: f64) -> BoundedEval {
-        ListScheduler.evaluate_bounded_obs(
-            self.g,
-            self.matrix,
-            alloc,
-            cutoff,
-            &mut self.scratch,
-            self.rec,
-        )
+        ListScheduler.evaluate_bounded_with(self.g, self.matrix, alloc, cutoff, &mut self.scratch)
     }
 
     /// Evaluates every allocation under `cutoff`; results are positional.
@@ -777,7 +762,7 @@ impl<'env, REC: Recorder> EvalPool<'env, REC> {
         // produced.
         for i in 0..batch.len() {
             if !batch.is_filled(i) {
-                batch.run_item(i, self.g, self.matrix, &mut self.scratch, self.rec);
+                batch.run_item(i, self.g, self.matrix, &mut self.scratch);
                 self.serial_fallbacks += 1;
             }
         }

@@ -24,8 +24,7 @@ use ptg::{Ptg, PtgBuilder, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sched::{
-    Allocation, BoundedEval, EvalScratch, ListScheduler, Mapper, Placement, Rescheduler,
-    ResumeState, Schedule,
+    Allocation, EvalScratch, ListScheduler, Mapper, Placement, Rescheduler, ResumeState, Schedule,
 };
 use workloads::{daggen::random_ptg, CostConfig, DaggenParams};
 
@@ -111,7 +110,7 @@ type EntryPoint = fn(&Case, f64) -> Vec<Option<f64>>;
 const ENTRY_POINTS: [(&str, EntryPoint); 12] = [
     ("makespan_bounded", fresh),
     ("makespan_bounded_with", reused_scratch),
-    ("evaluate_bounded_obs, live stats", instrumented),
+    ("run_batch, 0 workers, live stats", recorded),
     ("run_batch, 0 workers", |c, cutoff| {
         pooled(c, cutoff, 0, c.chain.len())
     }),
@@ -144,32 +143,20 @@ fn reused_scratch(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
         .collect()
 }
 
-/// The grouped core under a live recorder, one per evaluation: a completed
-/// evaluation places every task once, and a rejection is counted.
-fn instrumented(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
-    c.chain
-        .iter()
-        .map(|a| {
-            let stats = StatsRecorder::new();
-            let mut scratch = EvalScratch::new();
-            let eval =
-                ListScheduler.evaluate_bounded_obs(&c.g, &c.m, a, cutoff, &mut scratch, &stats);
-            match eval {
-                BoundedEval::Complete { makespan, .. } => {
-                    assert_eq!(
-                        stats.counter("sched.tasks_placed"),
-                        c.g.task_count() as u64,
-                        "a completed evaluation places every task exactly once"
-                    );
-                    Some(makespan)
-                }
-                BoundedEval::Rejected => {
-                    assert!(stats.counter("sched.cutoff_stops") >= 1);
-                    None
-                }
-            }
-        })
-        .collect()
+/// The chain through a 0-worker pool under a live recorder: one
+/// `pool.eval_seconds` sample per allocation evaluated.
+fn recorded(c: &Case, cutoff: f64) -> Vec<Option<f64>> {
+    let stats = StatsRecorder::new();
+    let got = EvalPool::with_workers(&c.g, &c.m, 0, &stats, |pool| {
+        pool.run_batch(c.chain.clone(), cutoff)
+    });
+    let report = stats.report("prop_fitness");
+    assert_eq!(
+        report.histograms["pool.eval_seconds"].total(),
+        c.chain.len() as u64,
+        "one latency sample per evaluation"
+    );
+    got.into_iter().map(|o| o.decide(f64::INFINITY)).collect()
 }
 
 /// The chain through `run_batch`, `batch` allocations at a time.

@@ -5,10 +5,11 @@
 //! is off. This crate therefore models telemetry as a compile-time choice:
 //! hot paths are generic over a [`Recorder`] whose `ENABLED` associated
 //! constant lets the optimizer erase every probe when the recorder is
-//! [`NoopRecorder`] (the `fitness/engine` bench asserts the erased probes
-//! cost < 1%). [`StatsRecorder`] is the recording implementation: nested
-//! monotonic phase spans, counters, gauges, and fixed-bin log-scaled
-//! latency histograms.
+//! [`NoopRecorder`] (the release guard
+//! `perf_guard::recorder_overhead_stays_within_budget` holds the serial
+//! pool path within 5% of the bare mapper loop). [`StatsRecorder`] is the
+//! recording implementation: nested monotonic phase spans, counters,
+//! gauges, and fixed-bin log-scaled latency histograms.
 //!
 //! A finished run is snapshotted into a schema-versioned [`RunReport`]
 //! (JSON via the vendored serde subset) which the `emts-report` binary

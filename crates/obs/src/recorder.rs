@@ -47,7 +47,7 @@ pub trait Recorder: Sync {
     fn latency(&self, name: &'static str, seconds: f64);
 
     /// Records a point-in-time marker carrying an opaque payload
-    /// (batch sizes, sampled heap-pop indices, …).
+    /// (batch sizes, generation indices, …).
     ///
     /// Events mark the timeline; they are not counters. Event-stream
     /// sinks (the flight recorder) keep each occurrence, and every other

@@ -60,7 +60,6 @@ pub const BAD_UP_TOKENS: &[&str] = &[
     "replans",
     "findings",
     "stale",
-    "pops",
 ];
 
 /// Tokens voting lower-is-worse: throughput, savings and quality rates.
@@ -90,7 +89,6 @@ pub const IDENTITY_TOKENS: &[&str] = &[
     "count",
     "counts",
     "version",
-    "shards",
     "rounds",
     "jobs",
     "epoch",
@@ -98,7 +96,6 @@ pub const IDENTITY_TOKENS: &[&str] = &[
     "scheduled",
     "batch",
     "events",
-    "items",
     "tasks",
     "capacity",
     "generations",

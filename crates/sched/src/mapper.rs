@@ -22,7 +22,6 @@ use crate::soa_heap::{
     group_avail, group_count, group_entry, ready_entry, ready_task, MaxHeap128, MinHeap128,
 };
 use exec_model::TimeMatrix;
-use obs::{NoopRecorder, Recorder};
 use ptg::critpath::bottom_levels_into;
 use ptg::{Ptg, TaskId};
 use std::cmp::Ordering;
@@ -399,14 +398,6 @@ impl ListScheduler {
     /// O(V log V) regardless of allocation widths — on wide platforms
     /// (P = 120 and mean width P/2 this is ~30× fewer heap operations than
     /// the per-processor core).
-    /// When recording (`R::ENABLED`), heap traffic is accumulated in local
-    /// counters and flushed to `rec` **once per evaluation** — the counters
-    /// and the flush monomorphize away entirely under
-    /// [`obs::NoopRecorder`], keeping the disabled hot path identical to
-    /// the uninstrumented code (asserted by the bench's no-op overhead
-    /// check). Counter names: `sched.tasks_placed` (ready-queue pops),
-    /// `sched.group_pops` / `sched.group_pushes` (processor-group heap
-    /// traffic), `sched.cutoff_stops` (evaluations stopped by the cutoff).
     ///
     /// The loop state is pure struct-of-arrays: task ids index the
     /// scratch's parallel `Vec<f64>`/`Vec<u32>` columns, adjacency comes
@@ -416,20 +407,16 @@ impl ListScheduler {
     /// layouts and the argument why pop order — and therefore every result
     /// bit — is unchanged).
     // lint:hot-path
-    pub(crate) fn schedule_core_grouped<R: Recorder>(
+    pub(crate) fn schedule_core_grouped(
         g: &Ptg,
         alloc: &Allocation,
         p_max: u32,
         cutoff: f64,
         scratch: &mut EvalScratch,
-        rec: &R,
     ) -> BoundedEval {
         let threshold = reject_threshold(cutoff);
         let mut makespan = 0.0f64;
         let mut reject_key = 0.0f64;
-        let mut tasks_placed = 0u64;
-        let mut group_pops = 0u64;
-        let mut group_pushes = 0u64;
         // The whole loop runs on flat state: parallel slices, the graph's
         // flat adjacency, packed-`u128` heaps. Splitting the scratch borrow
         // up front keeps every access a direct slice index.
@@ -467,21 +454,6 @@ impl ListScheduler {
             while need > 0 {
                 // lint:allow(src-panic-reach) -- invariant expect: prepare_into caps every allocation at P, so the group heap cannot run dry
                 run = groups.pop().expect("alloc ≤ P ensured by prepare");
-                if R::ENABLED {
-                    group_pops += 1;
-                    // Sampled heap-pop probe: every `POP_SAMPLE`-th pop
-                    // lands on the event timeline (flight recorder).
-                    // Power-of-two mask, and the whole branch folds away
-                    // under the no-op recorder.
-                    // 4096 keeps the flight-recorder overhead on a full
-                    // n=100 evaluation (a few thousand pops) near one
-                    // sampled event — the ≤5% tracing budget leaves no
-                    // room for an event every 512 pops.
-                    const POP_SAMPLE: u64 = 4096;
-                    if group_pops & (POP_SAMPLE - 1) == 0 {
-                        rec.event("sched.pop.sample", group_pops);
-                    }
-                }
                 let count = group_count(run);
                 if count > need {
                     // The count lives in the low 32 bits: subtracting edits
@@ -498,29 +470,16 @@ impl ListScheduler {
             let start = data_ready[v].max(procs_free);
             let lower_bound = start + bl[v];
             if lower_bound > threshold {
-                if R::ENABLED {
-                    rec.add("sched.tasks_placed", tasks_placed);
-                    rec.add("sched.group_pops", group_pops);
-                    rec.add("sched.group_pushes", group_pushes);
-                    rec.add("sched.cutoff_stops", 1);
-                }
                 return BoundedEval::Rejected;
             }
             reject_key = reject_key.max(lower_bound);
             let finish = start + times[v];
             if remainder != 0 {
                 groups.push(remainder);
-                if R::ENABLED {
-                    group_pushes += 1;
-                }
             }
             groups.push(group_entry(finish, next_seq, s));
             next_seq += 1;
             makespan = makespan.max(finish);
-            if R::ENABLED {
-                group_pushes += 1;
-                tasks_placed += 1;
-            }
             for &w in g.successors(task) {
                 let wi = w.index();
                 data_ready[wi] = data_ready[wi].max(finish);
@@ -529,11 +488,6 @@ impl ListScheduler {
                     ready.push(ready_entry(bl[wi], w));
                 }
             }
-        }
-        if R::ENABLED {
-            rec.add("sched.tasks_placed", tasks_placed);
-            rec.add("sched.group_pops", group_pops);
-            rec.add("sched.group_pushes", group_pushes);
         }
         BoundedEval::Complete {
             makespan,
@@ -622,26 +576,8 @@ impl ListScheduler {
         cutoff: f64,
         scratch: &mut EvalScratch,
     ) -> BoundedEval {
-        self.evaluate_bounded_obs(g, matrix, alloc, cutoff, scratch, &NoopRecorder)
-    }
-
-    /// [`Self::evaluate_bounded_with`] with telemetry: heap-operation
-    /// counters and rejection counts flow into `rec` (see
-    /// `schedule_core_grouped` for the counter names). With
-    /// [`obs::NoopRecorder`] this *is* `evaluate_bounded_with` — every
-    /// probe compiles away.
-    // lint:hot-path
-    pub fn evaluate_bounded_obs<R: Recorder>(
-        &self,
-        g: &Ptg,
-        matrix: &TimeMatrix,
-        alloc: &Allocation,
-        cutoff: f64,
-        scratch: &mut EvalScratch,
-        rec: &R,
-    ) -> BoundedEval {
         Self::prepare_into(g, matrix, alloc, scratch);
-        Self::schedule_core_grouped(g, alloc, matrix.p_max(), cutoff, scratch, rec)
+        Self::schedule_core_grouped(g, alloc, matrix.p_max(), cutoff, scratch)
     }
 
     /// [`Mapper::map`] with processor availability on the per-processor
@@ -1044,34 +980,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn recorded_evaluation_counts_heap_ops_and_rejections() {
-        use obs::StatsRecorder;
-        let g = fork_join();
-        let m = matrix(&g, 4);
-        let alloc = Allocation::from_vec(vec![4, 2, 1, 3, 4]);
-        let mut scratch = EvalScratch::new();
-        let rec = StatsRecorder::new();
-        let plain =
-            ListScheduler.evaluate_bounded_with(&g, &m, &alloc, f64::INFINITY, &mut scratch);
-        let recorded =
-            ListScheduler.evaluate_bounded_obs(&g, &m, &alloc, f64::INFINITY, &mut scratch, &rec);
-        assert_eq!(plain, recorded, "telemetry must not change results");
-        assert_eq!(rec.counter("sched.tasks_placed"), g.task_count() as u64);
-        assert!(rec.counter("sched.group_pops") >= g.task_count() as u64);
-        assert!(rec.counter("sched.group_pushes") >= g.task_count() as u64);
-        assert_eq!(rec.counter("sched.cutoff_stops"), 0);
-
-        // A cutoff below the real makespan must be counted as a rejection.
-        let BoundedEval::Complete { makespan, .. } = recorded else {
-            panic!("infinite cutoff never rejects");
-        };
-        let outcome =
-            ListScheduler.evaluate_bounded_obs(&g, &m, &alloc, makespan * 0.5, &mut scratch, &rec);
-        assert_eq!(outcome, BoundedEval::Rejected);
-        assert_eq!(rec.counter("sched.cutoff_stops"), 1);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! guarantee against random DAGGEN graphs.
 
 use exec_model::TimeMatrix;
-use obs::{NoopRecorder, Recorder};
 use ptg::{Ptg, TaskId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -890,24 +889,6 @@ pub fn fault_trials(
     spec: &FaultSpec,
     trials: usize,
 ) -> Result<FaultSummary, RescheduleError> {
-    fault_trials_obs(g, matrix, schedule, alloc, spec, trials, &NoopRecorder)
-}
-
-/// [`fault_trials`] with telemetry: each trial runs under a
-/// `faults.trial` trace span, and trials that injected retries, kills or
-/// reschedules drop timeline instants (`faults.retry`, `faults.kill`,
-/// `faults.reschedule`) so a fault-injected episode can be located in a
-/// flight-recorder export. Never changes any result — the trial loop is
-/// deterministic with or without a recorder.
-pub fn fault_trials_obs<R: Recorder>(
-    g: &Ptg,
-    matrix: &TimeMatrix,
-    schedule: &Schedule,
-    alloc: &Allocation,
-    spec: &FaultSpec,
-    trials: usize,
-    rec: &R,
-) -> Result<FaultSummary, RescheduleError> {
     assert!(trials >= 1, "at least one trial");
     let baseline = schedule.makespan();
     let mut degradations = Vec::with_capacity(trials);
@@ -918,7 +899,6 @@ pub fn fault_trials_obs<R: Recorder>(
     // the mean at the end.
     let mut kind_sums = [0.0f64; 4];
     for trial in 0..trials {
-        let trial_span = rec.trace_span("faults.trial");
         let plan = FaultPlan::realize(
             spec,
             trial as u64,
@@ -927,18 +907,6 @@ pub fn fault_trials_obs<R: Recorder>(
             baseline,
         );
         let report = execute_with_faults(g, matrix, schedule, alloc, &plan)?;
-        if R::ENABLED {
-            if report.retries > 0 {
-                rec.event("faults.retry", report.retries as u64);
-            }
-            if report.tasks_killed > 0 {
-                rec.event("faults.kill", report.tasks_killed as u64);
-            }
-            if report.reschedules > 0 {
-                rec.event("faults.reschedule", report.reschedules as u64);
-            }
-        }
-        drop(trial_span);
         let degradation = report.makespan / baseline;
         degradations.push(degradation);
         tasks_killed += report.tasks_killed;

@@ -21,9 +21,8 @@ pub mod online;
 pub mod runner;
 
 pub use faults::{
-    execute_with_faults, fault_trials, fault_trials_obs, ChurnEvent, ChurnEventKind, ChurnSpec,
-    ChurnStream, FaultKindBreakdown, FaultPlan, FaultSpec, FaultSpecError, FaultSummary,
-    FaultyReport, KindStat,
+    execute_with_faults, fault_trials, ChurnEvent, ChurnEventKind, ChurnSpec, ChurnStream,
+    FaultKindBreakdown, FaultPlan, FaultSpec, FaultSpecError, FaultSummary, FaultyReport, KindStat,
 };
 pub use online::{run_online, OnlineConfig, OnlineError, OnlineReport};
 pub use runner::{run_with_faults_workers, Algorithm, RunRecord};

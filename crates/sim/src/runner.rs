@@ -262,7 +262,7 @@ pub fn run_with_faults_workers<M: ExecutionTimeModel + ?Sized, R: Recorder>(
     let (mut report, schedule, trace, (matrix, alloc)) =
         pipeline(algorithm, g, cluster, model, seed, workers, rec);
     let summary = rec.time("faults", || {
-        crate::faults::fault_trials_obs(g, &matrix, &schedule, &alloc, spec, trials, rec)
+        crate::faults::fault_trials(g, &matrix, &schedule, &alloc, spec, trials)
     })?;
     if R::ENABLED {
         obs::publish!(rec, "faults.", summary,

@@ -6,7 +6,7 @@
 #   split into generation, time matrix, allocation and mapping.
 # * `emts-ledger` measures every per-layer number on the paper's hard case
 #   (DAGGEN n=100 on Grelon, P=120, Model 2) in one process and writes
-#   BENCH_fitness.json (fitness paths, mapper cells and probe, EMTS10 cache
+#   BENCH_fitness.json (fitness paths, mapper cells, EMTS10 cache
 #   statistics, fault degradation, lint v2), BENCH_obs.json (recorder
 #   overhead, event throughput, drop accounting), BENCH_online.json
 #   (rolling vs reactive-only under churn) and BENCH_fitness_report.json

@@ -74,6 +74,9 @@ esac
 echo "== perf guards (release): recorder overhead budgets, SoA core vs oracle, CPA loop vs reference, map vs heap reference"
 cargo test --release -q --offline -p bench --test perf_guard -- --ignored
 
+echo "== benchmark build (release, --locked): no crate manifest edit may rewrite its Cargo.lock"
+cargo build -q --offline --locked --release --manifest-path examples/benchmark/Cargo.toml
+
 echo "== benchmark unit tests (release), including a 2%-scale bit-for-bit smoke of every workload"
 cargo test -q --offline --release --manifest-path examples/benchmark/Cargo.toml
 

@@ -102,11 +102,6 @@ fn hot_path_counters_and_histograms_are_populated() {
     );
     let rate = report.cache_hit_rate().expect("cache counters present");
     assert!((0.0..=1.0).contains(&rate));
-    // Scheduler heap instrumentation propagated up from the mapper: every
-    // engine miss runs the mapper, which places at least one task before
-    // any rejection cutoff can fire.
-    assert!(report.counters["sched.tasks_placed"] >= misses);
-    assert!(report.counters["sched.group_pops"] >= report.counters["sched.tasks_placed"]);
     // Per-evaluation latency histogram: one finite sample per mapper run.
     let lat = &report.histograms["pool.eval_seconds"];
     assert_eq!(lat.total(), misses);
